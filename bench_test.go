@@ -55,6 +55,35 @@ func runExperiment(b *testing.B, id string) {
 	b.Logf("wrote %s", path)
 }
 
+// TestBenchResultsCurrent makes the byte-identical contract a machine
+// check: the committed bench_results files are Quick-scale renders, so
+// a change that moves any simulated statistic behind these two
+// scenario-driven experiments (a learned performance table, a
+// controller timeline) fails here instead of surfacing as a diff after
+// the next -bench run.
+func TestBenchResultsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	for _, id := range []string{"table1", "fig13"} {
+		r, err := experiments.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Run(experiments.Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("bench_results", id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s drifted from bench_results/%s.txt:\ngot:\n%s\nwant:\n%s", id, id, got, want)
+		}
+	}
+}
+
 // §2 motivation.
 
 func BenchmarkFig01CacheInterference(b *testing.B) { runExperiment(b, "fig1") }

@@ -24,16 +24,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/daemoncfg"
 	"repro/internal/httpstatus"
-	"repro/internal/msr"
 	"repro/internal/obs"
 	"repro/internal/resctrl"
 	"repro/internal/telemetry"
@@ -43,50 +41,13 @@ import (
 // registry (shared with the cluster client's RPC instrumentation) and
 // the decision-trace destinations.
 type obsWiring struct {
-	reg        *telemetry.Registry
-	traceFile  string
-	journalLen int
-	pprof      bool
-	streamBuf  int
-}
-
-// groupFlag mirrors dcatd's repeated -group name=cpus@baseline flag.
-type groupFlag []groupSpec
-
-type groupSpec struct {
-	name     string
-	cores    []int
-	baseline int
-}
-
-func (g *groupFlag) String() string { return fmt.Sprintf("%d groups", len(*g)) }
-
-func (g *groupFlag) Set(v string) error {
-	name, rest, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cpus, baseStr, ok := strings.Cut(rest, "@")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cores, err := resctrl.ParseCPUList(cpus)
-	if err != nil {
-		return err
-	}
-	if len(cores) == 0 {
-		return fmt.Errorf("group %q has no cpus", name)
-	}
-	base, err := strconv.Atoi(baseStr)
-	if err != nil || base < 1 {
-		return fmt.Errorf("group %q: bad baseline %q", name, baseStr)
-	}
-	*g = append(*g, groupSpec{name: name, cores: cores, baseline: base})
-	return nil
+	daemoncfg.Obs
+	reg       *telemetry.Registry
+	streamBuf int
 }
 
 func main() {
-	var groups groupFlag
+	var groups daemoncfg.Groups
 	var (
 		name      = flag.String("name", defaultName(), "agent name, unique per coordinator")
 		coord     = flag.String("coord", "", "coordinator base URL, e.g. http://coord:9400 (empty = standalone)")
@@ -98,25 +59,17 @@ func main() {
 		msrRoot   = flag.String("msr", "/dev/cpu", "msr device root (hardware mode)")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-request coordinator timeout")
 		retries   = flag.Int("retries", 3, "coordinator request retries (exponential backoff with jitter)")
-		trace     = flag.String("trace-file", "", "append every controller decision event as JSON Lines to this file")
-		journal   = flag.Int("journal", obs.DefaultJournalSize, "in-memory decision journal capacity in events (served at /debug/journal)")
-		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof on the -http address")
 		streamBuf = flag.Int("stream-buffer", 4096, "decision events buffered for upload to the fleet flight recorder (drop-oldest when full)")
 		sockets   = flag.Int("sockets", 0, "demo NUMA sockets (0 = single-socket demo); >1 enables placement directives")
 	)
+	obsSel := daemoncfg.ObsFlags(flag.CommandLine)
 	flag.Var(&groups, "group", "managed group as name=cpus@baseline (repeatable, hardware mode)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	ob := obsWiring{
-		reg:        telemetry.NewRegistry(),
-		traceFile:  *trace,
-		journalLen: *journal,
-		pprof:      *pprofOn,
-		streamBuf:  *streamBuf,
-	}
+	ob := obsWiring{Obs: *obsSel, reg: telemetry.NewRegistry(), streamBuf: *streamBuf}
 	var client *cluster.Client
 	if *coord != "" {
 		var err error
@@ -151,49 +104,26 @@ func defaultName() string {
 	return "dcat-agent"
 }
 
-// simLocal adapts a simulation — single- or multi-socket — to the
-// agent's Local surface: each tick advances the simulated host one
-// interval, then runs the controller(s), the same path dcatd -demo
-// drives. On multi-socket hosts it also implements cluster.Mover, so
-// coordinator placement directives become live migrations.
+// simLocal adapts a simulation to the agent's Local surface: each tick
+// advances the simulated host one interval, then runs the controller
+// set, the same path dcatd -demo drives. It also implements
+// cluster.Mover, so on multi-socket hosts coordinator placement
+// directives become live migrations.
 type simLocal struct {
 	sim *dcat.Simulation
 }
 
 func (s *simLocal) Tick() error             { return s.sim.Step() }
 func (s *simLocal) Snapshot() []core.Status { return s.sim.Snapshot() }
-
-func (s *simLocal) Ticks() int {
-	if m := s.sim.Multi(); m != nil {
-		return m.Ticks()
-	}
-	return s.sim.Controller().Ticks()
-}
-
-func (s *simLocal) TotalWays() int {
-	if m := s.sim.Multi(); m != nil {
-		return m.TotalWays()
-	}
-	return s.sim.Controller().TotalWays()
-}
+func (s *simLocal) Ticks() int              { return s.sim.Controller().Ticks() }
+func (s *simLocal) TotalWays() int          { return s.sim.Controller().TotalWays() }
 
 func (s *simLocal) SetWayCap(name string, ways int) bool {
-	if m := s.sim.Multi(); m != nil {
-		return m.SetWayCap(name, ways)
-	}
 	return s.sim.Controller().SetWayCap(name, ways)
 }
 
 func (s *simLocal) MigrateVM(name string, toSocket int) error {
 	return s.sim.MigrateVM(name, toSocket)
-}
-
-// loopObs is the observability surface runAgent wires regardless of
-// loop shape — *dcat.Controller and *dcat.MultiController both
-// implement it.
-type loopObs interface {
-	SetSink(obs.Sink)
-	RegisterMetrics(*telemetry.Registry)
 }
 
 // runDemo runs the agent over the simulated host (MLR + MLOAD +
@@ -261,50 +191,38 @@ func runDemo(ctx context.Context, name string, client *cluster.Client, httpAddr 
 		return err
 	}
 	local := &simLocal{sim: sim}
-	var lo loopObs = sim.Controller()
 	var mover cluster.Mover
-	if m := sim.Multi(); m != nil {
-		lo = m
+	if sockets > 1 {
 		mover = local
 	}
-	return runAgent(ctx, name, client, httpAddr, period, intervals, local, lo, mover, ob)
+	ctl := sim.Controller()
+	return runAgent(ctx, name, client, httpAddr, period, intervals, local, ctl.SetSink, ctl.RegisterMetrics, mover, ob)
 }
 
 // runHardware runs the agent over resctrl + MSR counters, dcatd's
 // production path.
-func runHardware(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, root, msrRoot string, groups groupFlag, ob obsWiring) error {
+func runHardware(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, root, msrRoot string, groups daemoncfg.Groups, ob obsWiring) error {
 	if len(groups) == 0 {
 		return fmt.Errorf("no -group flags; nothing to manage (did you mean -demo?)")
 	}
-	backend, err := dcat.NewResctrlBackend(root)
-	if err != nil {
-		return fmt.Errorf("opening resctrl (is it mounted?): %w", err)
-	}
-	var allCores []int
-	var targets []dcat.Target
-	for _, g := range groups {
-		allCores = append(allCores, g.cores...)
-		targets = append(targets, dcat.Target{Name: g.name, Cores: g.cores, BaselineWays: g.baseline})
-	}
-	counters, err := msr.Open(msr.DevFS{Root: msrRoot}, allCores)
-	if err != nil {
-		return fmt.Errorf("programming MSR counters (is the msr module loaded?): %w", err)
-	}
-	ctl, err := dcat.NewController(dcat.DefaultConfig(), backend, counters, targets)
+	ctl, err := daemoncfg.OpenHardware(dcat.DefaultConfig(), root, msrRoot, groups)
 	if err != nil {
 		return err
 	}
-	return runAgent(ctx, name, client, httpAddr, period, 0, ctl, ctl, nil, ob)
+	return runAgent(ctx, name, client, httpAddr, period, 0, ctl, ctl.SetSink, ctl.RegisterMetrics, nil, ob)
 }
 
 // runAgent wraps the local loop in a cluster agent, serves local
 // status, and ticks until the context is canceled (or the demo
-// interval budget is spent). The controller's decision events fan out
-// to the in-memory journal, the optional trace file, the agent's
-// tally so the coordinator sees fleet-wide transition rates, and — in
-// coordinator mode — the flight-recorder streamer that uploads every
-// event to the fleet store.
-func runAgent(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, intervals int, local cluster.Local, ctl loopObs, mover cluster.Mover, ob obsWiring) error {
+// interval budget is spent). setSink and registerMetrics are the
+// loop's own — a bare controller on hardware, the controller set in
+// -demo. The controller's decision events fan out to the in-memory
+// journal, the optional trace file, the agent's tally so the
+// coordinator sees fleet-wide transition rates, and — in coordinator
+// mode — the flight-recorder streamer that uploads every event to the
+// fleet store.
+func runAgent(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, intervals int, local cluster.Local,
+	setSink func(obs.Sink), registerMetrics func(*telemetry.Registry), mover cluster.Mover, ob obsWiring) error {
 	var streamer *cluster.Streamer
 	if client != nil {
 		var err error
@@ -328,27 +246,16 @@ func runAgent(ctx context.Context, name string, client *cluster.Client, httpAddr
 	if err != nil {
 		return err
 	}
-	journal := obs.NewJournal(ob.journalLen)
-	sinks := []obs.Sink{journal}
+	opts, chain, closeTrace, err := ob.Open(ob.reg)
+	if err != nil {
+		return err
+	}
+	defer closeTrace()
 	if client != nil {
-		sinks = append(sinks, agent.EventSink(), streamer)
+		chain = obs.Multi(chain, agent.EventSink(), streamer)
 	}
-	opts := httpstatus.Options{Journal: journal, Metrics: ob.reg, Pprof: ob.pprof}
-	if ob.traceFile != "" {
-		fs, err := obs.NewFileSink(ob.traceFile)
-		if err != nil {
-			return fmt.Errorf("opening trace file: %w", err)
-		}
-		defer fs.Close()
-		drops := ob.reg.Counter("dcat_trace_file_dropped_total",
-			"Decision events the -trace-file sink discarded after a latched write error.")
-		fs.SetOnDrop(drops.Inc)
-		opts.Trace = fs
-		sinks = append(sinks, fs)
-	}
-	chain := obs.Multi(sinks...)
-	ctl.SetSink(chain)
-	ctl.RegisterMetrics(ob.reg)
+	setSink(chain)
+	registerMetrics(ob.reg)
 	// The agent's own events (placement executions) take the same path
 	// as the controller's, so they reach the fleet recorder too.
 	agent.SetSink(chain)

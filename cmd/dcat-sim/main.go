@@ -101,10 +101,8 @@ func realMain(simCfg dcat.SimConfig, wl string, ws uint64, baseline, neighbors, 
 	if err != nil {
 		return err
 	}
-	nSockets := 1
-	if nsys := sim.Host().NUMA(); nsys != nil {
-		nSockets = nsys.Sockets()
-	}
+	nsys := sim.Host().NUMA()
+	nSockets := nsys.Sockets()
 	if targetMem < 0 || targetMem >= nSockets {
 		return fmt.Errorf("-target-mem %d out of range for %d socket(s)", targetMem, nSockets)
 	}
@@ -182,7 +180,7 @@ func realMain(simCfg dcat.SimConfig, wl string, ws uint64, baseline, neighbors, 
 		}
 		fmt.Printf("  %-10s %-10s %2d ways (baseline %d)%s\n", st.Name, st.State, st.Ways, st.Baseline, suffix)
 	}
-	if nsys := sim.Host().NUMA(); nsys != nil && nSockets > 1 {
+	if nSockets > 1 {
 		fmt.Println("cross-socket traffic:")
 		for s := 0; s < nSockets; s++ {
 			fmt.Printf("  socket %d: %d remote accesses, %d penalty cycles\n",

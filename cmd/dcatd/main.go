@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -31,84 +30,27 @@ import (
 	"repro"
 	"repro/internal/daemoncfg"
 	"repro/internal/httpstatus"
-	"repro/internal/msr"
-	"repro/internal/obs"
 	allocpolicy "repro/internal/policy"
 	"repro/internal/resctrl"
 	"repro/internal/telemetry"
 )
 
-// obsFlags carries the observability selections from the command line
-// into both run paths.
-type obsFlags struct {
-	traceFile  string
-	journalLen int
-	pprof      bool
-}
-
-// attach wires a decision-trace journal (plus the optional continuous
-// JSONL trace file) and the metrics registry into the controller, and
-// returns the HTTP surfaces plus a cleanup that flushes the trace.
-func (o obsFlags) attach(ctl *dcat.Controller) (httpstatus.Options, func(), error) {
-	journal := obs.NewJournal(o.journalLen)
+// attach wires the decision-trace journal (plus the optional continuous
+// JSONL trace file) and a fresh metrics registry into the controller,
+// and returns the HTTP surfaces plus a cleanup that flushes the trace.
+func attach(ob daemoncfg.Obs, ctl *dcat.Controller) (httpstatus.Options, func(), error) {
 	reg := telemetry.NewRegistry()
-	opts := httpstatus.Options{Journal: journal, Metrics: reg, Pprof: o.pprof}
-	sinks := []obs.Sink{journal}
-	closer := func() {}
-	if o.traceFile != "" {
-		fs, err := obs.NewFileSink(o.traceFile)
-		if err != nil {
-			return httpstatus.Options{}, nil, fmt.Errorf("opening trace file: %w", err)
-		}
-		drops := reg.Counter("dcat_trace_file_dropped_total",
-			"Decision events the -trace-file sink discarded after a latched write error.")
-		fs.SetOnDrop(drops.Inc)
-		opts.Trace = fs
-		sinks = append(sinks, fs)
-		closer = func() { _ = fs.Close() }
-	}
-	ctl.SetSink(obs.Multi(sinks...))
-	ctl.RegisterMetrics(reg)
-	return opts, closer, nil
-}
-
-// groupFlag collects repeated -group name=cpus@baseline flags.
-type groupFlag []groupSpec
-
-type groupSpec struct {
-	name     string
-	cores    []int
-	baseline int
-}
-
-func (g *groupFlag) String() string { return fmt.Sprintf("%d groups", len(*g)) }
-
-func (g *groupFlag) Set(v string) error {
-	name, rest, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cpus, baseStr, ok := strings.Cut(rest, "@")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cores, err := resctrl.ParseCPUList(cpus)
+	opts, sink, closeTrace, err := ob.Open(reg)
 	if err != nil {
-		return err
+		return httpstatus.Options{}, nil, err
 	}
-	if len(cores) == 0 {
-		return fmt.Errorf("group %q has no cpus", name)
-	}
-	base, err := strconv.Atoi(baseStr)
-	if err != nil || base < 1 {
-		return fmt.Errorf("group %q: bad baseline %q", name, baseStr)
-	}
-	*g = append(*g, groupSpec{name: name, cores: cores, baseline: base})
-	return nil
+	ctl.SetSink(sink)
+	ctl.RegisterMetrics(reg)
+	return opts, closeTrace, nil
 }
 
 func main() {
-	var groups groupFlag
+	var groups daemoncfg.Groups
 	var (
 		root      = flag.String("resctrl", resctrl.DefaultRoot, "resctrl filesystem root")
 		msrRoot   = flag.String("msr", "/dev/cpu", "msr device root")
@@ -120,10 +62,8 @@ func main() {
 		intervals = flag.Int("intervals", 30, "demo length in periods (0 = until interrupted)")
 		httpAddr  = flag.String("http", "", "serve /status, /metrics, /healthz on this address (e.g. :9090)")
 		confPath  = flag.String("config", "", "JSON configuration file (hardware mode; overrides the flags above)")
-		trace     = flag.String("trace-file", "", "append every controller decision event as JSON Lines to this file")
-		journal   = flag.Int("journal", obs.DefaultJournalSize, "in-memory decision journal capacity in events (served at /debug/journal)")
-		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof on the -http address")
 	)
+	ob := daemoncfg.ObsFlags(flag.CommandLine)
 	flag.Var(&groups, "group", "managed group as name=cpus@baseline (repeatable)")
 	flag.Parse()
 
@@ -152,15 +92,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	ob := obsFlags{traceFile: *trace, journalLen: *journal, pprof: *pprofOn}
 	var err error
 	switch {
 	case *confPath != "":
-		err = runFromConfig(ctx, *confPath, ob)
+		err = runFromConfig(ctx, *confPath, *ob)
 	case *demo:
-		err = runDemo(ctx, cfg, *demoDir, *intervals, *httpAddr, ob)
+		err = runDemo(ctx, cfg, *demoDir, *intervals, *httpAddr, *ob)
 	default:
-		err = runHardware(ctx, cfg, *root, *msrRoot, *period, groups, *httpAddr, ob)
+		err = runHardware(ctx, cfg, *root, *msrRoot, *period, groups, *httpAddr, *ob)
 	}
 	if err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "dcatd:", err)
@@ -169,7 +108,7 @@ func main() {
 }
 
 // runFromConfig runs hardware mode from a JSON configuration file.
-func runFromConfig(ctx context.Context, path string, ob obsFlags) error {
+func runFromConfig(ctx context.Context, path string, ob daemoncfg.Obs) error {
 	f, err := daemoncfg.Load(path)
 	if err != nil {
 		return err
@@ -178,37 +117,19 @@ func runFromConfig(ctx context.Context, path string, ob obsFlags) error {
 	if err != nil {
 		return err
 	}
-	var groups groupFlag
-	for _, g := range f.Groups {
-		groups = append(groups, groupSpec{name: g.Name, cores: g.Cores, baseline: g.BaselineWays})
-	}
-	return runHardware(ctx, cfg, f.ResctrlRoot, f.MSRRoot, f.PeriodDuration, groups, f.HTTP, ob)
+	return runHardware(ctx, cfg, f.ResctrlRoot, f.MSRRoot, f.PeriodDuration, f.Groups, f.HTTP, ob)
 }
 
 // runHardware is the production loop: resctrl backend + MSR counters.
-func runHardware(ctx context.Context, cfg dcat.Config, root, msrRoot string, period time.Duration, groups groupFlag, httpAddr string, ob obsFlags) error {
+func runHardware(ctx context.Context, cfg dcat.Config, root, msrRoot string, period time.Duration, groups daemoncfg.Groups, httpAddr string, ob daemoncfg.Obs) error {
 	if len(groups) == 0 {
 		return fmt.Errorf("no -group flags; nothing to manage")
 	}
-	backend, err := dcat.NewResctrlBackend(root)
-	if err != nil {
-		return fmt.Errorf("opening resctrl (is it mounted?): %w", err)
-	}
-	var allCores []int
-	var targets []dcat.Target
-	for _, g := range groups {
-		allCores = append(allCores, g.cores...)
-		targets = append(targets, dcat.Target{Name: g.name, Cores: g.cores, BaselineWays: g.baseline})
-	}
-	counters, err := msr.Open(msr.DevFS{Root: msrRoot}, allCores)
-	if err != nil {
-		return fmt.Errorf("programming MSR counters (is the msr module loaded?): %w", err)
-	}
-	ctl, err := dcat.NewController(cfg, backend, counters, targets)
+	ctl, err := daemoncfg.OpenHardware(cfg, root, msrRoot, groups)
 	if err != nil {
 		return err
 	}
-	opts, closeTrace, err := ob.attach(ctl)
+	opts, closeTrace, err := attach(ob, ctl)
 	if err != nil {
 		return err
 	}
@@ -240,7 +161,7 @@ func runHardware(ctx context.Context, cfg dcat.Config, root, msrRoot string, per
 
 // runDemo exercises the identical control path against a mock tree fed
 // by the simulator.
-func runDemo(ctx context.Context, cfg dcat.Config, dir string, intervals int, httpAddr string, ob obsFlags) error {
+func runDemo(ctx context.Context, cfg dcat.Config, dir string, intervals int, httpAddr string, ob daemoncfg.Obs) error {
 	if dir == "" {
 		var err error
 		dir, err = os.MkdirTemp("", "dcatd-demo-*")
@@ -297,7 +218,7 @@ func runDemo(ctx context.Context, cfg dcat.Config, dir string, intervals int, ht
 	if err != nil {
 		return err
 	}
-	opts, closeTrace, err := ob.attach(ctl)
+	opts, closeTrace, err := attach(ob, ctl)
 	if err != nil {
 		return err
 	}

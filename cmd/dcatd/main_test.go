@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	dcat "repro"
+	"repro/internal/daemoncfg"
 	"repro/internal/obs"
 )
 
@@ -17,7 +18,7 @@ import (
 func TestDemoTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.jsonl")
-	ob := obsFlags{traceFile: trace, journalLen: 128}
+	ob := daemoncfg.Obs{TraceFile: trace, JournalLen: 128}
 	err := runDemo(context.Background(), dcat.DefaultConfig(), filepath.Join(dir, "tree"), 25, "", ob)
 	if err != nil {
 		t.Fatal(err)

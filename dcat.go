@@ -46,7 +46,8 @@ type (
 	Status = core.Status
 	// Controller is the dCat daemon loop.
 	Controller = core.Controller
-	// MultiController is one dCat loop per socket on a NUMA host.
+	// MultiController is a host's controller set: one dCat loop per
+	// socket (CAT domains are per-LLC), a set of one on a one-socket host.
 	MultiController = core.MultiController
 	// PerfTable is a per-phase ways → normalized-IPC table (§3.5).
 	PerfTable = core.PerfTable
@@ -149,11 +150,11 @@ func MirrorBackend(primary, secondary Backend) (Backend, error) {
 	return &mirrorBackend{primary: primary, secondary: secondary}, nil
 }
 
-// SimBackend returns the CAT backend controlling a simulation's LLC,
-// for wiring a Controller manually (NewSimulation + Start do this for
-// you; this is for mirrored or custom setups).
+// SimBackend returns the CAT backend controlling a simulation's
+// socket-0 LLC, for wiring a Controller manually (NewSimulation + Start
+// do this for you; this is for mirrored or custom setups).
 func (s *Simulation) SimBackend() (Backend, error) {
-	return cat.NewSimBackend(s.h.System())
+	return s.h.CATBackend(0)
 }
 
 // SimConfig sizes a simulation.
@@ -165,16 +166,15 @@ type SimConfig struct {
 	// CyclesPerInterval is each core's budget per controller period
 	// (default 20M — a ~100x time-scaled second).
 	CyclesPerInterval uint64
-	// MemBytes is simulated physical memory (default 4 GiB). On a NUMA
-	// simulation the range is split evenly across sockets.
+	// MemBytes is simulated physical memory (default 4 GiB), split
+	// evenly across sockets.
 	MemBytes uint64
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Sockets builds a NUMA simulation with that many sockets of the
-	// selected Machine (0 and 1 mean single-socket). With several
-	// sockets, Start wires one controller per LLC; place VMs with
-	// AddVMOn and their memory with the socket-aware workload
-	// constructors.
+	// Sockets is how many sockets of the selected Machine the host has
+	// (0 and 1 are the same one-socket host). Start wires one controller
+	// per populated LLC; place VMs with AddVMOn and their memory with
+	// the socket-aware workload constructors.
 	Sockets int
 	// RemotePenalty is the cross-socket DRAM penalty in cycles
 	// (default memsys.DefaultRemotePenalty when Sockets > 1).
@@ -194,14 +194,12 @@ const (
 	MachineXeonD
 )
 
-// Simulation is a multi-tenant host under dCat: a simulated machine,
-// its CAT backend(s), and (once Start is called) the controller — one
-// per socket on a NUMA simulation.
+// Simulation is a multi-tenant host under dCat: a simulated machine
+// and (once Start is called) its controller set — one loop per
+// populated socket.
 type Simulation struct {
-	h       *host.Host
-	backend *cat.SimBackend // single-socket CAT domain (nil on multi-socket hosts)
-	ctl     *Controller     // single-socket loop (nil on multi-socket hosts)
-	mctl    *MultiController
+	h   *host.Host
+	ctl *MultiController // nil before Start
 }
 
 // NewSimulation builds the host.
@@ -238,18 +236,10 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{h: h}
-	if nsys := h.NUMA(); nsys == nil || nsys.Sockets() == 1 {
-		backend, err := cat.NewSimBackend(h.System())
-		if err != nil {
-			return nil, err
-		}
-		s.backend = backend
-	}
-	return s, nil
+	return &Simulation{h: h}, nil
 }
 
-// Host exposes the underlying simulated socket.
+// Host exposes the underlying simulated machine.
 func (s *Simulation) Host() *host.Host { return s.h }
 
 // AddVM places a tenant with dedicated cores on socket 0. It must be
@@ -258,78 +248,38 @@ func (s *Simulation) AddVM(name string, cores int, w Workload) error {
 	return s.AddVMOn(0, name, cores, w)
 }
 
-// AddVMOn places a tenant on the given socket of a NUMA simulation. It
-// must be called before Start.
+// AddVMOn places a tenant on the given socket. It must be called
+// before Start.
 func (s *Simulation) AddVMOn(socket int, name string, cores int, w Workload) error {
-	if s.started() {
+	if s.ctl != nil {
 		return fmt.Errorf("dcat: cannot add VMs after Start")
 	}
 	_, err := s.h.AddVMOn(socket, name, cores, w)
 	return err
 }
 
-func (s *Simulation) started() bool { return s.ctl != nil || s.mctl != nil }
-
-// Start creates the controller(s) with the given per-VM baseline ways
-// (every VM added so far must appear) and installs the baselines. On a
-// multi-socket simulation one controller per populated LLC is wired —
-// CAT domains are socket-local.
+// Start creates the controller set with the given per-VM baseline ways
+// (every VM added so far must appear) and installs the baselines: one
+// controller per populated LLC — CAT domains are socket-local.
 func (s *Simulation) Start(cfg Config, baselines map[string]int) error {
-	if s.started() {
+	if s.ctl != nil {
 		return fmt.Errorf("dcat: already started")
 	}
-	targetsOn := make(map[int][]Target)
-	var sockets []int
-	for _, vm := range s.h.VMs() {
-		b, ok := baselines[vm.Name]
-		if !ok {
-			return fmt.Errorf("dcat: no baseline for VM %q", vm.Name)
-		}
-		if len(targetsOn[vm.Socket]) == 0 {
-			sockets = append(sockets, vm.Socket)
-		}
-		targetsOn[vm.Socket] = append(targetsOn[vm.Socket],
-			Target{Name: vm.Name, Cores: vm.Cores, BaselineWays: b})
-	}
-	nsys := s.h.NUMA()
-	if nsys == nil || nsys.Sockets() == 1 {
-		ctl, err := NewController(cfg, s.backend, s.h.Counters(), targetsOn[0])
-		if err != nil {
-			return err
-		}
-		s.ctl = ctl
-		return nil
-	}
-	specs := make([]core.SocketSpec, 0, len(sockets))
-	for _, socket := range sockets {
-		backend, err := cat.NewNUMABackend(nsys, socket)
-		if err != nil {
-			return err
-		}
-		mgr, err := cat.NewManager(backend)
-		if err != nil {
-			return err
-		}
-		specs = append(specs, core.SocketSpec{Socket: socket, Mgr: mgr, Targets: targetsOn[socket]})
-	}
-	mctl, err := core.NewMulti(cfg, s.h.Counters(), specs)
+	ctl, err := s.h.Controllers(cfg, baselines)
 	if err != nil {
 		return err
 	}
-	s.mctl = mctl
+	s.ctl = ctl
 	return nil
 }
 
 // Step simulates one controller period (one simulated second): every
 // VM executes, then the controller(s) re-partition the cache.
 func (s *Simulation) Step() error {
-	if !s.started() {
+	if s.ctl == nil {
 		return fmt.Errorf("dcat: Start must be called before Step")
 	}
 	s.h.RunInterval()
-	if s.mctl != nil {
-		return s.mctl.Tick()
-	}
 	return s.ctl.Tick()
 }
 
@@ -345,22 +295,14 @@ func (s *Simulation) Run(n int) error {
 
 // Snapshot reports every workload's controller state (all sockets).
 func (s *Simulation) Snapshot() []Status {
-	if s.mctl != nil {
-		return s.mctl.Snapshot()
-	}
 	if s.ctl == nil {
 		return nil
 	}
 	return s.ctl.Snapshot()
 }
 
-// Controller exposes the running controller (nil before Start, and nil
-// on multi-socket simulations — use Multi there).
-func (s *Simulation) Controller() *Controller { return s.ctl }
-
-// Multi exposes the per-socket controller set of a multi-socket
-// simulation (nil before Start or on single-socket hosts).
-func (s *Simulation) Multi() *MultiController { return s.mctl }
+// Controller exposes the running controller set (nil before Start).
+func (s *Simulation) Controller() *MultiController { return s.ctl }
 
 // MigrateVM live-migrates a running VM's execution to another socket:
 // the host reassigns its cores there, and the destination socket's
@@ -368,49 +310,26 @@ func (s *Simulation) Multi() *MultiController { return s.mctl }
 // (phase baseline, performance tables) carried over, so it resumes at
 // its preferred allocation instead of re-learning. The VM's memory
 // stays homed on the original socket — subsequent DRAM misses pay the
-// remote penalty, while LLC hits are socket-local. Only meaningful on
-// a started multi-socket simulation.
+// remote penalty, while LLC hits are socket-local.
 func (s *Simulation) MigrateVM(name string, toSocket int) error {
-	if s.mctl == nil {
-		return fmt.Errorf("dcat: MigrateVM needs a started multi-socket simulation")
+	if s.ctl == nil {
+		return fmt.Errorf("dcat: MigrateVM needs a started simulation")
 	}
-	vm, ok := s.h.VM(name)
-	if !ok {
-		return fmt.Errorf("dcat: no VM %q", name)
-	}
-	fromSocket := vm.Socket
-	moved, err := s.h.MigrateVM(name, toSocket)
-	if err != nil {
-		return err
-	}
-	if err := s.mctl.Migrate(name, toSocket, moved.Cores); err != nil {
-		// The controller rejected the adoption (e.g. the destination
-		// pool cannot honor the baseline); put the host cores back so
-		// host and controller views stay consistent.
-		if _, backErr := s.h.MigrateVM(name, fromSocket); backErr != nil {
-			return fmt.Errorf("dcat: migrate %q: %v (host rollback failed: %v)", name, err, backErr)
-		}
-		return err
-	}
-	return nil
+	return s.h.MigrateManaged(s.ctl, name, toSocket)
 }
 
 // Occupancy reports each VM's current LLC footprint in bytes — the
-// simulation's equivalent of Intel CMT monitoring. On a NUMA host the
-// footprint is within the VM's own socket's LLC.
+// simulation's equivalent of Intel CMT monitoring — within the VM's own
+// socket's LLC.
 func (s *Simulation) Occupancy() map[string]uint64 {
 	out := make(map[string]uint64, len(s.h.VMs()))
 	for _, vm := range s.h.VMs() {
-		var reader cat.OccupancyReader = s.backend
-		if s.backend == nil {
-			b, err := cat.NewNUMABackend(s.h.NUMA(), vm.Socket)
-			if err != nil {
-				continue
-			}
-			reader = b
+		backend, err := s.h.CATBackend(vm.Socket)
+		if err != nil {
+			continue
 		}
 		// COS id is irrelevant to the simulated reader.
-		v, err := reader.GroupOccupancy(1, vm.Cores)
+		v, err := backend.GroupOccupancy(1, vm.Cores)
 		if err != nil {
 			continue
 		}

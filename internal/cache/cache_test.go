@@ -291,28 +291,6 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkAccessHit(b *testing.B) {
-	c := MustNew(Config{Name: "llc", SizeBytes: 45 << 20, Ways: 20})
-	full := bits.FullMask(20)
-	c.Access(1, full, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(1, full, 0)
-	}
-}
-
-func BenchmarkAccessMissEvict(b *testing.B) {
-	c := MustNew(Config{Name: "llc", SizeBytes: 45 << 20, Ways: 20})
-	full := bits.FullMask(20)
-	rng := rand.New(rand.NewSource(1))
-	// Working set 4x the cache: mostly misses with evictions.
-	ws := uint64(4 * (45 << 20) / LineSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(rng.Int63())%ws, full, 0)
-	}
-}
-
 func TestEvictionReportsAllSharers(t *testing.T) {
 	c := tinyCache(t, 1)
 	m := bits.FullMask(1)

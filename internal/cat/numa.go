@@ -4,18 +4,19 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
-	"repro/internal/cache"
 	"repro/internal/memsys"
 )
 
-// NUMABackend is the CAT domain of one socket in a NUMA host. CBMs and
-// CLOSids are socket-local, as on real hardware: applying a class of
-// service through this backend can only mask the owning socket's LLC
-// ways, and cores from other sockets are rejected rather than silently
-// routed — a controller wired to socket 0 must never reconfigure
-// socket 1.
+// NUMABackend is the CAT domain of one socket in a NUMA host: a
+// SimBackend over that socket's hierarchy, addressed by global core
+// IDs. CBMs and CLOSids are socket-local, as on real hardware: applying
+// a class of service through this backend can only mask the owning
+// socket's LLC ways, and cores from other sockets are rejected rather
+// than silently routed — a controller wired to socket 0 must never
+// reconfigure socket 1.
 type NUMABackend struct {
-	sys    *memsys.NUMASystem
+	SimBackend
+	nsys   *memsys.NUMASystem
 	socket int
 }
 
@@ -27,59 +28,40 @@ func NewNUMABackend(sys *memsys.NUMASystem, socket int) (*NUMABackend, error) {
 	if socket < 0 || socket >= sys.Sockets() {
 		return nil, fmt.Errorf("cat: socket %d out of range [0,%d)", socket, sys.Sockets())
 	}
-	return &NUMABackend{sys: sys, socket: socket}, nil
+	return &NUMABackend{SimBackend: SimBackend{sys: sys.Socket(socket)}, nsys: sys, socket: socket}, nil
 }
 
 // Socket returns the owning socket.
 func (b *NUMABackend) Socket() int { return b.socket }
 
-// TotalWays implements Backend for the socket's LLC.
-func (b *NUMABackend) TotalWays() int { return b.sys.Config().Socket.LLC.Ways }
-
-// checkCore verifies a global core belongs to this backend's socket and
-// returns its socket-local ID.
-func (b *NUMABackend) checkCore(core int) (int, error) {
-	s, local := b.sys.SocketOf(core)
-	if s != b.socket {
-		return 0, fmt.Errorf("cat: core %d is on socket %d, not socket %d", core, s, b.socket)
+// localCores maps global core IDs to this socket's local ones; a core
+// homed on another socket is an error.
+func (b *NUMABackend) localCores(cores []int) ([]int, error) {
+	local := make([]int, len(cores))
+	for i, c := range cores {
+		s, l := b.nsys.SocketOf(c)
+		if s != b.socket {
+			return nil, fmt.Errorf("cat: core %d is on socket %d, not socket %d", c, s, b.socket)
+		}
+		local[i] = l
 	}
 	return local, nil
 }
 
-// Apply implements Backend on the socket's LLC only. Cores are global
-// IDs; a core homed on another socket is an error.
+// Apply implements Backend on the socket's LLC only.
 func (b *NUMABackend) Apply(cos int, mask bits.CBM, cores []int) error {
-	if cos < 1 || cos > MaxCOS {
-		return fmt.Errorf("cat: COS %d out of range", cos)
+	local, err := b.localCores(cores)
+	if err != nil {
+		return err
 	}
-	for _, c := range cores {
-		local, err := b.checkCore(c)
-		if err != nil {
-			return err
-		}
-		if err := b.sys.Socket(b.socket).SetMask(local, mask); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.SimBackend.Apply(cos, mask, local)
 }
 
 // GroupOccupancy implements OccupancyReader over the socket's LLC.
 func (b *NUMABackend) GroupOccupancy(cos int, cores []int) (uint64, error) {
-	occ := b.sys.Socket(b.socket).LLC().OccupancyByCore()
-	var lines uint64
-	for _, c := range cores {
-		local, err := b.checkCore(c)
-		if err != nil {
-			return 0, err
-		}
-		lines += uint64(occ[uint16(local)])
+	local, err := b.localCores(cores)
+	if err != nil {
+		return 0, err
 	}
-	return lines * cache.LineSize, nil
-}
-
-// FlushWays implements WayFlusher on the socket's hierarchy only.
-func (b *NUMABackend) FlushWays(mask bits.CBM) error {
-	b.sys.Socket(b.socket).FlushWays(mask)
-	return nil
+	return b.SimBackend.GroupOccupancy(cos, local)
 }

@@ -10,13 +10,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file runs dCat on a NUMA host: CAT domains are per-LLC, so a
-// multi-socket machine runs one full decision loop per socket — each
-// with its own cat.Manager over that socket's backend and its own
-// workload set — while sharing the journal and metrics plumbing. The
-// MultiController is the thin fan-out over those loops; it adds no
-// policy of its own, matching real deployments where sockets are
-// independent CAT domains.
+// This file runs dCat on a whole host: CAT domains are per-LLC, so a
+// machine runs one full decision loop per socket — each with its own
+// cat.Manager over that socket's backend and its own workload set —
+// while sharing the journal and metrics plumbing. The MultiController
+// is the thin fan-out over those loops; it adds no policy of its own,
+// matching real deployments where sockets are independent CAT domains.
+// A one-socket host is a set of one loop.
 
 // SocketSpec wires one socket's decision loop: the socket ID, a CAT
 // manager over that socket's backend, and the workloads placed there.
@@ -214,7 +214,8 @@ func (m *MultiController) Snapshot() []Status {
 
 // SetSink attaches one journal to every socket's loop, with each
 // socket's events stamped via obs.TagSocket so traces stay
-// attributable.
+// attributable. Socket 0's stamp is the zero value, so a one-socket
+// host journals exactly like a bare Controller.
 func (m *MultiController) SetSink(sink obs.Sink) {
 	for _, s := range m.order {
 		m.ctls[s].SetSink(obs.TagSocket(sink, s))
@@ -222,8 +223,14 @@ func (m *MultiController) SetSink(sink obs.Sink) {
 }
 
 // RegisterMetrics registers every socket's metric families on one
-// registry, distinguished by a socket="N" constant label.
+// registry, distinguished by a socket="N" constant label. A set of one
+// loop has nothing to tell apart and exports exactly like a bare
+// Controller.
 func (m *MultiController) RegisterMetrics(reg *telemetry.Registry) {
+	if len(m.order) == 1 {
+		m.ctls[m.order[0]].RegisterMetrics(reg)
+		return
+	}
 	for _, s := range m.order {
 		m.ctls[s].RegisterMetricsSocket(reg, s)
 	}

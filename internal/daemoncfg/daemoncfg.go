@@ -1,6 +1,7 @@
 // Package daemoncfg loads dcatd's JSON configuration file: the managed
 // groups, the controller period and thresholds, and the listen address
-// — everything the command-line flags express, in reviewable form.
+// — everything the command-line flags express, in reviewable form. It
+// also holds the wiring dcatd and dcat-agent share (wiring.go).
 //
 // Example:
 //
@@ -42,9 +43,13 @@ type Group struct {
 	CPUs         string `json:"cpus"`
 	BaselineWays int    `json:"baseline_ways"`
 
-	// Cores is CPUs parsed; populated by Load.
+	// Cores is CPUs parsed; populated by Load and Groups.Set.
 	Cores []int `json:"-"`
 }
+
+// Groups is the managed tenant set, from the configuration file or from
+// repeated -group flags (it implements flag.Value).
+type Groups []Group
 
 // Thresholds overrides the paper's controller constants; zero fields
 // keep the defaults.
@@ -69,7 +74,7 @@ type File struct {
 	AllocPolicy string     `json:"alloc_policy"`
 	HTTP        string     `json:"http"`
 	Thresholds  Thresholds `json:"thresholds"`
-	Groups      []Group    `json:"groups"`
+	Groups      Groups     `json:"groups"`
 
 	// PeriodDuration is Period parsed; populated by Load.
 	PeriodDuration time.Duration `json:"-"`
@@ -193,18 +198,18 @@ func (f *File) ControllerConfig() (core.Config, error) {
 }
 
 // Targets converts the groups into controller targets.
-func (f *File) Targets() []core.Target {
-	out := make([]core.Target, len(f.Groups))
-	for i, g := range f.Groups {
+func (gs Groups) Targets() []core.Target {
+	out := make([]core.Target, len(gs))
+	for i, g := range gs {
 		out[i] = core.Target{Name: g.Name, Cores: g.Cores, BaselineWays: g.BaselineWays}
 	}
 	return out
 }
 
 // AllCores returns every managed CPU.
-func (f *File) AllCores() []int {
+func (gs Groups) AllCores() []int {
 	var out []int
-	for _, g := range f.Groups {
+	for _, g := range gs {
 		out = append(out, g.Cores...)
 	}
 	return out

@@ -50,11 +50,11 @@ func TestParseGood(t *testing.T) {
 	if cfg.IPCImpThr != core.DefaultConfig().IPCImpThr {
 		t.Error("unset threshold should keep the default")
 	}
-	targets := f.Targets()
+	targets := f.Groups.Targets()
 	if len(targets) != 2 || targets[0].BaselineWays != 4 {
 		t.Errorf("targets %+v", targets)
 	}
-	if cores := f.AllCores(); len(cores) != 7 {
+	if cores := f.Groups.AllCores(); len(cores) != 7 {
 		t.Errorf("AllCores %v", cores)
 	}
 }
@@ -92,5 +92,32 @@ func TestLoad(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestGroupsFlag covers the repeated -group name=cpus@baseline flag
+// both daemons register.
+func TestGroupsFlag(t *testing.T) {
+	var gs Groups
+	for _, v := range []string{"web=0-3@4", "batch=4,6@2"} {
+		if err := gs.Set(v); err != nil {
+			t.Fatalf("Set(%q): %v", v, err)
+		}
+	}
+	targets := gs.Targets()
+	if len(targets) != 2 || targets[0].Name != "web" || targets[0].BaselineWays != 4 ||
+		targets[1].Name != "batch" || len(targets[1].Cores) != 2 || targets[1].Cores[1] != 6 {
+		t.Errorf("targets %+v", targets)
+	}
+	if cores := gs.AllCores(); len(cores) != 6 {
+		t.Errorf("AllCores %v", cores)
+	}
+	for _, bad := range []string{"web", "web=0-3", "web=@2", "web=x@2", "web=0-3@0", "web=0-3@two"} {
+		if err := gs.Set(bad); err == nil {
+			t.Errorf("Set(%q) should be rejected", bad)
+		}
+	}
+	if len(gs) != 2 {
+		t.Errorf("rejected flags were appended: %d groups", len(gs))
 	}
 }

@@ -20,7 +20,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("accepted config has invalid thresholds: %v", err)
 		}
 		seen := map[int]bool{}
-		for _, c := range cfg.AllCores() {
+		for _, c := range cfg.Groups.AllCores() {
 			if seen[c] {
 				t.Fatal("accepted config has duplicate cores")
 			}

@@ -78,7 +78,7 @@ func AblationPhaseThreshold(opts Options) (*TableResult, error) {
 		reclaims := 0
 		waysSum := 0
 		n := opts.TimelineIntervals
-		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.Controller) {
+		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.MultiController) {
 			st, _ := ctl.StateOf("target")
 			if st == core.StateReclaim {
 				reclaims++
@@ -172,7 +172,7 @@ func AblationDetector(opts Options) (*TableResult, error) {
 		reclaims, waysSum := 0, 0
 		normSum := 0.0
 		n := opts.TimelineIntervals
-		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.Controller) {
+		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.MultiController) {
 			snap := ctl.Snapshot()
 			if st, _ := ctl.StateOf("target"); st == core.StateReclaim {
 				reclaims++
@@ -211,14 +211,14 @@ func AblationGrowthStep(opts Options) (*TableResult, error) {
 			return nil, err
 		}
 		settled, lastWays := 0, 0
-		var ctl *core.Controller
-		if ctl, err = s.run(ModeDCat, cfg, opts.TimelineIntervals,
-			func(interval int, c *core.Controller) {
+		ctl, err := s.run(ModeDCat, cfg, opts.TimelineIntervals,
+			func(interval int, c *core.MultiController) {
 				if w := c.Ways("target"); w != lastWays {
 					lastWays = w
 					settled = interval
 				}
-			}); err != nil {
+			})
+		if err != nil {
 			return nil, err
 		}
 		tab.AddRow(fmt.Sprintf("%d", step), fmt.Sprintf("%d", settled),
@@ -250,7 +250,7 @@ func AblationStreamingMult(opts Options) (*TableResult, error) {
 		}
 		peak, demoted := 0, 0
 		if _, err := s.run(ModeDCat, cfg, opts.TimelineIntervals,
-			func(interval int, c *core.Controller) {
+			func(interval int, c *core.MultiController) {
 				if w := c.Ways("target"); w > peak {
 					peak = w
 				}

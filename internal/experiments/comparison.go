@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/cat"
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/telemetry"
@@ -81,29 +80,9 @@ func ComparisonUCP(opts Options) (*TableResult, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		backend, err := cat.NewSimBackend(s.host.System())
+		ctl, err := s.ucpController()
 		if err != nil {
 			return outcome{}, err
-		}
-		mgr, err := cat.NewManager(backend)
-		if err != nil {
-			return outcome{}, err
-		}
-		var targets []ucp.Target
-		for _, vm := range s.host.VMs() {
-			targets = append(targets, ucp.Target{Name: vm.Name, Cores: vm.Cores})
-		}
-		sets := s.host.System().Config().LLC.Sets()
-		ctl, err := ucp.New(mgr, targets, sets, 32)
-		if err != nil {
-			return outcome{}, err
-		}
-		for _, vm := range s.host.VMs() {
-			mon, ok := ctl.Monitor(vm.Name)
-			if !ok {
-				return outcome{}, fmt.Errorf("experiments: no UCP monitor for %s", vm.Name)
-			}
-			vm.SetObserver(mon)
 		}
 		s.host.RunIntervals(opts.SteadyIntervals, func(int) {
 			if err := ctl.Tick(); err != nil {
@@ -157,6 +136,32 @@ func ComparisonUCP(opts Options) (*TableResult, error) {
 	return &TableResult{ID: "comparison-ucp", Title: "dCat vs utility-based cache partitioning", Tab: tab, Notes: notes}, nil
 }
 
+// ucpController puts the scenario's socket-0 VMs under a standalone UCP
+// controller: a CAT manager over the socket's domain, one target per VM,
+// and each VM's access stream tapped by its shadow-tag monitor.
+func (s *scenario) ucpController() (*ucp.Controller, error) {
+	mgr, err := s.host.CATManager(0)
+	if err != nil {
+		return nil, err
+	}
+	var targets []ucp.Target
+	for _, vm := range s.host.VMs() {
+		targets = append(targets, ucp.Target{Name: vm.Name, Cores: vm.Cores})
+	}
+	ctl, err := ucp.New(mgr, targets, s.host.System().Config().LLC.Sets(), 32)
+	if err != nil {
+		return nil, err
+	}
+	for _, vm := range s.host.VMs() {
+		mon, ok := ctl.Monitor(vm.Name)
+		if !ok {
+			return nil, fmt.Errorf("experiments: no UCP monitor for %s", vm.Name)
+		}
+		vm.SetObserver(mon)
+	}
+	return ctl, nil
+}
+
 // recoveryIntervals runs the same mix with a victim that idles for half
 // the run and then wakes; it returns how many intervals after waking
 // the victim needs to get its contracted allocation back (0 = never).
@@ -189,32 +194,16 @@ func recoveryIntervals(opts Options, useDCat bool) (int, error) {
 	total := wake + opts.SteadyIntervals
 	if useDCat {
 		_, err = s.run(ModeDCat, core.DefaultConfig(), total,
-			func(interval int, ctl *core.Controller) {
+			func(interval int, ctl *core.MultiController) {
 				if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
 					recovered = interval - wake
 				}
 			})
 		return recovered, err
 	}
-	backend, err := cat.NewSimBackend(s.host.System())
+	ctl, err := s.ucpController()
 	if err != nil {
 		return 0, err
-	}
-	mgr, err := cat.NewManager(backend)
-	if err != nil {
-		return 0, err
-	}
-	var targets []ucp.Target
-	for _, vm := range s.host.VMs() {
-		targets = append(targets, ucp.Target{Name: vm.Name, Cores: vm.Cores})
-	}
-	ctl, err := ucp.New(mgr, targets, s.host.System().Config().LLC.Sets(), 32)
-	if err != nil {
-		return 0, err
-	}
-	for _, vm := range s.host.VMs() {
-		mon, _ := ctl.Monitor(vm.Name)
-		vm.SetObserver(mon)
 	}
 	s.host.RunIntervals(total, func(interval int) {
 		if err := ctl.Tick(); err != nil {

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"repro/internal/addr"
-	"repro/internal/cat"
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/memsys"
@@ -71,14 +70,12 @@ type Options struct {
 	// and results are collected in sweep order, so rendered output is
 	// independent of parallelism either way.
 	Jobs int
-	// Sockets selects the host topology every scenario builds: 0 keeps
-	// the original single-socket host, ≥1 builds a NUMA host with that
-	// many sockets (1 is behaviourally identical to 0 and exists for
-	// the determinism guard). Experiments that don't place VMs
+	// Sockets is how many sockets every scenario's host has (0 and 1 are
+	// the same one-socket host). Experiments that don't place VMs
 	// explicitly put everything on socket 0.
 	Sockets int
-	// RemotePenalty is the cross-socket DRAM penalty in cycles for
-	// NUMA hosts; 0 selects memsys.DefaultRemotePenalty when Sockets>1.
+	// RemotePenalty is the cross-socket DRAM penalty in cycles; 0
+	// selects memsys.DefaultRemotePenalty when Sockets>1.
 	RemotePenalty uint64
 	// AllocPolicy selects the controller's allocation policy by registry
 	// name ("" keeps the built-in reactive allocator, bit-identical to
@@ -160,21 +157,17 @@ func (t *TableResult) Render(sb *strings.Builder) {
 type vmSpec struct {
 	name     string
 	cores    int
-	socket   int // placement on NUMA hosts; ignored (0) otherwise
+	socket   int // placement
 	gen      func(h *host.Host) (workload.Generator, error)
 	baseline int
 }
 
-// scenario is a configured host plus the controller handles needed to
-// run it under any mode.
+// scenario is a configured host plus the tenant specs (and their
+// contracted baselines) needed to run it under any mode.
 type scenario struct {
 	host  *host.Host
 	specs []vmSpec
 	opts  Options
-	// multi is the per-socket controller set, populated by run on
-	// multi-socket hosts under ModeStatic/ModeDCat (ctl stays nil
-	// there: CAT domains are per-LLC, so no single controller exists).
-	multi *core.MultiController
 }
 
 // newScenario builds a host (paper's Xeon E5 by default) and its VMs.
@@ -208,12 +201,10 @@ func newScenario(opts Options, specs []vmSpec) (*scenario, error) {
 }
 
 // run executes the scenario for n intervals under the given mode,
-// invoking onTick after every interval. The returned controller is nil
-// in ModeShared, and on multi-socket hosts with VMs on more than one
-// socket, where one controller per LLC runs instead (s.multi); when
-// only one socket is populated its loop doubles as the controller.
-func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.Controller)) (*core.Controller, error) {
-	var ctl *core.Controller
+// invoking onTick after every interval. The returned controller set —
+// one loop per populated socket — is nil in ModeShared; in ModeStatic it
+// only holds the baselines it installed.
+func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.MultiController)) (*core.MultiController, error) {
 	if s.opts.AllocPolicy != "" && ctlCfg.NewPolicy == nil {
 		factory, err := policy.New(s.opts.AllocPolicy)
 		if err != nil {
@@ -221,45 +212,19 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 		}
 		ctlCfg.NewPolicy = factory
 	}
-	nsys := s.host.NUMA()
-	multiSocket := nsys != nil && nsys.Sockets() > 1
+	var ctl *core.MultiController
 	switch mode {
 	case ModeShared:
 		// Leave default full masks.
 	case ModeStatic, ModeDCat:
-		if multiSocket {
-			m, err := s.buildMulti(ctlCfg)
-			if err != nil {
-				return nil, err
-			}
-			s.multi = m
-			// Experiments that don't place VMs explicitly put everything
-			// on socket 0, leaving a single populated loop — hand it to
-			// onTick so the whole legacy suite runs unchanged on NUMA
-			// hosts. With several populated sockets no single controller
-			// exists and ctl stays nil (use s.multi).
-			if sockets := m.Sockets(); len(sockets) == 1 {
-				ctl = m.Controller(sockets[0])
-			}
-			break
+		baselines := make(map[string]int, len(s.specs))
+		for _, spec := range s.specs {
+			baselines[spec.name] = spec.baseline
 		}
-		backend, err := cat.NewSimBackend(s.host.System())
-		if err != nil {
+		var err error
+		if ctl, err = s.host.Controllers(ctlCfg, baselines); err != nil {
 			return nil, err
 		}
-		mgr, err := cat.NewManager(backend)
-		if err != nil {
-			return nil, err
-		}
-		targets, err := s.targets(func(*host.VM) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		c, err := core.New(ctlCfg, mgr, s.host.Counters(), targets)
-		if err != nil {
-			return nil, err
-		}
-		ctl = c
 	default:
 		return nil, fmt.Errorf("experiments: unknown mode %d", mode)
 	}
@@ -267,11 +232,7 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 		if mode == ModeDCat {
 			// Controller errors are programming errors in this closed
 			// system; surface loudly.
-			if s.multi != nil {
-				if err := s.multi.Tick(); err != nil {
-					panic(err)
-				}
-			} else if err := ctl.Tick(); err != nil {
+			if err := ctl.Tick(); err != nil {
 				panic(err)
 			}
 		}
@@ -279,55 +240,7 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 			onTick(interval, ctl)
 		}
 	})
-	if mode == ModeStatic {
-		return ctl, nil // holds the static baselines it installed
-	}
 	return ctl, nil
-}
-
-// targets collects controller targets for the scenario's VMs passing
-// the filter, in spec order.
-func (s *scenario) targets(keep func(*host.VM) bool) ([]core.Target, error) {
-	targets := make([]core.Target, 0, len(s.specs))
-	for _, spec := range s.specs {
-		vm, ok := s.host.VM(spec.name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: VM %s missing", spec.name)
-		}
-		if !keep(vm) {
-			continue
-		}
-		targets = append(targets, core.Target{
-			Name: spec.name, Cores: vm.Cores, BaselineWays: spec.baseline,
-		})
-	}
-	return targets, nil
-}
-
-// buildMulti wires one CAT domain and dCat loop per socket that hosts
-// at least one VM.
-func (s *scenario) buildMulti(ctlCfg core.Config) (*core.MultiController, error) {
-	nsys := s.host.NUMA()
-	var specs []core.SocketSpec
-	for socket := 0; socket < nsys.Sockets(); socket++ {
-		targets, err := s.targets(func(vm *host.VM) bool { return vm.Socket == socket })
-		if err != nil {
-			return nil, err
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		backend, err := cat.NewNUMABackend(nsys, socket)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := cat.NewManager(backend)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, core.SocketSpec{Socket: socket, Mgr: mgr, Targets: targets})
-	}
-	return core.NewMulti(ctlCfg, s.host.Counters(), specs)
 }
 
 // lookbusySpec returns n lookbusy tenant specs named lb1..lbN.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cat"
 	"repro/internal/core"
 	"repro/internal/heracles"
 	"repro/internal/host"
@@ -84,11 +83,7 @@ func ComparisonHeracles(opts Options) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend, err := cat.NewSimBackend(sh.host.System())
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := cat.NewManager(backend)
+	mgr, err := sh.host.CATManager(0)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,8 @@ func NUMAPlacement(opts Options) (*TableResult, error) {
 		if err != nil {
 			return result{}, err
 		}
-		if _, err := s.run(ModeDCat, core.DefaultConfig(), opts.SteadyIntervals, nil); err != nil {
+		ctl, err := s.run(ModeDCat, core.DefaultConfig(), opts.SteadyIntervals, nil)
+		if err != nil {
 			return result{}, err
 		}
 		vm, ok := s.host.VM("target")
@@ -79,7 +80,7 @@ func NUMAPlacement(opts Options) (*TableResult, error) {
 		return result{
 			lat:     vm.Last().AvgAccessLatency(),
 			ipc:     vm.Last().IPC(),
-			ways:    s.multi.Ways("target"),
+			ways:    ctl.Ways("target"),
 			remote:  nsys.RemoteAccesses(1),
 			penalty: nsys.RemotePenaltyCycles(1),
 		}, nil

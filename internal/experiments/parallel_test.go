@@ -50,47 +50,6 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSingleSocketNUMAMatchesLegacy is the NUMA determinism guard: the
-// same scenario-driven experiments must render byte-identical output on
-// the legacy single-System host (Sockets=0) and on a 1-socket NUMA host
-// with no remote penalty. Any drift means the NUMA access path, the
-// per-socket allocator, or the counter plumbing changed behaviour
-// rather than just topology.
-func TestSingleSocketNUMAMatchesLegacy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	// Scenario-based experiments only: fig3 is pure set analysis and
-	// never builds a host.
-	subset := []string{"table1", "fig13"}
-	runners := make([]Runner, 0, len(subset))
-	for _, id := range subset {
-		r, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runners = append(runners, r)
-	}
-	render := func(sockets int) string {
-		opts := Quick()
-		opts.Sockets = sockets
-		var sb strings.Builder
-		for _, res := range RunAll(context.Background(), runners, opts, EngineConfig{Jobs: 2}) {
-			if res.Err != nil {
-				t.Fatalf("sockets=%d %s: %v", sockets, res.Runner.ID, res.Err)
-			}
-			sb.WriteString(res.Output)
-		}
-		return sb.String()
-	}
-	legacy := render(0)
-	numa := render(1)
-	if legacy != numa {
-		t.Fatalf("1-socket NUMA output diverges from legacy host:\nlegacy:\n%s\nnuma:\n%s",
-			legacy, numa)
-	}
-}
-
 func fakeRunner(id string, err error) Runner {
 	return Runner{ID: id, Title: id, Run: func(Options) (string, error) {
 		if err != nil {

@@ -110,15 +110,15 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 
 	var res fleetResult
 	lastMover := ""
-	onTick := func(int, *core.Controller) {
+	onTick := func(_ int, ctl *core.MultiController) {
 		if eng == nil {
 			return
 		}
-		views := []placement.AgentView{fleetView("host", s.multi)}
+		views := []placement.AgentView{fleetView("host", ctl)}
 		eng.Evaluate(views)
 		for _, d := range eng.Directives("host") {
 			ack := placement.DirectiveAck{ID: d.ID, OK: true}
-			if err := s.migrateVM(d.Workload, d.ToSocket); err != nil {
+			if err := s.host.MigrateManaged(ctl, d.Workload, d.ToSocket); err != nil {
 				ack.OK = false
 				ack.Detail = err.Error()
 			} else {
@@ -128,7 +128,8 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 			eng.Ack("host", []placement.DirectiveAck{ack}, obs.TraceContext{})
 		}
 	}
-	if _, err := s.run(ModeDCat, core.DefaultConfig(), intervals, onTick); err != nil {
+	ctl, err := s.run(ModeDCat, core.DefaultConfig(), intervals, onTick)
+	if err != nil {
 		return fleetResult{}, err
 	}
 
@@ -148,7 +149,7 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 		res.fleetIPC += vm.Last().IPC()
 	}
 	if lastMover != "" {
-		res.moverWays = s.multi.Ways(lastMover)
+		res.moverWays = ctl.Ways(lastMover)
 	}
 	res.remote = s.host.NUMA().RemoteAccesses(1)
 	return res, nil
@@ -169,31 +170,4 @@ func fleetView(agent string, m *core.MultiController) placement.AgentView {
 		})
 	}
 	return v
-}
-
-// migrateVM executes one move directive against the scenario: the host
-// reassigns cores on the destination socket, then the controller state
-// follows (carrying the learned baseline and performance tables). If
-// the destination controller rejects the workload the host migration
-// is undone, mirroring dcat.Simulation.MigrateVM.
-func (s *scenario) migrateVM(name string, toSocket int) error {
-	if s.multi == nil {
-		return fmt.Errorf("experiments: migrateVM needs a multi-socket run")
-	}
-	vm, ok := s.host.VM(name)
-	if !ok {
-		return fmt.Errorf("experiments: no VM %q", name)
-	}
-	fromSocket := vm.Socket
-	moved, err := s.host.MigrateVM(name, toSocket)
-	if err != nil {
-		return err
-	}
-	if err := s.multi.Migrate(name, toSocket, moved.Cores); err != nil {
-		if _, backErr := s.host.MigrateVM(name, fromSocket); backErr != nil {
-			return fmt.Errorf("experiments: migrate %q: %v (host rollback failed: %v)", name, err, backErr)
-		}
-		return err
-	}
-	return nil
 }

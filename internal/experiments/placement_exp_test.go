@@ -77,7 +77,7 @@ func TestPlacementSingleSocketInert(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		onTick := func(_ int, ctl *core.Controller) {
+		onTick := func(_ int, ctl *core.MultiController) {
 			if eng == nil {
 				return
 			}

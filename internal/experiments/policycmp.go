@@ -100,7 +100,7 @@ func PolicyComparison(opts Options) (*TableResult, error) {
 			nipcTicks int
 		)
 		o.dip = int(^uint(0) >> 1)
-		ctl, err := s.run(ModeDCat, cfg, total, func(interval int, ctl *core.Controller) {
+		ctl, err := s.run(ModeDCat, cfg, total, func(interval int, ctl *core.MultiController) {
 			if interval <= wake {
 				return
 			}

@@ -52,7 +52,7 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 		}
 	}
 	if lc < 0 || len(v.Workloads) == 1 {
-		evenSplit(g.Ways, total)
+		policy.EvenSplit(g.Ways, total)
 		g.PoolEmpty = true
 		return
 	}
@@ -99,25 +99,4 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 		g.Ways[i] = w
 	}
 	g.PoolEmpty = true
-}
-
-// evenSplit fills ways with an even division of total, earlier entries
-// taking the remainder.
-func evenSplit(ways []int, total int) {
-	n := len(ways)
-	if n == 0 {
-		return
-	}
-	each, extra := total/n, total%n
-	for i := range ways {
-		w := each
-		if extra > 0 {
-			w++
-			extra--
-		}
-		if w < 1 {
-			w = 1
-		}
-		ways[i] = w
-	}
 }

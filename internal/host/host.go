@@ -1,6 +1,7 @@
-// Package host models one multi-tenant server socket: VMs pinned to
-// dedicated cores (the paper's no-overprovisioning assumption, §4),
-// each running a workload generator, all sharing the simulated LLC.
+// Package host models one multi-tenant server of one or more sockets:
+// VMs pinned to dedicated cores (the paper's no-overprovisioning
+// assumption, §4), each running a workload generator, all sharing
+// their socket's simulated LLC.
 //
 // Time advances in controller intervals (the paper's period, e.g. 1 s).
 // Within an interval every core gets the same cycle budget and the host
@@ -32,29 +33,18 @@ type Config struct {
 	BlockInstr uint64
 	// MemBytes is the physical memory backing workload data; frames
 	// are randomly placed (a fragmented long-running host). Must hold
-	// every workload's simulated working set. On a NUMA host the range
-	// is split evenly across sockets.
+	// every workload's simulated working set. The range is split evenly
+	// across sockets.
 	MemBytes uint64
 	// Seed makes frame placement reproducible.
 	Seed int64
-	// Sockets selects the topology: 0 keeps the original single-socket
-	// host backed by one memsys.System; ≥1 builds a memsys.NUMASystem
-	// with Mem replicated per socket and workload placement via
-	// AddVMOn. Sockets=1 with RemotePenalty=0 is behaviourally
-	// identical to 0 (guarded by a determinism test); it exists so the
-	// NUMA path can be validated against the legacy one.
+	// Sockets is how many sockets the host has, each with its own copy
+	// of Mem; 0 means 1. Place VMs with AddVMOn and their memory with
+	// AllocatorOn.
 	Sockets int
 	// RemotePenalty is the extra cycles a cross-socket DRAM access
-	// costs (NUMA hosts only; 0 disables the penalty).
+	// costs (0 disables the penalty; a one-socket host never pays it).
 	RemotePenalty uint64
-}
-
-// NumSockets returns how many sockets the host models (minimum 1).
-func (c Config) NumSockets() int {
-	if c.Sockets < 1 {
-		return 1
-	}
-	return c.Sockets
 }
 
 // DefaultConfig returns the paper's evaluation machine (Xeon E5-2697 v4)
@@ -111,8 +101,7 @@ type AccessObserver interface {
 type VM struct {
 	Name  string
 	Cores []int // global core IDs
-	// Socket is where the VM's cores live (always 0 on a legacy
-	// single-socket host).
+	// Socket is where the VM's cores live.
 	Socket int
 	Gen    workload.Generator
 
@@ -130,32 +119,18 @@ func (v *VM) Last() IntervalMetrics { return v.last }
 // Total returns cumulative metrics since the VM started.
 func (v *VM) Total() IntervalMetrics { return v.total }
 
-// memoryPath is what the interval loop needs from either topology —
-// *memsys.System and *memsys.NUMASystem both satisfy it.
-type memoryPath interface {
-	// BeginInterval opens a fused access pass for one core; the host
-	// opens one per VM per interval and closes it when the VM's budget
-	// is exhausted, so per-block bank/L1/mask lookups and counter
-	// flushes happen once per interval instead of once per block.
-	BeginInterval(core int) memsys.IntervalPass
-	Retire(core int, instructions, cycles uint64)
-}
-
 // Host is one server (one or more sockets) plus its tenants.
 type Host struct {
 	cfg  Config
-	sys  *memsys.System     // legacy single-socket hierarchy (Sockets=0)
-	nsys *memsys.NUMASystem // NUMA hierarchy (Sockets≥1)
-	mem  memoryPath         // whichever of the two is live
+	nsys *memsys.NUMASystem
 
 	// One allocator per socket, each over that socket's DRAM range, so
 	// placement decides which memory a workload's frames land in.
 	allocs    []*addr.RandAllocator
 	perSocket uint64 // DRAM bytes per socket
 	// freeCores holds each socket's unpinned local core IDs, kept sorted
-	// ascending. AddVMOn pops the lowest IDs, so as long as no VM has
-	// been removed the assignment is identical to the original bump
-	// allocator; RemoveVM and MigrateVM return cores here for reuse.
+	// ascending. AddVMOn pops the lowest IDs; RemoveVM and MigrateVM
+	// return cores here for reuse.
 	freeCores [][]int
 	vms       []*VM
 	interval  int
@@ -171,30 +146,13 @@ func New(cfg Config) (*Host, error) {
 		return nil, fmt.Errorf("host: block size %d too coarse for budget %d",
 			cfg.BlockInstr, cfg.CyclesPerInterval)
 	}
-	h := &Host{cfg: cfg, freeCores: make([][]int, cfg.NumSockets())}
-	for s := range h.freeCores {
-		free := make([]int, cfg.Mem.Cores)
-		for i := range free {
-			free[i] = i
-		}
-		h.freeCores[s] = free
-	}
 	if cfg.Sockets < 1 {
-		sys, err := memsys.New(cfg.Mem)
-		if err != nil {
-			return nil, fmt.Errorf("host: %w", err)
-		}
-		h.sys = sys
-		h.mem = sys
-		h.perSocket = cfg.MemBytes
-		h.allocs = []*addr.RandAllocator{addr.NewRandAllocator(cfg.MemBytes, cfg.Seed)}
-		return h, nil
+		cfg.Sockets = 1
 	}
+	// Round each socket's share down to a 2 MB multiple so every socket
+	// base stays hugepage-aligned; a lone socket keeps the full range.
 	per := cfg.MemBytes
 	if cfg.Sockets > 1 {
-		// Round each socket's share down to a 2 MB multiple so every
-		// socket base stays hugepage-aligned. Sockets=1 keeps the full
-		// unrounded range: byte-identical to the legacy path.
 		per = (cfg.MemBytes / uint64(cfg.Sockets)) &^ (addr.PageSize2M - 1)
 	}
 	if per < 1<<20 {
@@ -210,14 +168,21 @@ func New(cfg Config) (*Host, error) {
 	if err != nil {
 		return nil, fmt.Errorf("host: %w", err)
 	}
-	h.nsys = nsys
-	h.mem = nsys
-	h.perSocket = per
-	h.allocs = make([]*addr.RandAllocator, cfg.Sockets)
+	h := &Host{
+		cfg:       cfg,
+		nsys:      nsys,
+		perSocket: per,
+		allocs:    make([]*addr.RandAllocator, cfg.Sockets),
+		freeCores: make([][]int, cfg.Sockets),
+	}
 	for s := range h.allocs {
-		// Per-socket seeds keep socket 0 identical to the legacy
-		// allocator and decorrelate placement across sockets.
+		// Per-socket seeds decorrelate placement across sockets.
 		h.allocs[s] = addr.NewRandAllocatorAt(uint64(s)*per, per, cfg.Seed+int64(s))
+		free := make([]int, cfg.Mem.Cores)
+		for i := range free {
+			free[i] = i
+		}
+		h.freeCores[s] = free
 	}
 	return h, nil
 }
@@ -231,31 +196,20 @@ func MustNew(cfg Config) *Host {
 	return h
 }
 
-// System exposes the memory hierarchy (for CAT backends and counters).
-// On a NUMA host it returns socket 0; use NUMA for the full topology.
-func (h *Host) System() *memsys.System {
-	if h.sys != nil {
-		return h.sys
-	}
-	return h.nsys.Socket(0)
-}
+// System exposes socket 0's memory hierarchy (for CAT backends and
+// counters); use NUMA for the full topology.
+func (h *Host) System() *memsys.System { return h.nsys.Socket(0) }
 
-// NUMA returns the multi-socket hierarchy, or nil on a legacy
-// single-socket host.
+// NUMA returns the host's memory hierarchy: one System per socket
+// behind a socket-routing access path.
 func (h *Host) NUMA() *memsys.NUMASystem { return h.nsys }
 
-// Counters exposes a perf reader over the host's global core IDs,
-// whichever topology is live.
-func (h *Host) Counters() perf.Reader {
-	if h.sys != nil {
-		return h.sys.Counters()
-	}
-	return h.nsys.Counters()
-}
+// Counters exposes a perf reader over the host's global core IDs.
+func (h *Host) Counters() perf.Reader { return h.nsys.Counters() }
 
 // Allocator returns the physical frame allocator workload constructors
-// should draw from, so all tenants share one fragmented memory. On a
-// NUMA host this is socket 0's memory; use AllocatorOn for placement.
+// should draw from, so all tenants share one fragmented memory. This
+// is socket 0's memory; use AllocatorOn for placement.
 func (h *Host) Allocator() addr.FrameAllocator { return h.allocs[0] }
 
 // AllocatorOn returns the frame allocator over the given socket's DRAM
@@ -381,7 +335,7 @@ func (h *Host) AllocatedBytes(socket int) uint64 {
 // workload allocated them, so after a migration DRAM misses to the old
 // socket pay the remote penalty while the new socket's LLC warms up
 // with the working set. The caller owns the controller side (CLOS
-// groups, sampler state): see core.MultiController.Migrate.
+// groups, sampler state); MigrateManaged does both halves.
 func (h *Host) MigrateVM(name string, toSocket int) (*VM, error) {
 	if toSocket < 0 || toSocket >= len(h.freeCores) {
 		return nil, fmt.Errorf("host: socket %d out of range [0,%d)", toSocket, len(h.freeCores))
@@ -441,7 +395,7 @@ func (h *Host) runBlock(st *vmState) IntervalMetrics {
 		// Idle guest: the vCPU is halted almost the whole interval; a
 		// token instruction stream models the guest kernel tick.
 		m.Cycles = h.cfg.CyclesPerInterval
-		h.mem.Retire(vm.Cores[0], instr, m.Cycles)
+		h.nsys.Retire(vm.Cores[0], instr, m.Cycles)
 		return m
 	}
 	accesses := uint64(float64(instr) * p.AccessesPerInstr)
@@ -473,7 +427,7 @@ func (h *Host) runBlock(st *vmState) IntervalMetrics {
 	if m.Cycles == 0 {
 		m.Cycles = 1
 	}
-	h.mem.Retire(vm.Cores[0], instr, m.Cycles)
+	h.nsys.Retire(vm.Cores[0], instr, m.Cycles)
 	return m
 }
 
@@ -487,7 +441,7 @@ func (h *Host) RunInterval() {
 		vm.last = IntervalMetrics{}
 		st := &vmState{vm: vm, budget: h.cfg.CyclesPerInterval, params: vm.Gen.Params()}
 		if st.params.AccessesPerInstr > 0 {
-			st.pass = h.mem.BeginInterval(vm.Cores[0])
+			st.pass = h.nsys.BeginInterval(vm.Cores[0])
 			st.bulk, _ = vm.Gen.(workload.BulkGenerator)
 		}
 		active = append(active, st)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/perf"
 	"repro/internal/workload"
 )
 
@@ -26,10 +25,6 @@ func TestNUMAHostConstruction(t *testing.T) {
 	}
 	if h.System() != h.NUMA().Socket(0) {
 		t.Error("System() should expose socket 0")
-	}
-	legacy := MustNew(testConfig())
-	if legacy.NUMA() != nil {
-		t.Error("legacy host should have no NUMA hierarchy")
 	}
 	cfg := numaConfig(16, 0)
 	if _, err := New(cfg); err == nil {
@@ -95,45 +90,31 @@ func TestAllocatorOnStaysInSocketRange(t *testing.T) {
 	}
 }
 
-// TestLegacyMatchesSingleSocketNUMA is the host-level determinism
-// guard: the same workload mix produces identical metrics and perf
-// counters whether the host is the legacy single-System build
-// (Sockets=0) or a 1-socket NUMA build with no remote penalty.
-func TestLegacyMatchesSingleSocketNUMA(t *testing.T) {
-	build := func(cfg Config) *Host {
-		h := MustNew(cfg)
-		mlr, err := workload.NewMLR(4<<20, addr.PageSize4K, h.Allocator(), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.AddVM("mlr", 2, mlr); err != nil {
-			t.Fatal(err)
-		}
-		lb, err := workload.NewLookbusy(h.Allocator())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.AddVM("lb", 2, lb); err != nil {
-			t.Fatal(err)
-		}
-		h.RunIntervals(3, nil)
-		return h
+// TestSocketsZeroMeansOne pins the Config.Sockets contract: 0 and 1
+// build identical one-socket hosts — same topology, same memory range,
+// same frame placement, same core assignment.
+func TestSocketsZeroMeansOne(t *testing.T) {
+	zero, one := MustNew(numaConfig(0, 0)), MustNew(numaConfig(1, 0))
+	if zero.NUMA().Config() != one.NUMA().Config() {
+		t.Fatalf("topologies differ: %+v vs %+v", zero.NUMA().Config(), one.NUMA().Config())
 	}
-	legacy := build(testConfig())
-	numa := build(numaConfig(1, 0))
-	for _, name := range []string{"mlr", "lb"} {
-		lv, _ := legacy.VM(name)
-		nv, _ := numa.VM(name)
-		if lv.Last() != nv.Last() || lv.Total() != nv.Total() {
-			t.Errorf("%s metrics diverge: legacy last=%+v numa last=%+v", name, lv.Last(), nv.Last())
+	if got := zero.NUMA().Sockets(); got != 1 {
+		t.Fatalf("Sockets=0 built %d sockets", got)
+	}
+	if zero.MemBytesPerSocket() != testConfig().MemBytes {
+		t.Errorf("a lone socket should keep the whole range, got %d", zero.MemBytesPerSocket())
+	}
+	for i := 0; i < 64; i++ {
+		a, errA := zero.Allocator().AllocFrame(addr.PageSize4K)
+		b, errB := one.Allocator().AllocFrame(addr.PageSize4K)
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("frame %d: %#x (%v) vs %#x (%v)", i, a, errA, b, errB)
 		}
 	}
-	for core := 0; core < 4; core++ {
-		for e := perf.Event(0); int(e) < perf.NumEvents; e++ {
-			if got, want := numa.Counters().ReadCounter(core, e), legacy.Counters().ReadCounter(core, e); got != want {
-				t.Errorf("core %d %s: numa=%d legacy=%d", core, e, got, want)
-			}
-		}
+	va, errA := zero.AddVM("vm", 2, workload.Idle{})
+	vb, errB := one.AddVM("vm", 2, workload.Idle{})
+	if errA != nil || errB != nil || va.Socket != vb.Socket || va.Cores[0] != vb.Cores[0] || va.Cores[1] != vb.Cores[1] {
+		t.Fatalf("placement differs: %+v (%v) vs %+v (%v)", va, errA, vb, errB)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestDebugEndpointsLiveController(t *testing.T) {
 	if err := sim.Start(dcat.DefaultConfig(), map[string]int{"web": 3, "lazy": 3}); err != nil {
 		t.Fatal(err)
 	}
-	ctl := sim.Controller()
+	ctl := sim.Controller().Controller(0)
 	journal := obs.NewJournal(obs.DefaultJournalSize)
 	reg := telemetry.NewRegistry()
 	ctl.SetSink(journal)

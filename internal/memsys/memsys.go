@@ -178,48 +178,12 @@ func (s *System) backInvalidate(r cache.Result) {
 	}
 }
 
-// AccessMany replays lines in order on core and returns the summed
-// latency. It is behaviourally identical to calling Access per line —
-// same cache state, same counter totals, same latency sum — but hoists
-// the per-access bank/L1/mask lookups and batches the counter updates,
-// which is what makes the host's interval loop cheap.
-func (s *System) AccessMany(core int, lines []uint64) uint64 {
-	bank := s.ctrs.Core(core)
-	l1 := s.l1[core]
-	l1Mask := s.l1Full
-	llcMask := s.masks[core]
-	c16 := uint16(core)
-	lat := s.cfg.Lat
-	var latSum, l1Hits, l1Misses, llcMisses uint64
-	for _, line := range lines {
-		if r := l1.Access(line, l1Mask, c16); r.Hit {
-			l1Hits++
-			latSum += lat.L1Hit
-			continue
-		}
-		l1Misses++
-		r := s.llc.Access(line, llcMask, c16)
-		if r.Hit {
-			latSum += lat.LLCHit
-			continue
-		}
-		llcMisses++
-		latSum += lat.DRAM
-		s.backInvalidate(r)
-	}
-	bank.Add(perf.L1Hits, l1Hits)
-	bank.Add(perf.L1Misses, l1Misses)
-	bank.Add(perf.LLCReferences, l1Misses)
-	bank.Add(perf.LLCMisses, llcMisses)
-	return latSum
-}
-
 // IntervalPass is a fused multi-batch access pass for one core across
 // one host interval: bank/L1/latency lookups are resolved once at
 // BeginInterval and perf-counter updates are flushed once at Close,
 // instead of per block. Between the two, AccessMany replays batches
-// with the exact cache-state and latency semantics of
-// System.AccessMany (guarded by TestIntervalPassMatchesAccessMany).
+// with the exact cache-state and latency semantics of calling Access
+// per line (guarded by TestIntervalPassMatchesAccessMany).
 //
 // Counter reads through Counters() lag until Close, so callers must
 // close every pass before reading counters — the host closes each VM's
@@ -256,7 +220,7 @@ func (s *System) BeginInterval(core int) IntervalPass {
 }
 
 // run replays lines and accumulates outcome counts without touching the
-// perf banks; numaPass reuses it to recover per-run miss deltas.
+// perf banks.
 func (p *corePass) run(lines []uint64) {
 	l1 := p.l1
 	l1Mask := p.sys.l1Full

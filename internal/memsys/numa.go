@@ -171,50 +171,10 @@ func (n *NUMASystem) Access(core int, line uint64) uint64 {
 	return lat
 }
 
-// AccessMany replays lines in order on a global core and returns the
-// summed latency, behaviourally identical to per-line Access. With no
-// remote penalty (or one socket) it delegates the whole batch, keeping
-// the Sockets=1 path byte-identical to the single-socket System. With a
-// penalty, the batch is split into maximal same-home runs; remote runs
-// are delegated too, and the penalty is recovered from the LLC-miss
-// counter delta around the run — every miss in a remote run is a remote
-// DRAM access by construction.
-func (n *NUMASystem) AccessMany(core int, lines []uint64) uint64 {
-	s, local := n.SocketOf(core)
-	sys := n.sockets[s]
-	if n.cfg.RemotePenalty == 0 || len(n.sockets) == 1 {
-		return sys.AccessMany(local, lines)
-	}
-	bank := sys.Counters().Core(local)
-	var latSum uint64
-	for start := 0; start < len(lines); {
-		home := n.HomeOf(lines[start])
-		end := start + 1
-		for end < len(lines) && n.HomeOf(lines[end]) == home {
-			end++
-		}
-		run := lines[start:end]
-		if home == s {
-			latSum += sys.AccessMany(local, run)
-		} else {
-			missesBefore := bank[perf.LLCMisses]
-			latSum += sys.AccessMany(local, run)
-			misses := bank[perf.LLCMisses] - missesBefore
-			penalty := misses * n.cfg.RemotePenalty
-			latSum += penalty
-			n.remoteAccesses[s] += uint64(len(run))
-			n.remoteCycles[s] += penalty
-		}
-		start = end
-	}
-	return latSum
-}
-
 // numaPass is NUMASystem's IntervalPass for hosts with a remote
-// penalty: batches split into maximal same-home runs exactly like
-// AccessMany, with the per-run miss count recovered from the inner
-// pass's own accumulator instead of a perf-bank delta (the bank is not
-// flushed until Close).
+// penalty: each batch is split into maximal same-home runs, and a
+// remote run's penalty is recovered from the inner pass's miss count —
+// every miss in a remote run is a remote DRAM access by construction.
 type numaPass struct {
 	n      *NUMASystem
 	socket int
@@ -222,9 +182,8 @@ type numaPass struct {
 }
 
 // BeginInterval opens a fused access pass for a global core. With no
-// remote penalty (or one socket) the owning socket's pass is returned
-// directly, keeping the Sockets=1 path identical to the single-socket
-// System.
+// remote penalty (or one socket) no access can pay one, so the owning
+// socket's pass is returned directly.
 func (n *NUMASystem) BeginInterval(core int) IntervalPass {
 	s, local := n.SocketOf(core)
 	sys := n.sockets[s]
@@ -238,10 +197,9 @@ func (n *NUMASystem) BeginInterval(core int) IntervalPass {
 	}
 }
 
-// AccessMany implements IntervalPass, mirroring NUMASystem.AccessMany.
+// AccessMany implements IntervalPass.
 func (p *numaPass) AccessMany(lines []uint64) uint64 {
 	var latSum uint64
-	lat := p.inner.lat
 	for start := 0; start < len(lines); {
 		home := p.n.HomeOf(lines[start])
 		end := start + 1
@@ -249,12 +207,9 @@ func (p *numaPass) AccessMany(lines []uint64) uint64 {
 			end++
 		}
 		run := lines[start:end]
-		h1, hl, ml := p.inner.l1Hits, p.inner.llcHits, p.inner.llcMisses
-		p.inner.run(run)
-		latSum += (p.inner.l1Hits-h1)*lat.L1Hit + (p.inner.llcHits-hl)*lat.LLCHit + (p.inner.llcMisses-ml)*lat.DRAM
+		ml := p.inner.llcMisses
+		latSum += p.inner.AccessMany(run)
 		if home != p.socket {
-			// Every miss in a remote run is a remote DRAM access by
-			// construction.
 			penalty := (p.inner.llcMisses - ml) * p.n.cfg.RemotePenalty
 			latSum += penalty
 			p.n.remoteAccesses[p.socket] += uint64(len(run))

@@ -234,44 +234,6 @@ func TestSingleSocketMatchesSystem(t *testing.T) {
 	}
 }
 
-// TestAccessManyMatchesAccess checks the batched path is behaviourally
-// identical to per-line Access under mixed-home batches: same total
-// latency, same perf counters, same remote-traffic accounting.
-func TestAccessManyMatchesAccess(t *testing.T) {
-	cfg := smallNUMAConfig(2, 130)
-	batched, serial := MustNewNUMA(cfg), MustNewNUMA(cfg)
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 50; iter++ {
-		core := rng.Intn(4)
-		lines := make([]uint64, rng.Intn(200))
-		for i := range lines {
-			lines[i] = uint64(rng.Intn(2 * linesPerSocket))
-		}
-		var want uint64
-		for _, l := range lines {
-			want += serial.Access(core, l)
-		}
-		if got := batched.AccessMany(core, lines); got != want {
-			t.Fatalf("iter %d: AccessMany=%d, per-line sum=%d", iter, got, want)
-		}
-	}
-	for core := 0; core < 4; core++ {
-		for e := perf.Event(0); int(e) < perf.NumEvents; e++ {
-			if got, want := batched.Counters().ReadCounter(core, e), serial.Counters().ReadCounter(core, e); got != want {
-				t.Errorf("core %d %s: batched=%d serial=%d", core, e, got, want)
-			}
-		}
-	}
-	for s := 0; s < 2; s++ {
-		if got, want := batched.RemoteAccesses(s), serial.RemoteAccesses(s); got != want {
-			t.Errorf("socket %d remote accesses: batched=%d serial=%d", s, got, want)
-		}
-		if got, want := batched.RemotePenaltyCycles(s), serial.RemotePenaltyCycles(s); got != want {
-			t.Errorf("socket %d penalty cycles: batched=%d serial=%d", s, got, want)
-		}
-	}
-}
-
 func TestNUMARetireAndFlush(t *testing.T) {
 	n := MustNewNUMA(smallNUMAConfig(2, 0))
 	n.Retire(3, 1000, 2500) // socket 1, local core 1

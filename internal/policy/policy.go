@@ -191,6 +191,28 @@ func (g *Grants) Reset(n int) {
 	g.Notes = g.Notes[:0]
 }
 
+// EvenSplit fills ways with an even division of total, earlier entries
+// taking the remainder and every entry getting at least one way — the
+// fallback of the engines that own the whole allocation.
+func EvenSplit(ways []int, total int) {
+	n := len(ways)
+	if n == 0 {
+		return
+	}
+	each, extra := total/n, total%n
+	for i := range ways {
+		w := each
+		if extra > 0 {
+			w++
+			extra--
+		}
+		if w < 1 {
+			w = 1
+		}
+		ways[i] = w
+	}
+}
+
 // AllocationPolicy resolves one round's desires into way grants.
 // Propose is called once per controller tick, synchronously, with a
 // View built in target order; implementations fill g and may keep

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cat"
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/memsys"
@@ -102,7 +101,16 @@ func runScenario(sc Scenario) (*ScenarioResult, error) {
 		}
 		ctlCfg.NewPolicy = factory
 	}
-	multi, err := buildMulti(ctlCfg, h, sc)
+	// Anchors contract a single way; every other tenant the scenario's
+	// baseline.
+	baselines := make(map[string]int, len(h.VMs()))
+	for _, vm := range h.VMs() {
+		baselines[vm.Name] = sc.Baseline
+		if strings.HasPrefix(vm.Name, "anchor-") {
+			baselines[vm.Name] = 1
+		}
+	}
+	multi, err := h.Controllers(ctlCfg, baselines)
 	if err != nil {
 		return nil, fmt.Errorf("study: %s/%s: %w", sc.Study, sc.ID, err)
 	}
@@ -154,36 +162,6 @@ func modulatedTenant(sc Scenario, slot int, h *host.Host, socket int) (workload.
 	}
 	curve := newCurve(sc.Arrival, sc.Seed+1000+int64(slot))
 	return workload.NewModulated(base, func(int) float64 { return curve() })
-}
-
-// buildMulti wires one CAT domain and controller per socket (anchors
-// guarantee every socket has at least one target).
-func buildMulti(ctlCfg core.Config, h *host.Host, sc Scenario) (*core.MultiController, error) {
-	nsys := h.NUMA()
-	specs := make([]core.SocketSpec, 0, sc.Sockets)
-	for socket := 0; socket < sc.Sockets; socket++ {
-		var targets []core.Target
-		for _, vm := range h.VMs() {
-			if vm.Socket != socket {
-				continue
-			}
-			baseline := sc.Baseline
-			if strings.HasPrefix(vm.Name, "anchor-") {
-				baseline = 1
-			}
-			targets = append(targets, core.Target{Name: vm.Name, Cores: vm.Cores, BaselineWays: baseline})
-		}
-		backend, err := cat.NewNUMABackend(nsys, socket)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := cat.NewManager(backend)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, core.SocketSpec{Socket: socket, Mgr: mgr, Targets: targets})
-	}
-	return core.NewMulti(ctlCfg, h.Counters(), specs)
 }
 
 // churnState tracks the synthetic tenant lifecycle within one scenario.
@@ -250,7 +228,7 @@ func (cs *churnState) step(interval int, h *host.Host, multi *core.MultiControll
 		cs.migIdx++
 		if vm, ok := h.VM(name); ok {
 			to := (vm.Socket + 1) % sc.Sockets
-			if err := migrateVM(h, multi, name, to); err == nil {
+			if err := h.MigrateManaged(multi, name, to); err == nil {
 				res.Migrations++
 			}
 		}
@@ -328,7 +306,7 @@ func runPlacement(eng *placement.Engine, h *host.Host, multi *core.MultiControll
 	eng.Evaluate([]placement.AgentView{view})
 	for _, d := range eng.Directives("host") {
 		ack := placement.DirectiveAck{ID: d.ID, OK: true}
-		if err := migrateVM(h, multi, d.Workload, d.ToSocket); err != nil {
+		if err := h.MigrateManaged(multi, d.Workload, d.ToSocket); err != nil {
 			ack.OK = false
 			ack.Detail = err.Error()
 		} else {
@@ -336,27 +314,6 @@ func runPlacement(eng *placement.Engine, h *host.Host, multi *core.MultiControll
 		}
 		eng.Ack("host", []placement.DirectiveAck{ack}, obs.TraceContext{})
 	}
-}
-
-// migrateVM moves a tenant live: host cores first, then controller
-// state, with host rollback if the destination loop rejects it.
-func migrateVM(h *host.Host, multi *core.MultiController, name string, toSocket int) error {
-	vm, ok := h.VM(name)
-	if !ok {
-		return fmt.Errorf("study: no VM %q", name)
-	}
-	from := vm.Socket
-	moved, err := h.MigrateVM(name, toSocket)
-	if err != nil {
-		return err
-	}
-	if err := multi.Migrate(name, toSocket, moved.Cores); err != nil {
-		if _, backErr := h.MigrateVM(name, from); backErr != nil {
-			return fmt.Errorf("study: migrate %q: %v (host rollback failed: %v)", name, err, backErr)
-		}
-		return err
-	}
-	return nil
 }
 
 // fleetMPKI computes LLC misses per kilo-instruction over all cores

@@ -74,27 +74,6 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 			return
 		}
 	}
-	evenUCPSplit(g.Ways, total)
+	policy.EvenSplit(g.Ways, total)
 	g.PoolEmpty = true
-}
-
-// evenUCPSplit fills ways with an even division of total, earlier
-// entries taking the remainder.
-func evenUCPSplit(ways []int, total int) {
-	n := len(ways)
-	if n == 0 {
-		return
-	}
-	each, extra := total/n, total%n
-	for i := range ways {
-		w := each
-		if extra > 0 {
-			w++
-			extra--
-		}
-		if w < 1 {
-			w = 1
-		}
-		ways[i] = w
-	}
 }

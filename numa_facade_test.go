@@ -10,7 +10,7 @@ func TestSimulationNUMALifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Host().NUMA() == nil || sim.Host().NUMA().Sockets() != 2 {
+	if sim.Host().NUMA().Sockets() != 2 {
 		t.Fatal("Sockets=2 should build a 2-socket host")
 	}
 	// Target on socket 0, memory from socket 1: every miss crosses.
@@ -36,12 +36,9 @@ func TestSimulationNUMALifecycle(t *testing.T) {
 	if err := sim.Start(DefaultConfig(), baselines); err != nil {
 		t.Fatal(err)
 	}
-	if sim.Controller() != nil {
-		t.Error("multi-socket simulation should have no single controller")
-	}
-	m := sim.Multi()
-	if m == nil {
-		t.Fatal("multi-socket simulation should expose a MultiController")
+	m := sim.Controller()
+	if got := m.Sockets(); len(got) != 2 {
+		t.Fatalf("controller set covers sockets %v, want one loop per populated socket", got)
 	}
 	if err := sim.Run(8); err != nil {
 		t.Fatal(err)
@@ -76,7 +73,7 @@ func TestSimulationTopologySpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	nsys := sim.Host().NUMA()
-	if nsys == nil || nsys.Sockets() != 2 {
+	if nsys.Sockets() != 2 {
 		t.Fatal("topology spec should build a 2-socket host")
 	}
 	if cfg := nsys.Config(); cfg.Socket.Cores != 8 || cfg.RemotePenalty != 150 {
