@@ -7,7 +7,6 @@
 //	dcat-bench -j 8            # run up to 8 experiments in parallel
 //	dcat-bench -run fig10,fig17
 //	dcat-bench -out results/   # also save one file per experiment
-//	dcat-bench -json           # write per-experiment timings to BENCH_bench.json
 //	dcat-bench -sockets 2      # run the suite on a 2-socket NUMA host
 //	dcat-bench -study studies.json             # also run a declarative study sweep
 //	dcat-bench -study studies.json -study-dry-run  # validate + print the plan only
@@ -40,10 +39,6 @@ import (
 	"repro/internal/study"
 )
 
-// jsonReportPath is where -json writes per-experiment timings; the CI
-// bench step uploads it so the perf trajectory is tracked across PRs.
-const jsonReportPath = "BENCH_bench.json"
-
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "reduced simulation scale")
@@ -51,9 +46,7 @@ func main() {
 		out      = flag.String("out", "", "directory to save per-experiment outputs")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "experiments to run in parallel")
-		jsonOut  = flag.Bool("json", false, "write per-experiment timings to "+jsonReportPath)
 		failFast = flag.Bool("failfast", false, "cancel pending experiments after the first failure")
-		compare  = flag.String("compare", "", "compare this run's timings and throughput against a previous "+jsonReportPath+"; exit non-zero on a >2x per-experiment or throughput regression")
 		sockets  = flag.Int("sockets", 0, "run every experiment on an N-socket NUMA host (0 = original single-socket host)")
 		policyFl = flag.String("alloc-policy", "", "allocation policy for every controller: reactive, predictive, or lfoc (\"\" = reactive)")
 		penalty  = flag.Uint64("remote-penalty", 0, "cross-socket DRAM penalty in cycles (0 = default when -sockets > 1)")
@@ -61,7 +54,6 @@ func main() {
 		studyPth = flag.String("study", "", "also run this declarative study file (see docs/EXPERIMENTS.md) as the 'study' experiment")
 		studyDry = flag.Bool("study-dry-run", false, "validate the -study file, print its scenario plan, and exit without running anything")
 		studyOut = flag.String("study-out", "study_results", "directory for per-study result dirs and the cross-study table (with -study)")
-		noThru   = flag.Bool("no-throughput", false, "skip the accesses/sec hot-path throughput report")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit (pprof)")
 	)
@@ -74,9 +66,7 @@ func main() {
 		out:        *out,
 		list:       *list,
 		jobs:       *jobs,
-		jsonOut:    *jsonOut,
 		failFast:   *failFast,
-		compare:    *compare,
 		sockets:    *sockets,
 		penalty:    *penalty,
 		policy:     *policyFl,
@@ -84,7 +74,6 @@ func main() {
 		study:      *studyPth,
 		studyDry:   *studyDry,
 		studyOut:   *studyOut,
-		throughput: !*noThru,
 		cpuProfile: *cpuProf,
 		memProfile: *memProf,
 	}); err != nil {
@@ -99,9 +88,7 @@ type config struct {
 	out        string
 	list       bool
 	jobs       int
-	jsonOut    bool
 	failFast   bool
-	compare    string
 	sockets    int
 	penalty    uint64
 	policy     string
@@ -109,7 +96,6 @@ type config struct {
 	study      string
 	studyDry   bool
 	studyOut   string
-	throughput bool
 	cpuProfile string
 	memProfile string
 }
@@ -248,22 +234,6 @@ func realMain(ctx context.Context, cfg config) error {
 		}
 	}
 
-	// The hot-path throughput microbenches run after the experiments so
-	// they measure an idle machine; their accesses/sec entries feed the
-	// JSON report and the -compare gate alongside the timings.
-	var thru []throughputEntry
-	if cfg.throughput {
-		thru = measureThroughput()
-		printThroughput(os.Stderr, thru)
-	}
-
-	if cfg.jsonOut {
-		if err := writeReport(jsonReportPath, cfg, results, thru, total); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dcat-bench: wrote %s\n", jsonReportPath)
-	}
-
 	fmt.Fprintf(os.Stderr, "dcat-bench: %d experiments, %d failed, %.1fs total (j=%d)\n",
 		len(results), len(failed), total.Seconds(), cfg.jobs)
 	if len(failed) > 0 {
@@ -271,18 +241,6 @@ func realMain(ctx context.Context, cfg config) error {
 			fmt.Fprintf(os.Stderr, "dcat-bench: FAILED %s: %v\n", r.Runner.ID, r.Err)
 		}
 		return fmt.Errorf("%d of %d experiments failed", len(failed), len(results))
-	}
-	if cfg.compare != "" {
-		old, err := loadReport(cfg.compare)
-		if err != nil {
-			return err
-		}
-		regs := compareReports(os.Stderr, old, buildReport(cfg, results, thru, total))
-		if len(regs) > 0 {
-			return fmt.Errorf("%d entries regressed more than %.0fx vs %s (worst: %s at %.2fx)",
-				len(regs), regressionRatio, cfg.compare, regs[0].ID, regs[0].Ratio)
-		}
-		fmt.Fprintf(os.Stderr, "dcat-bench: no regressions vs %s\n", cfg.compare)
 	}
 	return nil
 }

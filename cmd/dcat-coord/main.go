@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/daemoncfg"
 	"repro/internal/flightrec"
 	"repro/internal/httpstatus"
 	"repro/internal/obs"
@@ -42,9 +43,6 @@ func main() {
 		expiry      = flag.Duration("expiry", 10*time.Second, "mark an agent dead after this long without a heartbeat")
 		reportEvery = flag.Int("report-every", 1, "report cadence (controller ticks) pushed to agents")
 		quorum      = flag.Int("streaming-quorum", 2, "agents that must see a workload Streaming before capping its replicas")
-		trace       = flag.String("trace-file", "", "append every coordinator event (enrollments, hints) as JSON Lines to this file")
-		journalLen  = flag.Int("journal", obs.DefaultJournalSize, "in-memory event journal capacity in events (served at /debug/journal)")
-		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof on the -listen address")
 		recDir      = flag.String("recorder-dir", "", "fleet flight-recorder segment directory (empty = durable recording off)")
 		segBytes    = flag.Int64("segment-bytes", 4<<20, "rotate a recorder segment at this size")
 		segAge      = flag.Duration("segment-age", time.Hour, "rotate a recorder segment at this age")
@@ -59,6 +57,7 @@ func main() {
 		metricsRing    = flag.Int("metrics-ring", 0, "per-tenant time-series samples kept at /fleet/metrics (0 = default 256, -1 disables)")
 		metricsTenants = flag.Int("metrics-tenants", 0, "max (agent, workload) pairs the time-series plane stores (0 = default 1024)")
 	)
+	ob := daemoncfg.ObsFlags(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -72,25 +71,17 @@ func main() {
 		MetricsRingSize:   *metricsRing,
 		MetricsMaxTenants: *metricsTenants,
 	})
-	journal := obs.NewJournal(*journalLen)
 	reg := telemetry.NewRegistry()
 	coord.RegisterMetrics(reg)
 	coord.RegisterSelfMetrics(reg)
-	opts := httpstatus.Options{Journal: journal, Metrics: reg, Pprof: *pprofOn, Tenants: coord}
-	sinks := []obs.Sink{journal}
-	if *trace != "" {
-		fs, err := obs.NewFileSink(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dcat-coord: opening trace file:", err)
-			os.Exit(1)
-		}
-		defer fs.Close()
-		drops := reg.Counter("dcat_trace_file_dropped_total",
-			"Decision events the -trace-file sink discarded after a latched write error.")
-		fs.SetOnDrop(drops.Inc)
-		opts.Trace = fs
-		sinks = append(sinks, fs)
+	opts, sink, closeTrace, err := ob.Open(reg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dcat-coord:", err)
+		os.Exit(1)
 	}
+	defer closeTrace()
+	opts.Tenants = coord
+	sinks := []obs.Sink{sink}
 
 	if *recDir != "" {
 		store, err := flightrec.Open(flightrec.Config{

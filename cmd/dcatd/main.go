@@ -1,17 +1,32 @@
-// Command dcatd is the dCat daemon: every period it samples per-core
-// performance counters, runs the controller's five steps, and applies
-// the resulting cache partitioning through the resctrl filesystem.
+// Command dcatd is the dCat daemon, one per host: every period it
+// samples per-core performance counters, runs the controller's five
+// steps, and applies the resulting cache partitioning through the
+// resctrl filesystem.
 //
 // Hardware mode (Linux with resctrl mounted and the msr module loaded;
-// requires root):
+// requires root), from flags or from the JSON file that says the same:
 //
 //	dcatd -group web=0-3@4 -group batch=4-7@2 -period 1s
+//	dcatd -config dcatd.json
 //
-// Demo mode builds a mock resctrl tree and a simulated socket (MLR +
-// MLOAD + lookbusy tenants), then runs the very same control loop
-// against it — watch the schemata files change under the tree root:
+// Demo mode runs the very same loop over a simulated host (MLR + MLOAD
+// + lookbusy tenants) instead of hardware:
 //
-//	dcatd -demo -intervals 25
+//	dcatd -demo -period 200ms -intervals 25
+//
+// With -coord the daemon is also a member of a dCat cluster: it
+// enrolls, reports per-workload statistics every period, streams its
+// decision events to the fleet flight recorder and applies coordinator
+// allocation hints. The coordinator is strictly optional at runtime:
+// when it is down or unreachable the local loop runs on unchanged and
+// re-enrolls when the coordinator returns.
+//
+//	dcatd -coord http://coord:9400 -name host-a -demo
+//	dcatd -coord http://coord:9400 -name host-b \
+//	    -group web=0-3@4 -group batch=4-7@2 -period 1s
+//
+// With -demo -sockets N the daemon simulates a NUMA host and executes
+// coordinator placement directives (live cross-socket migrations).
 package main
 
 import (
@@ -21,85 +36,70 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/daemoncfg"
 	"repro/internal/httpstatus"
-	allocpolicy "repro/internal/policy"
-	"repro/internal/resctrl"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
-// attach wires the decision-trace journal (plus the optional continuous
-// JSONL trace file) and a fresh metrics registry into the controller,
-// and returns the HTTP surfaces plus a cleanup that flushes the trace.
-func attach(ob daemoncfg.Obs, ctl *dcat.Controller) (httpstatus.Options, func(), error) {
-	reg := telemetry.NewRegistry()
-	opts, sink, closeTrace, err := ob.Open(reg)
-	if err != nil {
-		return httpstatus.Options{}, nil, err
+// options is everything the command line selects: the File (from flags
+// or -config), the decision-trace destinations, the demo switches and
+// the cluster membership, which has no place in the file.
+type options struct {
+	file *daemoncfg.File
+	obs  daemoncfg.Obs
+
+	demo      bool
+	sockets   int
+	intervals int
+
+	name      string
+	coord     string
+	timeout   time.Duration
+	retries   int
+	streamBuf int
+}
+
+// parseFlags declares every dcatd flag on fs, parses args and resolves
+// the File from the flags or from -config.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	file := daemoncfg.FileFlags(fs)
+	ob := daemoncfg.ObsFlags(fs)
+	fs.BoolVar(&o.demo, "demo", false, "run a simulated host instead of hardware")
+	fs.IntVar(&o.sockets, "sockets", 0, "demo NUMA sockets (0 = single-socket demo); >1 enables placement directives")
+	fs.IntVar(&o.intervals, "intervals", 0, "stop after this many periods (0 = until interrupted)")
+	fs.StringVar(&o.name, "name", defaultName(), "host name, unique per coordinator")
+	fs.StringVar(&o.coord, "coord", "", "coordinator base URL, e.g. http://coord:9400 (empty = standalone)")
+	fs.DurationVar(&o.timeout, "timeout", 2*time.Second, "per-request coordinator timeout")
+	fs.IntVar(&o.retries, "retries", 3, "coordinator request retries (exponential backoff with jitter)")
+	fs.IntVar(&o.streamBuf, "stream-buffer", 4096, "decision events buffered for upload to the fleet flight recorder (drop-oldest when full)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	ctl.SetSink(sink)
-	ctl.RegisterMetrics(reg)
-	return opts, closeTrace, nil
+	o.obs = *ob
+	var err error
+	o.file, err = file()
+	return o, err
 }
 
 func main() {
-	var groups daemoncfg.Groups
-	var (
-		root      = flag.String("resctrl", resctrl.DefaultRoot, "resctrl filesystem root")
-		msrRoot   = flag.String("msr", "/dev/cpu", "msr device root")
-		period    = flag.Duration("period", time.Second, "controller period")
-		policy    = flag.String("policy", "fair", "allocation policy: fair|perf")
-		allocPol  = flag.String("alloc-policy", "", "pluggable allocation engine: reactive|predictive|lfoc (\"\" = reactive)")
-		demo      = flag.Bool("demo", false, "run against a mock resctrl tree and a simulated socket")
-		demoDir   = flag.String("demo-dir", "", "mock tree location (default: temp dir)")
-		intervals = flag.Int("intervals", 30, "demo length in periods (0 = until interrupted)")
-		httpAddr  = flag.String("http", "", "serve /status, /metrics, /healthz on this address (e.g. :9090)")
-		confPath  = flag.String("config", "", "JSON configuration file (hardware mode; overrides the flags above)")
-	)
-	ob := daemoncfg.ObsFlags(flag.CommandLine)
-	flag.Var(&groups, "group", "managed group as name=cpus@baseline (repeatable)")
-	flag.Parse()
-
-	cfg := dcat.DefaultConfig()
-	switch *policy {
-	case "fair":
-		cfg.Policy = dcat.MaxFairness
-	case "perf":
-		cfg.Policy = dcat.MaxPerformance
-	default:
-		fmt.Fprintf(os.Stderr, "dcatd: unknown policy %q\n", *policy)
-		os.Exit(1)
-	}
-	if *allocPol != "" {
-		factory, err := allocpolicy.New(*allocPol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dcatd:", err)
-			os.Exit(1)
-		}
-		cfg.NewPolicy = factory
-	}
-
-	// SIGINT/SIGTERM cancel the context; every run path winds down at
-	// the next tick and shuts its HTTP server down gracefully instead
-	// of dying mid-tick.
+	// SIGINT/SIGTERM cancel the context; the loop winds down at the next
+	// tick and shuts its HTTP server down gracefully instead of dying
+	// mid-tick.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	var err error
-	switch {
-	case *confPath != "":
-		err = runFromConfig(ctx, *confPath, *ob)
-	case *demo:
-		err = runDemo(ctx, cfg, *demoDir, *intervals, *httpAddr, *ob)
-	default:
-		err = runHardware(ctx, cfg, *root, *msrRoot, *period, groups, *httpAddr, *ob)
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(ctx, o)
 	}
 	if err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "dcatd:", err)
@@ -107,181 +107,229 @@ func main() {
 	}
 }
 
-// runFromConfig runs hardware mode from a JSON configuration file.
-func runFromConfig(ctx context.Context, path string, ob daemoncfg.Obs) error {
-	f, err := daemoncfg.Load(path)
-	if err != nil {
-		return err
+func defaultName() string {
+	if h, err := os.Hostname(); err == nil && h != "" {
+		return h
 	}
-	cfg, err := f.ControllerConfig()
-	if err != nil {
-		return err
-	}
-	return runHardware(ctx, cfg, f.ResctrlRoot, f.MSRRoot, f.PeriodDuration, f.Groups, f.HTTP, ob)
+	return "dcatd"
 }
 
-// runHardware is the production loop: resctrl backend + MSR counters.
-func runHardware(ctx context.Context, cfg dcat.Config, root, msrRoot string, period time.Duration, groups daemoncfg.Groups, httpAddr string, ob daemoncfg.Obs) error {
-	if len(groups) == 0 {
-		return fmt.Errorf("no -group flags; nothing to manage")
+// node is the host the loop drives: the controller set and, in -demo,
+// the simulation that has to run an interval before each tick. It is
+// the agent's cluster.Local, the status server's httpstatus.Source and,
+// on a multi-socket demo, the cluster.Mover that turns coordinator
+// placement directives into live migrations.
+type node struct {
+	*core.MultiController
+	sim *dcat.Simulation // nil on hardware
+}
+
+func (n node) Tick() error {
+	if n.sim != nil {
+		return n.sim.Step()
 	}
-	ctl, err := daemoncfg.OpenHardware(cfg, root, msrRoot, groups)
+	return n.MultiController.Tick()
+}
+
+// Occupancy reports the hardware loop's CMT readings; the simulated
+// host exports none.
+func (n node) Occupancy() (map[string]uint64, bool) {
+	if n.sim != nil {
+		return nil, false
+	}
+	return n.Controller(0).Occupancy()
+}
+
+func (n node) MigrateVM(name string, toSocket int) error {
+	return n.sim.MigrateVM(name, toSocket)
+}
+
+// openDemo builds the simulated host: MLR + MLOAD + lookbusy tenants on
+// socket 0. With sockets > 1 it becomes a NUMA host: every tenant
+// starts crowded onto socket 0 while the other sockets idle with one
+// lookbusy each — the imbalanced layout a coordinator placement engine
+// exists to fix. The NUMA demo trades the single 8 MB MLR for three
+// 16 MB ones (the placement experiment's tenancy): together they want
+// more ways than one socket has, so the pool genuinely exhausts and a
+// coordinator running -placement has a starved Receiver to move.
+func openDemo(cfg core.Config, sockets int) (node, error) {
+	sim, err := dcat.NewSimulation(dcat.SimConfig{Sockets: sockets})
+	if err != nil {
+		return node{}, err
+	}
+	type tenant struct {
+		name string
+		w    dcat.Workload
+	}
+	var vms []tenant
+	if sockets > 1 {
+		for i, seed := range []int64{1, 2, 3} {
+			m, err := sim.NewMLROn(0, 16<<20, seed)
+			if err != nil {
+				return node{}, err
+			}
+			vms = append(vms, tenant{fmt.Sprintf("mlr-%c", 'a'+i), m})
+		}
+	} else {
+		mlr, err := sim.NewMLROn(0, 8<<20, 1)
+		if err != nil {
+			return node{}, err
+		}
+		vms = append(vms, tenant{"mlr", mlr})
+	}
+	mload, err := sim.NewMLOADOn(0, 60<<20)
+	if err != nil {
+		return node{}, err
+	}
+	lb, err := sim.NewLookbusyOn(0)
+	if err != nil {
+		return node{}, err
+	}
+	vms = append(vms, tenant{"mload", mload}, tenant{"lookbusy", lb})
+	for _, vm := range vms {
+		if err := sim.AddVMOn(0, vm.name, 2, vm.w); err != nil {
+			return node{}, err
+		}
+	}
+	for s := 1; s < sockets; s++ {
+		idle, err := sim.NewLookbusyOn(s)
+		if err != nil {
+			return node{}, err
+		}
+		if err := sim.AddVMOn(s, fmt.Sprintf("idle-%d", s), 2, idle); err != nil {
+			return node{}, err
+		}
+	}
+	baselines := make(map[string]int)
+	for _, vm := range sim.Host().VMs() {
+		baselines[vm.Name] = 3
+	}
+	if err := sim.Start(cfg, baselines); err != nil {
+		return node{}, err
+	}
+	return node{MultiController: sim.Controller(), sim: sim}, nil
+}
+
+// open builds the host the options select.
+func open(o options) (node, error) {
+	if o.demo {
+		cfg, err := o.file.ControllerConfig()
+		if err != nil {
+			return node{}, err
+		}
+		return openDemo(cfg, o.sockets)
+	}
+	if len(o.file.Groups) == 0 {
+		return node{}, fmt.Errorf("no -group flags; nothing to manage (did you mean -demo?)")
+	}
+	ctl, err := o.file.OpenHardware()
+	return node{MultiController: ctl}, err
+}
+
+// run is the daemon: it opens the host, wraps its loop in a cluster
+// agent (standalone without -coord), serves local status, and ticks
+// every period until the context is canceled or the interval budget is
+// spent. Decision events fan out to the in-memory journal, the
+// optional trace file and — with a coordinator — the agent's tally, so
+// the coordinator sees fleet-wide transition rates, and the streamer
+// that uploads every event to the fleet flight recorder.
+func run(ctx context.Context, o options) error {
+	// The registry is shared with the cluster client's RPC
+	// instrumentation.
+	reg := telemetry.NewRegistry()
+	var client *cluster.Client
+	var streamer *cluster.Streamer
+	if o.coord != "" {
+		var err error
+		client, err = cluster.NewClient(cluster.ClientConfig{
+			BaseURL:    o.coord,
+			Timeout:    o.timeout,
+			MaxRetries: o.retries,
+			Metrics:    cluster.NewRPCMetrics(reg),
+		})
+		if err != nil {
+			return err
+		}
+		streamer, err = cluster.NewStreamer(cluster.StreamerConfig{
+			Client:     client,
+			Epoch:      time.Now().UnixNano(),
+			BufferSize: o.streamBuf,
+			Metrics:    cluster.NewStreamerMetrics(reg),
+		})
+		if err != nil {
+			return err
+		}
+	}
+	n, err := open(o)
 	if err != nil {
 		return err
 	}
-	opts, closeTrace, err := attach(ob, ctl)
+	acfg := cluster.AgentConfig{
+		Name:       o.name,
+		StatusAddr: o.file.HTTP,
+		Client:     client,
+		Streamer:   streamer,
+	}
+	if o.demo && o.sockets > 1 {
+		acfg.Mover = n
+	}
+	agent, err := cluster.NewAgent(acfg, n)
+	if err != nil {
+		return err
+	}
+	opts, chain, closeTrace, err := o.obs.Open(reg)
 	if err != nil {
 		return err
 	}
 	defer closeTrace()
-	var mu sync.Mutex
-	stopHTTP := serveStatus(httpAddr, ctl, &mu, opts)
-	defer stopHTTP()
-
+	if client != nil {
+		chain = obs.Multi(chain, agent.EventSink(), streamer)
+	}
+	n.SetSink(chain)
+	n.RegisterMetrics(reg)
+	// The agent's own events (placement executions) take the same path
+	// as the controller's, so they reach the fleet recorder too.
+	agent.SetSink(chain)
+	// Scrapes and the per-tick log line read the host under the agent's
+	// lock, the one its ticks and migrations hold.
+	locked := httpstatus.Locked{Src: n, Do: agent.Do}
+	if addr := o.file.HTTP; addr != "" {
+		srv := httpstatus.ServeOpts(addr, locked, opts)
+		defer func() {
+			// Graceful shutdown: let in-flight scrapes finish.
+			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(sctx)
+		}()
+		fmt.Printf("dcatd: status on http://%s/status\n", addr)
+	}
+	period := o.file.PeriodDuration
+	if client != nil {
+		fmt.Printf("dcatd: %q reporting to the coordinator every %s\n", o.name, period)
+	} else {
+		fmt.Printf("dcatd: %q running standalone every %s\n", o.name, period)
+	}
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
-	fmt.Printf("dcatd: managing %d groups on %s every %s\n", len(groups), root, period)
-	for {
+	for done := 0; o.intervals == 0 || done < o.intervals; done++ {
 		select {
 		case <-ctx.Done():
 			fmt.Println("dcatd: shutting down")
 			return nil
 		case <-ticker.C:
-			mu.Lock()
-			err := ctl.Tick()
-			snap := ctl.Snapshot()
-			mu.Unlock()
-			if err != nil {
-				return err
-			}
-			logSnapshot(snap)
 		}
-	}
-}
-
-// runDemo exercises the identical control path against a mock tree fed
-// by the simulator.
-func runDemo(ctx context.Context, cfg dcat.Config, dir string, intervals int, httpAddr string, ob daemoncfg.Obs) error {
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "dcatd-demo-*")
-		if err != nil {
+		if err := agent.Tick(ctx); err != nil {
 			return err
 		}
-	}
-	if err := resctrl.CreateMockTree(dir, 20, 16, 18); err != nil {
-		return err
-	}
-	rcBackend, err := dcat.NewResctrlBackend(dir)
-	if err != nil {
-		return err
-	}
-	sim, err := dcat.NewSimulation(dcat.SimConfig{})
-	if err != nil {
-		return err
-	}
-	simBackend, err := sim.SimBackend()
-	if err != nil {
-		return err
-	}
-	// Mirror: the mock tree gets real schemata writes while the
-	// simulator's LLC actually enforces them.
-	backend, err := dcat.MirrorBackend(rcBackend, simBackend)
-	if err != nil {
-		return err
-	}
-	mlr, err := sim.NewMLR(8<<20, 1)
-	if err != nil {
-		return err
-	}
-	mload, err := sim.NewMLOAD(60 << 20)
-	if err != nil {
-		return err
-	}
-	lb, err := sim.NewLookbusy()
-	if err != nil {
-		return err
-	}
-	for _, vm := range []struct {
-		name string
-		w    dcat.Workload
-	}{{"mlr", mlr}, {"mload", mload}, {"lookbusy", lb}} {
-		if err := sim.AddVM(vm.name, 2, vm.w); err != nil {
-			return err
+		if err := agent.LastErr(); err != nil {
+			fmt.Fprintln(os.Stderr, "dcatd: coordinator unreachable, continuing locally:", err)
 		}
-	}
-	var targets []dcat.Target
-	for _, vm := range sim.Host().VMs() {
-		targets = append(targets, dcat.Target{Name: vm.Name, Cores: vm.Cores, BaselineWays: 3})
-	}
-	ctl, err := dcat.NewController(cfg, backend, sim.Host().System().Counters(), targets)
-	if err != nil {
-		return err
-	}
-	opts, closeTrace, err := attach(ob, ctl)
-	if err != nil {
-		return err
-	}
-	defer closeTrace()
-	var mu sync.Mutex
-	stopHTTP := serveStatus(httpAddr, ctl, &mu, opts)
-	defer stopHTTP()
-	fmt.Printf("dcatd demo: mock resctrl tree at %s\n", dir)
-	for i := 1; intervals == 0 || i <= intervals; i++ {
-		if ctx.Err() != nil {
-			fmt.Println("dcatd: shutting down")
-			return nil
-		}
-		sim.Host().RunInterval()
-		mu.Lock()
-		err := ctl.Tick()
-		snap := ctl.Snapshot()
-		mu.Unlock()
-		if err != nil {
-			return err
-		}
-		logSnapshot(snap)
-	}
-	fmt.Println("schemata files after the run:")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "cos") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name(), "schemata"))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %s/schemata: %s", e.Name(), data)
+		logSnapshot(locked.Snapshot())
 	}
 	return nil
 }
 
-// serveStatus starts the HTTP status server when addr is set; the
-// returned function shuts it down.
-func serveStatus(addr string, ctl *dcat.Controller, mu *sync.Mutex, opts httpstatus.Options) func() {
-	if addr == "" {
-		return func() {}
-	}
-	src := httpstatus.Locked{Src: ctl, Do: func(fn func()) {
-		mu.Lock()
-		defer mu.Unlock()
-		fn()
-	}}
-	srv := httpstatus.ServeOpts(addr, src, opts)
-	fmt.Printf("dcatd: status on http://%s/status\n", addr)
-	return func() {
-		// Graceful shutdown: let in-flight scrapes finish.
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(sctx)
-	}
-}
-
-func logSnapshot(snap []dcat.Status) {
+func logSnapshot(snap []core.Status) {
 	parts := make([]string, 0, len(snap))
 	for _, st := range snap {
 		parts = append(parts, fmt.Sprintf("%s=%d(%s)", st.Name, st.Ways, st.State))

@@ -315,7 +315,7 @@ func (c *captureSink) Events() []obs.Event {
 }
 
 // streamingHost is a host whose controller also feeds a flight-recorder
-// streamer (as dcat-agent wires it) and a local capture of every event.
+// streamer (as dcatd -coord wires it) and a local capture of every event.
 type streamingHost struct {
 	*host
 	streamer *cluster.Streamer

@@ -1,7 +1,10 @@
-// Package daemoncfg loads dcatd's JSON configuration file: the managed
-// groups, the controller period and thresholds, and the listen address
-// — everything the command-line flags express, in reviewable form. It
-// also holds the wiring dcatd and dcat-agent share (wiring.go).
+// Package daemoncfg is dcatd's configuration: one File — the managed
+// groups, the controller period, policy and thresholds, and the listen
+// address — filled either from a JSON file or from the command-line
+// flags that express the same fields, validated by one check, and
+// turned into a controller configuration in one place. wiring.go holds
+// the flags themselves, the resctrl + MSR loop a File opens, and the
+// decision-trace flags dcatd and dcat-coord share.
 //
 // Example:
 //
@@ -43,7 +46,7 @@ type Group struct {
 	CPUs         string `json:"cpus"`
 	BaselineWays int    `json:"baseline_ways"`
 
-	// Cores is CPUs parsed; populated by Load and Groups.Set.
+	// Cores is CPUs parsed; populated by validation.
 	Cores []int `json:"-"`
 }
 
@@ -76,7 +79,7 @@ type File struct {
 	Thresholds  Thresholds `json:"thresholds"`
 	Groups      Groups     `json:"groups"`
 
-	// PeriodDuration is Period parsed; populated by Load.
+	// PeriodDuration is Period parsed; populated by validation.
 	PeriodDuration time.Duration `json:"-"`
 }
 
@@ -97,6 +100,18 @@ func Parse(raw []byte) (*File, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("daemoncfg: parsing: %w", err)
 	}
+	if len(f.Groups) == 0 {
+		return nil, fmt.Errorf("daemoncfg: no groups")
+	}
+	if err := f.validate(); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// validate applies the defaults and checks every field, whichever
+// source filled them; an empty group set passes (-demo manages none).
+func (f *File) validate() error {
 	if f.ResctrlRoot == "" {
 		f.ResctrlRoot = resctrl.DefaultRoot
 	}
@@ -108,61 +123,67 @@ func Parse(raw []byte) (*File, error) {
 	}
 	d, err := time.ParseDuration(f.Period)
 	if err != nil || d <= 0 {
-		return nil, fmt.Errorf("daemoncfg: bad period %q", f.Period)
+		return fmt.Errorf("daemoncfg: bad period %q", f.Period)
 	}
-	f.PeriodDuration = d
+	f.Period, f.PeriodDuration = d.String(), d
 	switch f.Policy {
 	case "", "max-fairness", "fair":
 		f.Policy = "max-fairness"
 	case "max-performance", "perf":
 		f.Policy = "max-performance"
 	default:
-		return nil, fmt.Errorf("daemoncfg: unknown policy %q", f.Policy)
+		return fmt.Errorf("daemoncfg: unknown policy %q", f.Policy)
 	}
 	if !policy.Known(f.AllocPolicy) {
-		return nil, fmt.Errorf("daemoncfg: unknown alloc_policy %q (have: %s)",
+		return fmt.Errorf("daemoncfg: unknown alloc_policy %q (have: %s)",
 			f.AllocPolicy, strings.Join(policy.Names(), ", "))
 	}
-	if len(f.Groups) == 0 {
-		return nil, fmt.Errorf("daemoncfg: no groups")
+	if err := f.Groups.validate(); err != nil {
+		return fmt.Errorf("daemoncfg: %w", err)
 	}
+	_, err = f.ControllerConfig()
+	return err
+}
+
+// validate parses every group's CPU list into Cores and rejects what
+// no controller could manage: an unnamed or twice-named group, an empty
+// or malformed CPU list, a CPU in two groups, a baseline below one way.
+func (gs Groups) validate() error {
 	seenName := map[string]bool{}
 	seenCore := map[int]string{}
-	for i := range f.Groups {
-		g := &f.Groups[i]
+	for i := range gs {
+		g := &gs[i]
 		if g.Name == "" {
-			return nil, fmt.Errorf("daemoncfg: group %d has no name", i)
+			return fmt.Errorf("group %d has no name", i)
 		}
 		if seenName[g.Name] {
-			return nil, fmt.Errorf("daemoncfg: duplicate group %q", g.Name)
+			return fmt.Errorf("duplicate group %q", g.Name)
 		}
 		seenName[g.Name] = true
 		cores, err := resctrl.ParseCPUList(g.CPUs)
 		if err != nil {
-			return nil, fmt.Errorf("daemoncfg: group %q: %w", g.Name, err)
+			return fmt.Errorf("group %q: %w", g.Name, err)
 		}
 		if len(cores) == 0 {
-			return nil, fmt.Errorf("daemoncfg: group %q has no cpus", g.Name)
+			return fmt.Errorf("group %q has no cpus", g.Name)
 		}
 		for _, c := range cores {
 			if owner, dup := seenCore[c]; dup {
-				return nil, fmt.Errorf("daemoncfg: cpu %d in both %q and %q", c, owner, g.Name)
+				return fmt.Errorf("cpu %d in both %q and %q", c, owner, g.Name)
 			}
 			seenCore[c] = g.Name
 		}
 		g.Cores = cores
 		if g.BaselineWays < 1 {
-			return nil, fmt.Errorf("daemoncfg: group %q: baseline_ways %d below 1", g.Name, g.BaselineWays)
+			return fmt.Errorf("group %q: baseline_ways %d below 1", g.Name, g.BaselineWays)
 		}
 	}
-	if _, err := f.ControllerConfig(); err != nil {
-		return nil, err
-	}
-	return &f, nil
+	return nil
 }
 
-// ControllerConfig converts the thresholds into a validated controller
-// configuration.
+// ControllerConfig converts the policy, allocation engine and
+// thresholds into a validated controller configuration — the one place
+// -policy / -alloc-policy and their JSON fields become a core.Config.
 func (f *File) ControllerConfig() (core.Config, error) {
 	cfg := core.DefaultConfig()
 	if f.Policy == "max-performance" {

@@ -10,8 +10,8 @@ import (
 // TestStudyTableParallelismInvariant is the study determinism guard:
 // the same study file and seed must render a byte-identical
 // cross-study table whether scenarios run serially or fan out over
-// eight workers — the property that lets CI gate the table with
-// -compare regardless of the runner's -j.
+// eight workers — the property that lets CI publish the table
+// regardless of the runner's -j.
 func TestStudyTableParallelismInvariant(t *testing.T) {
 	const file = `{"name":"par",
 		"base":{"cycles":400000,"intervals":4,"mem_mb_per_socket":256},

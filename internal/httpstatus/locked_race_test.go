@@ -43,8 +43,7 @@ func (m *mutableSource) tick() {
 // TestLockedConcurrentScrapes drives concurrent /status and /metrics
 // scrapes through Locked while the "daemon" ticks under the same
 // mutex. Run with -race: the test exists to prove the Locked contract
-// is sufficient, which is exactly how dcatd and dcat-agent wire their
-// status servers.
+// is sufficient, which is exactly how dcatd wires its status server.
 func TestLockedConcurrentScrapes(t *testing.T) {
 	src := &mutableSource{
 		snap: []core.Status{

@@ -66,7 +66,7 @@ func Run(f *File, ro RunOptions) (*Result, error) {
 // Table builds the cross-study comparison table, one row per scenario
 // in expansion order. All values are formatted with fixed precision,
 // so the render is byte-stable for a given file and seed — the
-// property the -j determinism guard and the -compare CI gate rely on.
+// property the -j determinism guard relies on.
 func (r *Result) Table() *telemetry.Table {
 	tab := telemetry.NewTable(fmt.Sprintf("Study %s: cross-study comparison", r.File.Name),
 		"study", "scenario", "fleet IPC", "MPKI", "transitions", "phases",
