@@ -18,6 +18,8 @@ package dcat
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -84,6 +86,46 @@ func TestBenchResultsCurrent(t *testing.T) {
 	}
 }
 
+// TestDesignInventoryCurrent keeps DESIGN.md §3 and the tree in step:
+// every directory under internal/ and cmd/ is named in the package
+// inventory, and every directory the inventory names still exists.
+func TestDesignInventoryCurrent(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := strings.Cut(string(design), "## 3. Package inventory")
+	inventory, _, ok := strings.Cut(rest, "\n## ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §3 package inventory")
+	}
+	roots := []string{"internal", "cmd", "examples"}
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^ {4}([\w-]+)/`).FindAllStringSubmatch(inventory, -1) {
+		name, found := m[1], false
+		listed[name] = true
+		for _, root := range roots {
+			if fi, err := os.Stat(filepath.Join(root, name)); err == nil && fi.IsDir() {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("DESIGN.md §3 lists %s/, which is in none of %v", name, roots)
+		}
+	}
+	for _, root := range roots[:2] {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() && !listed[e.Name()] {
+				t.Errorf("%s/%s is missing from DESIGN.md §3", root, e.Name())
+			}
+		}
+	}
+}
+
 // §2 motivation.
 
 func BenchmarkFig01CacheInterference(b *testing.B) { runExperiment(b, "fig1") }
@@ -120,6 +162,7 @@ func BenchmarkTable6Elasticsearch(b *testing.B) { runExperiment(b, "table6") }
 
 func BenchmarkComparisonUCP(b *testing.B)      { runExperiment(b, "comparison-ucp") }
 func BenchmarkComparisonHeracles(b *testing.B) { runExperiment(b, "comparison-heracles") }
+func BenchmarkPolicyComparison(b *testing.B)   { runExperiment(b, "policy-comparison") }
 
 // Ablations (DESIGN.md §5).
 

@@ -50,7 +50,6 @@ func main() {
 		sockets  = flag.Int("sockets", 0, "run every experiment on an N-socket NUMA host (0 = original single-socket host)")
 		policyFl = flag.String("alloc-policy", "", "allocation policy for every controller: reactive, predictive, or lfoc (\"\" = reactive)")
 		penalty  = flag.Uint64("remote-penalty", 0, "cross-socket DRAM penalty in cycles (0 = default when -sockets > 1)")
-		tracePth = flag.String("trace", "", "also replay this recorded trace (dcat-sim -record) as the chunked 'trace-replay' experiment")
 		studyPth = flag.String("study", "", "also run this declarative study file (see docs/EXPERIMENTS.md) as the 'study' experiment")
 		studyDry = flag.Bool("study-dry-run", false, "validate the -study file, print its scenario plan, and exit without running anything")
 		studyOut = flag.String("study-out", "study_results", "directory for per-study result dirs and the cross-study table (with -study)")
@@ -70,7 +69,6 @@ func main() {
 		sockets:    *sockets,
 		penalty:    *penalty,
 		policy:     *policyFl,
-		trace:      *tracePth,
 		study:      *studyPth,
 		studyDry:   *studyDry,
 		studyOut:   *studyOut,
@@ -92,7 +90,6 @@ type config struct {
 	sockets    int
 	penalty    uint64
 	policy     string
-	trace      string
 	study      string
 	studyDry   bool
 	studyOut   string
@@ -158,18 +155,12 @@ func realMain(ctx context.Context, cfg config) error {
 	// budget, so in-experiment sweeps widen onto idle slots instead of
 	// multiplying the parallelism per layer.
 	//
-	// The trace-replay experiment exists only when -trace names a
-	// recorded trace; it appends after the registry so the default
-	// output is untouched.
-	extra := map[string]experiments.Runner{}
-	if cfg.trace != "" {
-		r := experiments.TraceReplayRunner(cfg.trace)
-		extra[r.ID] = r
-	}
-	// The study experiment exists only when -study names a study file.
+	// The study experiment exists only when -study names a study file;
+	// it appends after the registry so the default output is untouched.
 	// Validation happens up front (the dry-run contract: a malformed
 	// file fails before any experiment runs), and the loaded file is
 	// re-read by the runner so it behaves like any other experiment.
+	extra := map[string]experiments.Runner{}
 	if cfg.study != "" {
 		if _, err := study.Load(cfg.study); err != nil {
 			return err

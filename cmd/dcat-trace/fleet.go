@@ -24,15 +24,12 @@ import (
 )
 
 // fleetCommands dispatches os.Args[1]; anything else falls through to
-// the legacy trace-file inspector. replay is the odd one out — it is
-// local (see replay.go), not a flight-recorder query — but lives in the
-// same dispatch table.
+// the legacy trace-file inspector.
 var fleetCommands = map[string]func(args []string) error{
 	"tail":      runTail,
 	"query":     runQuery,
 	"explain":   runExplain,
 	"placement": runPlacement,
-	"replay":    runReplay,
 	"causality": runCausality,
 	"top":       runTop,
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/host"
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/ucp"
 	"repro/internal/workload"
@@ -56,39 +57,23 @@ func ComparisonUCP(opts Options) (*TableResult, error) {
 		victimRatio, whaleRatio float64 // IPC / baseline IPC
 	}
 
-	runDCat := func() (outcome, error) {
+	// Both arms run in the same controller harness; the UCP arm swaps
+	// the allocation policy and starts from UCP's even split.
+	runArm := func(useDCat bool) (outcome, error) {
 		s, err := newScenario(opts, build())
 		if err != nil {
 			return outcome{}, err
 		}
-		ctl, err := s.run(ModeDCat, core.DefaultConfig(), opts.SteadyIntervals, nil)
-		if err != nil {
-			return outcome{}, err
-		}
-		v, _ := s.host.VM("victim")
-		w, _ := s.host.VM("whale")
-		return outcome{
-			victimWays:  ctl.Ways("victim"),
-			whaleWays:   ctl.Ways("whale"),
-			victimRatio: v.Last().IPC() / baselineIPC["victim"],
-			whaleRatio:  w.Last().IPC() / baselineIPC["whale"],
-		}, nil
-	}
-
-	runUCP := func() (outcome, error) {
-		s, err := newScenario(opts, build())
-		if err != nil {
-			return outcome{}, err
-		}
-		ctl, err := s.ucpController()
-		if err != nil {
-			return outcome{}, err
-		}
-		s.host.RunIntervals(opts.SteadyIntervals, func(int) {
-			if err := ctl.Tick(); err != nil {
-				panic(err)
+		cfg := core.DefaultConfig()
+		if !useDCat {
+			if err := s.underUCP(&cfg); err != nil {
+				return outcome{}, err
 			}
-		})
+		}
+		ctl, err := s.run(ModeDCat, cfg, opts.SteadyIntervals, nil)
+		if err != nil {
+			return outcome{}, err
+		}
 		v, _ := s.host.VM("victim")
 		w, _ := s.host.VM("whale")
 		return outcome{
@@ -99,11 +84,11 @@ func ComparisonUCP(opts Options) (*TableResult, error) {
 		}, nil
 	}
 
-	dc, err := runDCat()
+	dc, err := runArm(true)
 	if err != nil {
 		return nil, err
 	}
-	uc, err := runUCP()
+	uc, err := runArm(false)
 	if err != nil {
 		return nil, err
 	}
@@ -136,30 +121,29 @@ func ComparisonUCP(opts Options) (*TableResult, error) {
 	return &TableResult{ID: "comparison-ucp", Title: "dCat vs utility-based cache partitioning", Tab: tab, Notes: notes}, nil
 }
 
-// ucpController puts the scenario's socket-0 VMs under a standalone UCP
-// controller: a CAT manager over the socket's domain, one target per VM,
-// and each VM's access stream tapped by its shadow-tag monitor.
-func (s *scenario) ucpController() (*ucp.Controller, error) {
-	mgr, err := s.host.CATManager(0)
-	if err != nil {
-		return nil, err
-	}
-	var targets []ucp.Target
+// underUCP prepares the scenario for a run under the UCP policy: every
+// VM's access stream is tapped by a shadow-tag monitor, cfg gets the
+// policy that reads them, and — UCP having no contracted baseline —
+// every VM starts from the even split of the cache, the partitioning
+// UCP's first epoch departs from.
+func (s *scenario) underUCP(cfg *core.Config) error {
+	llc := s.host.System().Config().LLC
+	mons := make(map[string]*ucp.Monitor, len(s.specs))
 	for _, vm := range s.host.VMs() {
-		targets = append(targets, ucp.Target{Name: vm.Name, Cores: vm.Cores})
-	}
-	ctl, err := ucp.New(mgr, targets, s.host.System().Config().LLC.Sets(), 32)
-	if err != nil {
-		return nil, err
-	}
-	for _, vm := range s.host.VMs() {
-		mon, ok := ctl.Monitor(vm.Name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: no UCP monitor for %s", vm.Name)
+		mon, err := ucp.NewMonitor(llc.Sets(), llc.Ways, 32)
+		if err != nil {
+			return err
 		}
 		vm.SetObserver(mon)
+		mons[vm.Name] = mon
 	}
-	return ctl, nil
+	for i := range s.specs {
+		s.specs[i].baseline = llc.Ways / len(s.specs)
+	}
+	cfg.NewPolicy = func() policy.AllocationPolicy {
+		return ucp.NewPolicy(func(name string) *ucp.Monitor { return mons[name] }, 1)
+	}
+	return nil
 }
 
 // recoveryIntervals runs the same mix with a victim that idles for half
@@ -190,28 +174,18 @@ func recoveryIntervals(opts Options, useDCat bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	cfg := core.DefaultConfig()
+	if !useDCat {
+		if err := s.underUCP(&cfg); err != nil {
+			return 0, err
+		}
+	}
 	recovered := 0
-	total := wake + opts.SteadyIntervals
-	if useDCat {
-		_, err = s.run(ModeDCat, core.DefaultConfig(), total,
-			func(interval int, ctl *core.MultiController) {
-				if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
-					recovered = interval - wake
-				}
-			})
-		return recovered, err
-	}
-	ctl, err := s.ucpController()
-	if err != nil {
-		return 0, err
-	}
-	s.host.RunIntervals(total, func(interval int) {
-		if err := ctl.Tick(); err != nil {
-			panic(err)
-		}
-		if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
-			recovered = interval - wake
-		}
-	})
-	return recovered, nil
+	_, err = s.run(ModeDCat, cfg, wake+opts.SteadyIntervals,
+		func(interval int, ctl *core.MultiController) {
+			if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
+				recovered = interval - wake
+			}
+		})
+	return recovered, err
 }

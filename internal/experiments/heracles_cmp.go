@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/heracles"
 	"repro/internal/host"
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -78,7 +79,9 @@ func ComparisonHeracles(opts Options) (*TableResult, error) {
 	}
 	dcat := measure(sd)
 
-	// Heracles run: LC = redis cores; BE = everyone else, one group.
+	// Heracles run: two controller targets — the LC tenant, and ONE
+	// best-effort partition spanning every other VM's cores — starting
+	// from Heracles' half-and-half split.
 	sh, err := newScenario(opts, specs())
 	if err != nil {
 		return nil, err
@@ -87,15 +90,24 @@ func ComparisonHeracles(opts Options) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	redisVM, _ := sh.host.VM("redis")
-	var beCores []int
+	half := mgr.TotalWays() / 2
+	lc := core.Target{Name: "redis", BaselineWays: half}
+	be := core.Target{Name: "best-effort", BaselineWays: half}
 	for _, vm := range sh.host.VMs() {
-		if vm.Name != "redis" {
-			beCores = append(beCores, vm.Cores...)
+		if vm.Name == lc.Name {
+			lc.Cores = vm.Cores
+		} else {
+			be.Cores = append(be.Cores, vm.Cores...)
 		}
 	}
-	hctl, err := heracles.New(heracles.DefaultConfig(targetIPC), mgr,
-		sh.host.System().Counters(), redisVM.Cores, beCores)
+	pol, err := heracles.NewPolicy(heracles.DefaultConfig(targetIPC), lc.Name)
+	if err != nil {
+		return nil, err
+	}
+	hcfg := core.DefaultConfig()
+	hcfg.NewPolicy = func() policy.AllocationPolicy { return pol }
+	hctl, err := core.NewMulti(hcfg, sh.host.Counters(),
+		[]core.SocketSpec{{Mgr: mgr, Targets: []core.Target{lc, be}}})
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
-	"repro/internal/ucp"
 	"repro/internal/workload"
 )
 
@@ -179,10 +178,12 @@ func PolicyComparison(opts Options) (*TableResult, error) {
 		}
 		vm, _ := s.host.VM("target")
 		targetIPC := vm.Last().IPC()
-		cfg := core.DefaultConfig()
-		cfg.NewPolicy = func() policy.AllocationPolicy {
-			return heracles.NewPolicy(heracles.DefaultConfig(targetIPC), "target")
+		pol, err := heracles.NewPolicy(heracles.DefaultConfig(targetIPC), "target")
+		if err != nil {
+			return nil, err
 		}
+		cfg := core.DefaultConfig()
+		cfg.NewPolicy = func() policy.AllocationPolicy { return pol }
 		o, err := runOne(cfg, prefWays, nil)
 		if err != nil {
 			return nil, err
@@ -190,23 +191,7 @@ func PolicyComparison(opts Options) (*TableResult, error) {
 		outcomes["heracles"] = o
 	}
 	{
-		cfg := core.DefaultConfig()
-		o, err := runOne(cfg, prefWays, func(s *scenario, cfg *core.Config) error {
-			llc := s.host.System().Config().LLC
-			mons := make(map[string]*ucp.Monitor)
-			for _, vm := range s.host.VMs() {
-				mon, err := ucp.NewMonitor(llc.Sets(), llc.Ways, 32)
-				if err != nil {
-					return err
-				}
-				vm.SetObserver(mon)
-				mons[vm.Name] = mon
-			}
-			cfg.NewPolicy = func() policy.AllocationPolicy {
-				return ucp.NewPolicy(func(name string) *ucp.Monitor { return mons[name] }, 1)
-			}
-			return nil
-		})
+		o, err := runOne(core.DefaultConfig(), prefWays, (*scenario).underUCP)
 		if err != nil {
 			return nil, err
 		}

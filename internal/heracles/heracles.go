@@ -18,12 +18,7 @@
 //     derives its floor from the contracted baseline allocation.
 package heracles
 
-import (
-	"fmt"
-
-	"repro/internal/cat"
-	"repro/internal/perf"
-)
+import "fmt"
 
 // Config tunes the feedback loop.
 type Config struct {
@@ -68,98 +63,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("heracles: partition minimums must be >= 1 way")
 	}
 	return nil
-}
-
-// Controller is the two-class cache controller.
-type Controller struct {
-	cfg     Config
-	mgr     *cat.Manager
-	sampler *perf.Sampler
-	lcCores []int
-	lcWays  int
-}
-
-// LCName and BEName are the two partition names in the CAT manager.
-const (
-	LCName = "latency-critical"
-	BEName = "best-effort"
-)
-
-// New builds the controller: the LC workload on lcCores, everything
-// else (beCores) in one best-effort partition. The cache starts split
-// half and half.
-func New(cfg Config, mgr *cat.Manager, counters perf.Reader, lcCores, beCores []int) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if mgr == nil || counters == nil {
-		return nil, fmt.Errorf("heracles: nil manager or counters")
-	}
-	if len(lcCores) == 0 || len(beCores) == 0 {
-		return nil, fmt.Errorf("heracles: both classes need cores")
-	}
-	total := mgr.TotalWays()
-	if cfg.MinLC+cfg.MinBE > total {
-		return nil, fmt.Errorf("heracles: minimums exceed %d ways", total)
-	}
-	if _, err := mgr.CreateGroup(LCName, lcCores); err != nil {
-		return nil, err
-	}
-	if _, err := mgr.CreateGroup(BEName, beCores); err != nil {
-		return nil, err
-	}
-	lc := total / 2
-	if lc < cfg.MinLC {
-		lc = cfg.MinLC
-	}
-	if total-lc < cfg.MinBE {
-		lc = total - cfg.MinBE
-	}
-	c := &Controller{
-		cfg:     cfg,
-		mgr:     mgr,
-		sampler: perf.NewSampler(counters),
-		lcCores: append([]int(nil), lcCores...),
-		lcWays:  lc,
-	}
-	if err := c.apply(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *Controller) apply() error {
-	return c.mgr.SetAllocation(map[string]int{
-		LCName: c.lcWays,
-		BEName: c.mgr.TotalWays() - c.lcWays,
-	})
-}
-
-// LCWays returns the latency-critical partition size.
-func (c *Controller) LCWays() int { return c.lcWays }
-
-// BEWays returns the best-effort partition size.
-func (c *Controller) BEWays() int { return c.mgr.TotalWays() - c.lcWays }
-
-// Tick runs one feedback round: sample the LC workload's IPC, then
-// confiscate from or yield to the best-effort partition.
-func (c *Controller) Tick() error {
-	s := c.sampler.SampleCores(c.lcCores)
-	ipc := s.IPC()
-	total := c.mgr.TotalWays()
-	switch {
-	case ipc < c.cfg.TargetIPC*(1-c.cfg.Margin):
-		// SLO pressure: take best-effort cache.
-		c.lcWays += c.cfg.GrowStep
-		if max := total - c.cfg.MinBE; c.lcWays > max {
-			c.lcWays = max
-		}
-	case ipc > c.cfg.TargetIPC*(1+c.cfg.Margin):
-		// Slack: give cache back to the best-effort class.
-		c.lcWays -= c.cfg.YieldStep
-		if c.lcWays < c.cfg.MinLC {
-			c.lcWays = c.cfg.MinLC
-		}
-	}
-	return c.apply()
 }

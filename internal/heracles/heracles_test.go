@@ -1,48 +1,57 @@
 package heracles
 
 import (
+	"reflect"
 	"testing"
 
-	"repro/internal/bits"
-	"repro/internal/cat"
-	"repro/internal/perf"
+	"repro/internal/policy"
 )
 
-type fakeBackend struct{ ways int }
-
-func (f *fakeBackend) TotalWays() int                               { return f.ways }
-func (f *fakeBackend) Apply(cos int, m bits.CBM, cores []int) error { return nil }
-
-// rig drives the controller with a scripted LC IPC.
+// rig drives the policy with hand-built rounds over a 20-way cache:
+// workload "lc" with a scripted IPC, every other name best-effort.
 type rig struct {
 	t    *testing.T
-	file *perf.File
-	ctl  *Controller
-	ipc  float64 // next interval's LC IPC
+	pol  *Policy
+	view policy.View
+	g    policy.Grants
 }
 
-func newRig(t *testing.T, cfg Config) *rig {
+func newRig(t *testing.T, names ...string) *rig {
 	t.Helper()
-	file := perf.NewFile(4)
-	mgr, err := cat.NewManager(&fakeBackend{ways: 20})
+	pol, err := NewPolicy(DefaultConfig(0.5), "lc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := New(cfg, mgr, file, []int{0, 1}, []int{2, 3})
-	if err != nil {
-		t.Fatal(err)
+	r := &rig{t: t, pol: pol, view: policy.View{TotalWays: 20}}
+	for _, n := range names {
+		r.view.Workloads = append(r.view.Workloads, policy.WorkloadView{Name: n})
 	}
-	return &rig{t: t, file: file, ctl: ctl}
+	return r
 }
 
-func (r *rig) tick() {
+// tick runs one round with the LC workload at the given IPC and returns
+// the grants, after checking the invariants the controller would hold
+// the policy to: every workload at least one way, the sum exactly the
+// cache (Heracles leaves no free pool).
+func (r *rig) tick(lcIPC float64) []int {
 	r.t.Helper()
-	const cycles = 1_000_000
-	r.file.Core(0).Add(perf.RetiredInstructions, uint64(r.ipc*cycles))
-	r.file.Core(0).Add(perf.UnhaltedCycles, cycles)
-	if err := r.ctl.Tick(); err != nil {
-		r.t.Fatal(err)
+	for i := range r.view.Workloads {
+		if r.view.Workloads[i].Name == "lc" {
+			r.view.Workloads[i].IPC = lcIPC
+		}
 	}
+	r.pol.Propose(&r.view, &r.g)
+	sum := 0
+	for i, w := range r.g.Ways {
+		if w < 1 {
+			r.t.Fatalf("workload %d granted %d ways", i, w)
+		}
+		sum += w
+	}
+	if sum != r.view.TotalWays || !r.g.PoolEmpty {
+		r.t.Fatalf("grants %v sum to %d of %d ways, PoolEmpty=%v", r.g.Ways, sum, r.view.TotalWays, r.g.PoolEmpty)
+	}
+	return r.g.Ways
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -59,82 +68,89 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %d should be invalid", i)
 		}
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	mgr, _ := cat.NewManager(&fakeBackend{ways: 20})
-	file := perf.NewFile(2)
-	if _, err := New(DefaultConfig(1), nil, file, []int{0}, []int{1}); err == nil {
-		t.Error("nil manager should fail")
-	}
-	if _, err := New(DefaultConfig(1), mgr, file, nil, []int{1}); err == nil {
-		t.Error("no LC cores should fail")
-	}
-	cfg := DefaultConfig(1)
-	cfg.MinLC, cfg.MinBE = 15, 15
-	if _, err := New(cfg, mgr, file, []int{0}, []int{1}); err == nil {
-		t.Error("minimums beyond total ways should fail")
+		if _, err := NewPolicy(c, "lc"); err == nil {
+			t.Errorf("NewPolicy should reject config %d", i)
+		}
 	}
 }
 
 func TestStartsAtEvenSplit(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	if r.ctl.LCWays() != 10 || r.ctl.BEWays() != 10 {
-		t.Errorf("initial split %d/%d want 10/10", r.ctl.LCWays(), r.ctl.BEWays())
+	r := newRig(t, "lc", "be")
+	if !r.pol.IndependentAllocator() {
+		t.Error("Heracles owns the whole allocation: it must be an Independent allocator")
+	}
+	if got := r.tick(0.5); !reflect.DeepEqual(got, []int{10, 10}) {
+		t.Errorf("initial split %v want 10/10", got)
 	}
 }
 
 func TestConfiscatesUnderSLOPressure(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.3 // well below target
-	r.tick()
-	if r.ctl.LCWays() != 12 {
-		t.Errorf("LC should grow by GrowStep=2 to 12, got %d", r.ctl.LCWays())
+	r := newRig(t, "lc", "be")
+	if got := r.tick(0.3); got[0] != 12 { // well below target
+		t.Errorf("LC should grow by GrowStep=2 to 12, got %d", got[0])
 	}
 	for i := 0; i < 20; i++ {
-		r.tick()
+		r.tick(0.3)
 	}
-	if r.ctl.BEWays() != 1 {
-		t.Errorf("sustained pressure should squeeze BE to its 1-way floor, got %d", r.ctl.BEWays())
+	if got := r.g.Ways; got[1] != 1 || r.pol.LCWays() != 19 {
+		t.Errorf("sustained pressure should squeeze BE to its 1-way floor, got %v", got)
 	}
 }
 
 func TestYieldsWithSlack(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.8 // comfortable slack
-	r.tick()
-	if r.ctl.LCWays() != 9 {
-		t.Errorf("LC should yield one way to 9, got %d", r.ctl.LCWays())
+	r := newRig(t, "lc", "be")
+	if got := r.tick(0.8); got[0] != 9 || got[1] != 11 { // comfortable slack
+		t.Errorf("LC should yield one way to 9/11, got %v", got)
 	}
 	for i := 0; i < 20; i++ {
-		r.tick()
+		r.tick(0.8)
 	}
-	if r.ctl.LCWays() != DefaultConfig(0.5).MinLC {
-		t.Errorf("sustained slack should shrink LC to its floor, got %d", r.ctl.LCWays())
+	if got := r.g.Ways[0]; got != DefaultConfig(0.5).MinLC {
+		t.Errorf("sustained slack should shrink LC to its floor, got %d", got)
 	}
 }
 
 func TestDeadZoneHolds(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.51 // within ±5% of target
-	r.tick()
-	r.tick()
-	if r.ctl.LCWays() != 10 {
-		t.Errorf("IPC inside the margin should not move the split, got %d", r.ctl.LCWays())
+	r := newRig(t, "lc", "be")
+	r.tick(0.51) // within ±5% of target
+	if got := r.tick(0.51); got[0] != 10 {
+		t.Errorf("IPC inside the margin should not move the split, got %d", got[0])
 	}
 }
 
 func TestAsymmetricResponse(t *testing.T) {
 	// Confiscation (2 ways) must outpace yielding (1 way): the
 	// controller defends the SLO faster than it donates.
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.3
-	r.tick() // 12
-	r.ipc = 0.8
-	r.tick() // 11
-	r.tick() // 10
-	if r.ctl.LCWays() != 10 {
-		t.Errorf("after 1 violation + 2 slack rounds, expected back to 10, got %d", r.ctl.LCWays())
+	r := newRig(t, "lc", "be")
+	r.tick(0.3) // 12
+	r.tick(0.8) // 11
+	if got := r.tick(0.8); got[0] != 10 {
+		t.Errorf("after 1 violation + 2 slack rounds, expected back to 10, got %d", got[0])
+	}
+}
+
+// With several best-effort targets the BE ways spread evenly, earlier
+// targets taking the remainder, and each keeps a way under pressure.
+func TestBestEffortSpread(t *testing.T) {
+	r := newRig(t, "be1", "lc", "be2", "be3")
+	if got := r.tick(0.5); !reflect.DeepEqual(got, []int{4, 10, 3, 3}) {
+		t.Errorf("10 BE ways over three targets: got %v want [4 10 3 3]", got)
+	}
+	for i := 0; i < 20; i++ {
+		r.tick(0.3)
+	}
+	if got := r.g.Ways; !reflect.DeepEqual(got, []int{1, 17, 1, 1}) {
+		t.Errorf("sustained pressure should leave each BE target one way: got %v", got)
+	}
+}
+
+func TestNoLCFallsBackToEvenSplit(t *testing.T) {
+	r := newRig(t, "a", "b", "c")
+	if got := r.tick(0.3); !reflect.DeepEqual(got, []int{7, 7, 6}) {
+		t.Errorf("no LC workload in the round: got %v want the even split [7 7 6]", got)
+	}
+	alone := newRig(t, "lc")
+	if got := alone.tick(0.3); !reflect.DeepEqual(got, []int{20}) {
+		t.Errorf("an LC workload with no best-effort class holds the cache: got %v", got)
 	}
 }

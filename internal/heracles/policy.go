@@ -2,21 +2,25 @@ package heracles
 
 import "repro/internal/policy"
 
-// Policy adapts the Heracles two-class feedback loop to the
-// policy.AllocationPolicy interface, so it runs inside a dCat
-// controller harness and lands in the same comparison tables as the
-// other policies instead of needing its own bespoke driver.
+// Policy is the Heracles two-class feedback loop behind the
+// policy.AllocationPolicy interface, so it runs inside the dCat
+// controller harness — the controller's guards, events and CAT
+// programming included — and lands in the same comparison tables as the
+// other policies.
 //
-// The named latency-critical workload is regulated against TargetIPC
-// exactly as Controller.Tick does; every other workload is best-effort
-// and shares the remaining ways evenly (the closest expressible
-// approximation of Heracles' single undifferentiated BE partition —
-// the controller keeps one CLOS group per workload, and each group
-// needs at least one way).
+// Each round the named latency-critical workload is regulated against
+// TargetIPC: below the margin it confiscates GrowStep ways from the
+// best-effort class, above the margin it yields YieldStep back, inside
+// it holds. Every other workload is best-effort. Heracles' single
+// undifferentiated BE partition is one controller target spanning every
+// BE tenant's cores (how comparison-heracles runs it); given several
+// non-LC targets instead, the policy spreads the BE ways evenly over
+// them, each group keeping at least one way.
 //
 // It is an Independent allocator: Heracles has no Reclaim/baseline
 // contract, so the controller only enforces the ≥1-way and
-// sum-within-associativity invariants on its grants.
+// sum-within-associativity invariants on its grants, and a target's
+// BaselineWays is just the split the run starts from.
 type Policy struct {
 	cfg    Config
 	lcName string
@@ -24,11 +28,15 @@ type Policy struct {
 	inited bool
 }
 
-// NewPolicy builds the adapter. lcName selects the latency-critical
-// workload by controller target name; if no workload with that name is
-// present in a round, every workload shares the cache evenly.
-func NewPolicy(cfg Config, lcName string) *Policy {
-	return &Policy{cfg: cfg, lcName: lcName}
+// NewPolicy builds the policy after validating cfg. lcName selects the
+// latency-critical workload by controller target name; if no workload
+// with that name is present in a round, every workload shares the cache
+// evenly.
+func NewPolicy(cfg Config, lcName string) (*Policy, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &Policy{cfg: cfg, lcName: lcName}, nil
 }
 
 // Name implements policy.AllocationPolicy.
@@ -64,8 +72,8 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 		p.inited = true
 		p.lcWays = total / 2
 	}
-	// The feedback round (Controller.Tick): confiscate under SLO
-	// pressure, yield under slack, hold inside the margin.
+	// The feedback round: confiscate under SLO pressure, yield under
+	// slack, hold inside the margin.
 	ipc := v.Workloads[lc].IPC
 	switch {
 	case ipc < p.cfg.TargetIPC*(1-p.cfg.Margin):

@@ -25,8 +25,8 @@
 //     partitions ways per cluster (cf. LFOC's fairness-oriented
 //     clustering).
 //
-// The heracles and ucp packages adapt their comparison controllers to
-// the same interface, so every engine runs under one harness.
+// The heracles and ucp packages implement the same interface for the
+// two comparison baselines, so every engine runs under one harness.
 package policy
 
 import (

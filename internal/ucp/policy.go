@@ -2,11 +2,11 @@ package ucp
 
 import "repro/internal/policy"
 
-// Policy adapts UCP to the policy.AllocationPolicy interface: every
-// round it reads each workload's shadow-tag utility curve, runs the
-// lookahead allocation, and decays the monitors — Controller.Tick
-// expressed as a policy, so UCP lands in the same comparison harness
-// as the other allocation engines.
+// Policy is UCP behind the policy.AllocationPolicy interface: every
+// round is one UCP epoch — read each workload's shadow-tag utility
+// curve, run the lookahead allocation, decay the monitors — so UCP runs
+// inside the dCat controller harness and lands in the same comparison
+// tables as the other allocation engines.
 //
 // UCP needs an access stream per workload (the UMON shadow tags), which
 // the policy view does not carry; the harness supplies monitorOf to

@@ -16,11 +16,7 @@
 // exhausted.
 package ucp
 
-import (
-	"fmt"
-
-	"repro/internal/cat"
-)
+import "fmt"
 
 // Monitor is a UMON: a sampled shadow tag directory with per-LRU-
 // position hit counters.
@@ -166,90 +162,4 @@ func Lookahead(curves [][]uint64, totalWays, minWays int) ([]int, error) {
 		spent += bestStep
 	}
 	return alloc, nil
-}
-
-// Target is one workload UCP manages.
-type Target struct {
-	Name  string
-	Cores []int
-}
-
-// Controller drives UCP epochs: read every monitor's utility curve,
-// run lookahead, apply the partitioning through CAT.
-type Controller struct {
-	mgr   *cat.Manager
-	mons  []*Monitor
-	names []string
-}
-
-// New creates a UCP controller over the given targets. Monitors are
-// created per target against the cache geometry the manager exposes;
-// attach each to its workload's access stream via Monitor.
-func New(mgr *cat.Manager, targets []Target, realSets, sampleEvery int) (*Controller, error) {
-	if mgr == nil {
-		return nil, fmt.Errorf("ucp: nil manager")
-	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("ucp: no targets")
-	}
-	c := &Controller{mgr: mgr}
-	even := mgr.TotalWays() / len(targets)
-	if even < 1 {
-		return nil, fmt.Errorf("ucp: more targets than ways")
-	}
-	alloc := map[string]int{}
-	for _, t := range targets {
-		if _, err := mgr.CreateGroup(t.Name, t.Cores); err != nil {
-			return nil, fmt.Errorf("ucp: %w", err)
-		}
-		mon, err := NewMonitor(realSets, mgr.TotalWays(), sampleEvery)
-		if err != nil {
-			return nil, err
-		}
-		c.mons = append(c.mons, mon)
-		c.names = append(c.names, t.Name)
-		alloc[t.Name] = even
-	}
-	if err := mgr.SetAllocation(alloc); err != nil {
-		return nil, fmt.Errorf("ucp: initial allocation: %w", err)
-	}
-	return c, nil
-}
-
-// Monitor returns the shadow-tag monitor for a target (to attach as an
-// access observer).
-func (c *Controller) Monitor(name string) (*Monitor, bool) {
-	for i, n := range c.names {
-		if n == name {
-			return c.mons[i], true
-		}
-	}
-	return nil, false
-}
-
-// Ways returns a target's current allocation.
-func (c *Controller) Ways(name string) int { return c.mgr.Ways(name) }
-
-// Tick runs one UCP epoch: lookahead over the measured curves, apply,
-// decay the monitors.
-func (c *Controller) Tick() error {
-	curves := make([][]uint64, len(c.mons))
-	for i, m := range c.mons {
-		curves[i] = m.MissCurve()
-	}
-	alloc, err := Lookahead(curves, c.mgr.TotalWays(), 1)
-	if err != nil {
-		return err
-	}
-	m := make(map[string]int, len(alloc))
-	for i, name := range c.names {
-		m[name] = alloc[i]
-	}
-	if err := c.mgr.SetAllocation(m); err != nil {
-		return err
-	}
-	for _, mon := range c.mons {
-		mon.Reset()
-	}
-	return nil
 }

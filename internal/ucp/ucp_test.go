@@ -5,8 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bits"
-	"repro/internal/cat"
+	"repro/internal/policy"
 )
 
 func TestNewMonitorValidation(t *testing.T) {
@@ -184,58 +183,75 @@ func TestLookaheadInfeasible(t *testing.T) {
 	}
 }
 
-type fakeBackend struct{ ways int }
+// view builds a policy round over the named workloads.
+func view(total int, names ...string) *policy.View {
+	v := &policy.View{TotalWays: total}
+	for _, n := range names {
+		v.Workloads = append(v.Workloads, policy.WorkloadView{Name: n})
+	}
+	return v
+}
 
-func (f *fakeBackend) TotalWays() int                               { return f.ways }
-func (f *fakeBackend) Apply(cos int, m bits.CBM, cores []int) error { return nil }
-
-func TestControllerLifecycle(t *testing.T) {
-	mgr, _ := cat.NewManager(&fakeBackend{ways: 8})
-	if _, err := New(nil, nil, 64, 1); err == nil {
-		t.Error("nil manager should fail")
+func TestPolicyLifecycle(t *testing.T) {
+	mons := map[string]*Monitor{}
+	for _, n := range []string{"hot", "stream"} {
+		m, err := NewMonitor(64, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mons[n] = m
 	}
-	if _, err := New(mgr, nil, 64, 1); err == nil {
-		t.Error("no targets should fail")
-	}
-	targets := []Target{
-		{Name: "hot", Cores: []int{0}},
-		{Name: "stream", Cores: []int{1}},
-	}
-	ctl, err := New(mgr, targets, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Ways("hot") != 4 || ctl.Ways("stream") != 4 {
-		t.Errorf("initial even split wrong: %d/%d", ctl.Ways("hot"), ctl.Ways("stream"))
+	pol := NewPolicy(func(name string) *Monitor { return mons[name] }, 0) // minWays floors at 1
+	if !pol.IndependentAllocator() {
+		t.Error("UCP owns the whole allocation: it must be an Independent allocator")
 	}
 
-	// Feed the monitors: "hot" reuses 2 lines per set, "stream" cycles
+	// Feed the monitors: "hot" reuses 3 lines per set, "stream" cycles
 	// far past the associativity.
-	hotMon, ok := ctl.Monitor("hot")
-	if !ok {
-		t.Fatal("hot monitor missing")
-	}
-	streamMon, _ := ctl.Monitor("stream")
-	if _, ok := ctl.Monitor("nope"); ok {
-		t.Error("unknown monitor should not resolve")
-	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 30000; i++ {
-		hotMon.Observe(uint64(rng.Intn(192))) // 3 lines/set
+		mons["hot"].Observe(uint64(rng.Intn(192)))
 	}
 	for pass := 0; pass < 20; pass++ {
 		for l := uint64(0); l < 1024; l++ {
-			streamMon.Observe(l)
+			mons["stream"].Observe(l)
 		}
 	}
-	if err := ctl.Tick(); err != nil {
-		t.Fatal(err)
+
+	var g policy.Grants
+	pol.Propose(view(8, "hot", "stream"), &g)
+	hot, stream := g.Ways[0], g.Ways[1]
+	if hot <= stream {
+		t.Errorf("UCP should favour the reusing workload: hot=%d stream=%d", hot, stream)
 	}
-	if ctl.Ways("hot") <= ctl.Ways("stream") {
-		t.Errorf("UCP should favour the reusing workload: hot=%d stream=%d",
-			ctl.Ways("hot"), ctl.Ways("stream"))
+	if stream < 1 || hot+stream > 8 {
+		t.Errorf("allocation %d/%d breaks the >=1-way / within-8-ways invariants", hot, stream)
 	}
-	if err := mgr.Validate(); err != nil {
-		t.Error(err)
+	if g.PoolEmpty != (hot+stream == 8) {
+		t.Errorf("PoolEmpty=%v with %d of 8 ways granted", g.PoolEmpty, hot+stream)
+	}
+	// The epoch ends by decaying every monitor (Reset halves history).
+	if got := mons["hot"].Accesses(); got != 15000 {
+		t.Errorf("hot monitor not decayed after the epoch: %d accesses want 15000", got)
+	}
+	if got := mons["stream"].Accesses(); got != 10240 {
+		t.Errorf("stream monitor not decayed after the epoch: %d accesses want 10240", got)
+	}
+
+	// A workload without a monitor: the round falls back to an even
+	// split and leaves the monitors' history alone.
+	pol.Propose(view(8, "hot", "stream", "unmonitored"), &g)
+	if g.Ways[0] != 3 || g.Ways[1] != 3 || g.Ways[2] != 2 || !g.PoolEmpty {
+		t.Errorf("uncovered round should split evenly with an empty pool, got %v PoolEmpty=%v", g.Ways, g.PoolEmpty)
+	}
+	if got := mons["hot"].Accesses(); got != 15000 {
+		t.Errorf("fallback round must not decay monitors: %d accesses want 15000", got)
+	}
+
+	// More workloads than ways is infeasible for the lookahead: same
+	// fallback, every workload still holding a way.
+	pol.Propose(view(1, "hot", "stream"), &g)
+	if g.Ways[0] != 1 || g.Ways[1] != 1 {
+		t.Errorf("infeasible round should still give every workload a way, got %v", g.Ways)
 	}
 }

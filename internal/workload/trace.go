@@ -87,10 +87,6 @@ func (t *Trace) Tick() {}
 // Len returns the trace length in accesses.
 func (t *Trace) Len() int { return len(t.lines) }
 
-// Lines exposes the recorded access stream (read-only: callers must not
-// mutate it). Chunked replay slices it directly.
-func (t *Trace) Lines() []uint64 { return t.lines }
-
 // WriteTo serializes the trace.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)

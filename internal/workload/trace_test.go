@@ -126,7 +126,7 @@ func TestTraceRoundTripAcrossIOChunks(t *testing.T) {
 		t.Fatalf("len %d want %d", got.Len(), len(lines))
 	}
 	for i, want := range lines {
-		if g := got.Lines()[i]; g != want {
+		if g := got.NextLine(); g != want {
 			t.Fatalf("access %d: %d want %d", i, g, want)
 		}
 	}
