@@ -23,9 +23,12 @@
 //     store deduplicates by (agent, epoch, seq) — retried batches are
 //     idempotent — and counts sequence gaps as lost events, so
 //     agent-side buffer drops are visible, never silent.
-//   - An in-memory per-segment index (agents, event kinds, workloads,
-//     id and time ranges) is rebuilt on open and lets queries skip
-//     whole segments before touching the disk.
+//   - An in-memory index is rebuilt on open: per segment a summary
+//     (agents, event kinds, trace ids, id and time ranges) that rules
+//     out whole segments, and per record a 64-byte entry — the line's
+//     offset and length plus every field a query filters on, agent and
+//     workload interned per segment. Queries filter the entries and
+//     read and decode only the lines they return.
 package flightrec
 
 import (
@@ -84,31 +87,32 @@ type Query struct {
 	LastN int
 }
 
-// matches reports whether one record passes every filter except
-// LastN, which Select applies at the end.
-func (q *Query) matches(rec *Record) bool {
-	if q.Agent != "" && rec.Agent != q.Agent {
+// matches reports whether one indexed record passes every filter
+// except LastN, which Select applies while walking the index. agent and
+// workload are q's names as the segment's intern ids (segMeta.resolve).
+func (q *Query) matches(e *indexEntry, agent, workload uint32) bool {
+	if q.Agent != "" && e.agent != agent {
 		return false
 	}
-	if q.Workload != "" && rec.Event.Workload != q.Workload {
+	if q.Workload != "" && e.workload != workload {
 		return false
 	}
-	if q.Kind != nil && rec.Event.Kind != *q.Kind {
+	if q.Kind != nil && e.kind != *q.Kind {
 		return false
 	}
-	if q.Socket != nil && rec.Event.Socket != *q.Socket {
+	if q.Socket != nil && e.socket != *q.Socket {
 		return false
 	}
-	if q.TraceID != 0 && rec.Event.TraceID != q.TraceID {
+	if q.TraceID != 0 && e.traceID != q.TraceID {
 		return false
 	}
-	if rec.ID <= q.AfterID {
+	if e.id <= q.AfterID {
 		return false
 	}
-	if q.SinceUnix != 0 && rec.RecvUnix < q.SinceUnix {
+	if q.SinceUnix != 0 && e.recvUnix < q.SinceUnix {
 		return false
 	}
-	if q.UntilUnix != 0 && rec.RecvUnix > q.UntilUnix {
+	if q.UntilUnix != 0 && e.recvUnix > q.UntilUnix {
 		return false
 	}
 	return true

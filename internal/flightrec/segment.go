@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // segmentPrefix/segmentSuffix name segment files: seg-000042.jsonl.
@@ -20,30 +22,42 @@ const (
 	segmentSuffix = ".jsonl"
 )
 
-// maxIndexedWorkloads bounds the per-segment workload set; past it the
-// index stops discriminating by workload (wlOverflow) rather than
-// growing without bound on a huge fleet.
-const maxIndexedWorkloads = 512
-
-// maxIndexedTraces bounds the per-segment trace-id set the same way:
-// past it trace queries stop skipping the segment rather than indexing
-// every trace a busy fleet births.
+// maxIndexedTraces bounds the per-segment trace-id set: past it trace
+// queries stop skipping the segment (and filter its records one by one)
+// rather than keeping every trace a busy fleet births.
 const maxIndexedTraces = 512
 
-// segMeta is the in-memory index entry for one on-disk segment: enough
-// to decide whether a query must read the file at all.
-type segMeta struct {
-	num     int
-	path    string
-	bytes   int64
-	records uint64
+// indexEntry is the per-record index: where the record's line lies in
+// its segment file and every field Query filters on, so Select decides
+// without touching the disk and reads only the lines it returns. Agent
+// and workload are ids into the segment's intern tables. 64 bytes, no
+// pointers: a segment's index is one flat slice.
+type indexEntry struct {
+	off, length int64
+	id          uint64
+	recvUnix    int64
+	traceID     uint64
+	socket      int
+	kind        obs.Kind
+	agent       uint32
+	workload    uint32
+}
 
-	minID, maxID        uint64
-	minUnix, maxUnix    int64
-	agents              map[string]struct{}
+// segMeta is the in-memory index for one on-disk segment: a summary
+// that rules out whole segments, and one indexEntry per record.
+type segMeta struct {
+	num   int
+	path  string
+	bytes int64
+	index []indexEntry // file order
+
+	maxID            uint64
+	minUnix, maxUnix int64
+	// agents and workloads intern the segment's names: indexEntry ids
+	// are their values.
+	agents              map[string]uint32
+	workloads           map[string]uint32
 	kinds               uint64 // bitmask by obs.Kind
-	workloads           map[string]struct{}
-	wlOverflow          bool
 	traces              map[uint64]struct{}
 	trOverflow          bool
 	corruptLinesSkipped uint64
@@ -53,38 +67,37 @@ func newSegMeta(num int, path string) *segMeta {
 	return &segMeta{
 		num:       num,
 		path:      path,
-		agents:    make(map[string]struct{}),
-		workloads: make(map[string]struct{}),
+		agents:    make(map[string]uint32),
+		workloads: make(map[string]uint32),
 		traces:    make(map[uint64]struct{}),
 	}
 }
 
-// note indexes one record into the segment's summary.
-func (m *segMeta) note(rec *Record, lineBytes int64) {
-	if m.records == 0 || rec.ID < m.minID {
-		m.minID = rec.ID
+// intern returns name's id in tab, assigning the next one on first
+// sight.
+func intern(tab map[string]uint32, name string) uint32 {
+	id, ok := tab[name]
+	if !ok {
+		id = uint32(len(tab))
+		tab[name] = id
 	}
-	if rec.ID > m.maxID {
-		m.maxID = rec.ID
-	}
-	if m.records == 0 || rec.RecvUnix < m.minUnix {
+	return id
+}
+
+// note indexes one record whose line spans [off, off+length) of the
+// segment file.
+func (m *segMeta) note(rec *Record, off, length int64) {
+	if len(m.index) == 0 || rec.RecvUnix < m.minUnix {
 		m.minUnix = rec.RecvUnix
 	}
 	if rec.RecvUnix > m.maxUnix {
 		m.maxUnix = rec.RecvUnix
 	}
-	m.records++
-	m.bytes += lineBytes
-	m.agents[rec.Agent] = struct{}{}
+	if rec.ID > m.maxID {
+		m.maxID = rec.ID
+	}
 	if k := int(rec.Event.Kind); k >= 0 && k < 64 {
 		m.kinds |= 1 << uint(k)
-	}
-	if rec.Event.Workload != "" && !m.wlOverflow {
-		m.workloads[rec.Event.Workload] = struct{}{}
-		if len(m.workloads) > maxIndexedWorkloads {
-			m.wlOverflow = true
-			m.workloads = nil
-		}
 	}
 	if rec.Event.TraceID != 0 && !m.trOverflow {
 		m.traces[rec.Event.TraceID] = struct{}{}
@@ -93,44 +106,70 @@ func (m *segMeta) note(rec *Record, lineBytes int64) {
 			m.traces = nil
 		}
 	}
+	m.index = append(m.index, indexEntry{
+		off:      off,
+		length:   length,
+		id:       rec.ID,
+		recvUnix: rec.RecvUnix,
+		traceID:  rec.Event.TraceID,
+		socket:   rec.Event.Socket,
+		kind:     rec.Event.Kind,
+		agent:    intern(m.agents, rec.Agent),
+		workload: intern(m.workloads, rec.Event.Workload),
+	})
 }
 
-// mayMatch reports whether any record in the segment could pass the
-// query's filters, using only the index.
-func (m *segMeta) mayMatch(q *Query) bool {
-	if m.records == 0 {
-		return false
-	}
-	if q.AfterID >= m.maxID {
-		return false
+// resolve checks q against the segment summary and maps its agent and
+// workload names onto the segment's intern ids; ok is false when no
+// record in the segment can match.
+func (m *segMeta) resolve(q *Query) (agent, workload uint32, ok bool) {
+	if len(m.index) == 0 || q.AfterID >= m.maxID {
+		return 0, 0, false
 	}
 	if q.SinceUnix != 0 && m.maxUnix < q.SinceUnix {
-		return false
+		return 0, 0, false
 	}
 	if q.UntilUnix != 0 && m.minUnix > q.UntilUnix {
-		return false
-	}
-	if q.Agent != "" {
-		if _, ok := m.agents[q.Agent]; !ok {
-			return false
-		}
+		return 0, 0, false
 	}
 	if q.Kind != nil {
 		if k := int(*q.Kind); k >= 0 && k < 64 && m.kinds&(1<<uint(k)) == 0 {
-			return false
-		}
-	}
-	if q.Workload != "" && !m.wlOverflow {
-		if _, ok := m.workloads[q.Workload]; !ok {
-			return false
+			return 0, 0, false
 		}
 	}
 	if q.TraceID != 0 && !m.trOverflow {
 		if _, ok := m.traces[q.TraceID]; !ok {
-			return false
+			return 0, 0, false
 		}
 	}
-	return true
+	if q.Agent != "" {
+		if agent, ok = m.agents[q.Agent]; !ok {
+			return 0, 0, false
+		}
+	}
+	if q.Workload != "" {
+		if workload, ok = m.workloads[q.Workload]; !ok {
+			return 0, 0, false
+		}
+	}
+	return agent, workload, true
+}
+
+// readRecord reads and decodes the line e indexes from f, the open
+// segment file. A line that does not hold e's record is an error —
+// never a different record.
+func (m *segMeta) readRecord(f *os.File, e *indexEntry, rec *Record) error {
+	line := make([]byte, e.length)
+	if _, err := f.ReadAt(line, e.off); err != nil {
+		return fmt.Errorf("flightrec: reading %s at offset %d: %w", m.path, e.off, err)
+	}
+	if err := decodeRecordLine(line, rec); err != nil {
+		return fmt.Errorf("flightrec: decoding %s at offset %d: %w", m.path, e.off, err)
+	}
+	if rec.ID != e.id {
+		return fmt.Errorf("flightrec: %s at offset %d holds record %d, index says %d", m.path, e.off, rec.ID, e.id)
+	}
+	return nil
 }
 
 // segmentName renders the file name for a segment number.
@@ -207,7 +246,8 @@ func scanSegment(meta *segMeta, repairTail bool, fn func(*Record)) error {
 			goodEnd += int64(len(line))
 			continue
 		}
-		meta.note(&rec, int64(len(line)))
+		meta.note(&rec, goodEnd, int64(len(line)))
+		meta.bytes += int64(len(line))
 		if fn != nil {
 			fn(&rec)
 		}
@@ -238,26 +278,6 @@ func decodeRecordLine(line []byte, rec *Record) error {
 		return fmt.Errorf("flightrec: trailing data after record")
 	}
 	return nil
-}
-
-// readSegment streams a segment's records through fn (decode errors
-// are skipped — open-time recovery already accounted for them).
-func readSegment(path string, fn func(*Record)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("flightrec: opening segment: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		var rec Record
-		if err := decodeRecordLine(sc.Bytes(), &rec); err != nil {
-			continue
-		}
-		fn(&rec)
-	}
-	return sc.Err()
 }
 
 // segmentPath joins the directory and a segment number's file name.

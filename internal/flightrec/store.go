@@ -56,6 +56,9 @@ type storeMetrics struct {
 	// (wall clock, independent of the injectable cfg.Now).
 	appendSeconds *telemetry.Histogram
 	selectSeconds *telemetry.Histogram
+	// selectDecoded counts Select's work where the clock cannot: records
+	// read and decoded, which the index holds to records returned.
+	selectDecoded *telemetry.Counter
 }
 
 // Open creates or reopens a store over cfg.Dir. Reopening scans every
@@ -126,6 +129,12 @@ func (s *Store) advanceCursorLocked(agent string, epoch int64, seq uint64) {
 //	dcat_flightrec_pruned_segments_total  segments deleted by retention
 //	dcat_flightrec_segments          live segment count
 //	dcat_flightrec_bytes             bytes across live segments
+//	dcat_flightrec_append_seconds    batch append latency, fsync included
+//	dcat_flightrec_select_seconds    query latency
+//	dcat_flightrec_select_decoded_total  records queries read and decoded
+//
+// Select filters the per-record index and decodes only the records it
+// returns, so select_decoded_total equals the records queries returned.
 func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 	m := &storeMetrics{
 		records: reg.Counter("dcat_flightrec_records_total",
@@ -150,6 +159,8 @@ func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 		selectSeconds: reg.Histogram("dcat_flightrec_select_seconds",
 			"Query (Select) latency of the segmented store.",
 			telemetry.DefLatencyBuckets),
+		selectDecoded: reg.Counter("dcat_flightrec_select_decoded_total",
+			"Records queries (Select) read and decoded from segment files."),
 	}
 	s.mu.Lock()
 	s.metrics = m
@@ -242,11 +253,18 @@ func (s *Store) Append(agent string, epoch int64, firstSeq uint64, events []obs.
 	// Encode the whole accepted batch before touching the file so a
 	// write error leaves ids and cursors unadvanced. (A partially
 	// flushed batch after a write error is recovered — and deduped —
-	// by the torn-tail scan on reopen.)
+	// by the torn-tail scan on reopen.) starts[i] is record i's line
+	// offset in the batch.
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	recs := make([]Record, len(fresh))
+	starts := make([]int64, len(fresh)+1)
 	for i, ev := range fresh {
+		// A kind without a name encodes to a line no reader decodes.
+		if !ev.Kind.Valid() {
+			return cur.next, fmt.Errorf("flightrec: event %d has invalid kind %d", i, int(ev.Kind))
+		}
+		starts[i] = int64(buf.Len())
 		recs[i] = Record{
 			ID:       s.nextID + uint64(i),
 			Agent:    agent,
@@ -259,20 +277,18 @@ func (s *Store) Append(agent string, epoch int64, firstSeq uint64, events []obs.
 			return cur.next, fmt.Errorf("flightrec: encoding record: %w", err)
 		}
 	}
+	starts[len(recs)] = int64(buf.Len())
 
 	if err := s.rotateIfNeededLocked(now, int64(buf.Len())); err != nil {
 		return cur.next, err
 	}
-	if _, err := s.active.Write(buf.Bytes()); err != nil {
-		return cur.next, fmt.Errorf("flightrec: appending batch: %w", err)
-	}
-	if err := s.active.Sync(); err != nil {
-		return cur.next, fmt.Errorf("flightrec: syncing segment: %w", err)
+	if err := s.writeActiveLocked(buf.Bytes()); err != nil {
+		return cur.next, err
 	}
 
 	meta := s.segs[len(s.segs)-1]
 	for i := range recs {
-		meta.note(&recs[i], 0)
+		meta.note(&recs[i], meta.bytes+starts[i], starts[i+1]-starts[i])
 	}
 	meta.bytes += int64(buf.Len())
 	s.nextID += uint64(len(recs))
@@ -285,13 +301,31 @@ func (s *Store) Append(agent string, epoch int64, firstSeq uint64, events []obs.
 	return cur.next, nil
 }
 
+// writeActiveLocked writes and syncs one encoded batch to the active
+// segment. On failure the segment is abandoned — the next append
+// rotates to a fresh one — so bytes a partial write left behind never
+// shift an indexed offset (reopen skips or truncates them).
+func (s *Store) writeActiveLocked(batch []byte) error {
+	_, err := s.active.Write(batch)
+	if err != nil {
+		err = fmt.Errorf("flightrec: appending batch: %w", err)
+	} else if err = s.active.Sync(); err != nil {
+		err = fmt.Errorf("flightrec: syncing segment: %w", err)
+	}
+	if err != nil {
+		_ = s.active.Close()
+		s.active = nil
+	}
+	return err
+}
+
 // rotateIfNeededLocked makes sure an active segment is open and has
 // room (by the size and age policies) for the incoming batch.
 func (s *Store) rotateIfNeededLocked(now time.Time, incoming int64) error {
 	if s.active != nil {
 		meta := s.segs[len(s.segs)-1]
 		tooBig := meta.bytes > 0 && meta.bytes+incoming > s.cfg.SegmentMaxBytes
-		tooOld := meta.records > 0 && now.Sub(s.activeStart) >= s.cfg.SegmentMaxAge
+		tooOld := len(meta.index) > 0 && now.Sub(s.activeStart) >= s.cfg.SegmentMaxAge
 		if !tooBig && !tooOld {
 			return nil
 		}
@@ -344,8 +378,9 @@ func (s *Store) dropOldestLocked() {
 	}
 }
 
-// Select returns the records matching q in ascending ID order, reading
-// only segments the index cannot rule out.
+// Select returns the records matching q in ascending ID order. It
+// filters the index — newest segment to oldest, stopping once LastN
+// matches are found — and reads and decodes only the matching lines.
 func (s *Store) Select(q Query) ([]Record, error) {
 	start := time.Now()
 	s.mu.Lock()
@@ -353,22 +388,59 @@ func (s *Store) Select(q Query) ([]Record, error) {
 	if s.metrics != nil {
 		defer func() { s.metrics.selectSeconds.Observe(time.Since(start).Seconds()) }()
 	}
-	var out []Record
-	for _, seg := range s.segs {
-		if !seg.mayMatch(&q) {
+	type hit struct {
+		seg *segMeta
+		e   *indexEntry
+	}
+	var hits []hit // newest first
+collect:
+	for i := len(s.segs) - 1; i >= 0; i-- {
+		seg := s.segs[i]
+		agent, workload, ok := seg.resolve(&q)
+		if !ok {
 			continue
 		}
-		err := readSegment(seg.path, func(rec *Record) {
-			if q.matches(rec) {
-				out = append(out, *rec)
+		for j := len(seg.index) - 1; j >= 0; j-- {
+			if e := &seg.index[j]; q.matches(e, agent, workload) {
+				hits = append(hits, hit{seg, e})
+				if len(hits) == q.LastN {
+					break collect
+				}
 			}
-		})
-		if err != nil {
+		}
+	}
+	if len(hits) == 0 {
+		return nil, nil
+	}
+
+	out := make([]Record, len(hits))
+	var (
+		f   *os.File
+		seg *segMeta
+		err error
+	)
+	defer func() {
+		if f != nil {
+			f.Close()
+		}
+	}()
+	for i := range out {
+		h := hits[len(hits)-1-i]
+		if h.seg != seg {
+			if f != nil {
+				f.Close()
+			}
+			if f, err = os.Open(h.seg.path); err != nil {
+				return nil, fmt.Errorf("flightrec: opening segment: %w", err)
+			}
+			seg = h.seg
+		}
+		if err := seg.readRecord(f, h.e, &out[i]); err != nil {
 			return nil, err
 		}
 	}
-	if q.LastN > 0 && len(out) > q.LastN {
-		out = out[len(out)-q.LastN:]
+	if s.metrics != nil {
+		s.metrics.selectDecoded.Add(uint64(len(out)))
 	}
 	return out, nil
 }
@@ -395,7 +467,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{Segments: len(s.segs)}
 	for _, seg := range s.segs {
-		st.Records += seg.records
+		st.Records += uint64(len(seg.index))
 		st.Bytes += seg.bytes
 	}
 	if s.nextID > 1 {
