@@ -84,6 +84,14 @@ type Manager struct {
 	groups  map[string]*Group
 	order   []string // creation order: stable layout packing
 	coreUse map[int]string
+	updates []update // SetAllocation's layout, reused across calls
+}
+
+// update is one group's pending mask in a SetAllocation layout.
+type update struct {
+	g    *Group
+	mask bits.CBM
+	ways int
 }
 
 // NewManager wraps a backend.
@@ -212,13 +220,16 @@ func (m *Manager) FreeWays() int {
 // group-creation order, so groups keep their relative position across
 // reallocations and only boundary ways move between tenants.
 func (m *Manager) SetAllocation(counts map[string]int) error {
+	// Same size and every group present: counts names exactly the
+	// groups, so no unknown name can hide in it.
 	if len(counts) != len(m.groups) {
 		return fmt.Errorf("cat: allocation names %d groups, manager has %d", len(counts), len(m.groups))
 	}
 	sum := 0
-	for name, c := range counts {
-		if _, ok := m.groups[name]; !ok {
-			return fmt.Errorf("cat: allocation for unknown group %q", name)
+	for _, name := range m.order {
+		c, ok := counts[name]
+		if !ok {
+			return fmt.Errorf("cat: allocation has no count for group %q", name)
 		}
 		if c < 1 {
 			return fmt.Errorf("cat: group %q would get %d ways; minimum is 1", name, c)
@@ -230,12 +241,7 @@ func (m *Manager) SetAllocation(counts map[string]int) error {
 	}
 	// Compute the packed layout first; apply only if fully valid, so a
 	// backend failure cannot leave a half-updated mental model.
-	type update struct {
-		g    *Group
-		mask bits.CBM
-		ways int
-	}
-	updates := make([]update, 0, len(m.order))
+	updates := m.updates[:0]
 	start := 0
 	for _, name := range m.order {
 		c := counts[name]
@@ -246,6 +252,7 @@ func (m *Manager) SetAllocation(counts map[string]int) error {
 		updates = append(updates, update{g: m.groups[name], mask: mask, ways: c})
 		start += c
 	}
+	m.updates = updates
 	var unionOld, unionNew bits.CBM
 	for _, u := range updates {
 		// Skip untouched groups: on resctrl every Apply is a file

@@ -13,8 +13,9 @@ import "repro/internal/policy"
 // allocation, like the heracles/ucp comparison engines).
 
 // allocate resolves this round's desires into a full way allocation by
-// delegating to the configured allocation policy.
-func (c *Controller) allocate(samples map[string]observation) map[string]int {
+// delegating to the configured allocation policy. The result is indexed
+// like c.order and valid until the next round.
+func (c *Controller) allocate(samples []observation) []int {
 	total := c.mgr.TotalWays()
 
 	// Advisory caps (SetWayCap): clamp desires before any policy sees
@@ -22,8 +23,7 @@ func (c *Controller) allocate(samples map[string]observation) map[string]int {
 	// particular policy grants. Reclaims are exempt — restoring the
 	// baseline guarantee outranks any external hint — and a cap below
 	// baseline acts as baseline.
-	for _, name := range c.order {
-		w := c.ws[name]
+	for _, w := range c.order {
 		if w.capWays <= 0 || w.state == StateReclaim {
 			continue
 		}
@@ -37,20 +37,17 @@ func (c *Controller) allocate(samples map[string]observation) map[string]int {
 	c.applyGuards(total)
 	c.emitNotes()
 
-	alloc := make(map[string]int, len(c.order))
-	for i, name := range c.order {
-		w := c.ws[name]
+	for i, w := range c.order {
 		w.denied = c.grants.Denied[i]
 		w.sustained = w.state == StateReclaim && c.grants.Sustain[i]
-		alloc[name] = c.grants.Ways[i]
 	}
 	c.poolEmpty = c.grants.PoolEmpty
-	return alloc
+	return c.grants.Ways
 }
 
 // buildView refreshes the reusable policy view from the per-workload
 // records, in target order.
-func (c *Controller) buildView(samples map[string]observation) {
+func (c *Controller) buildView(samples []observation) {
 	v := &c.view
 	v.Tick = c.ticks
 	v.TotalWays = c.mgr.TotalWays()
@@ -61,8 +58,7 @@ func (c *Controller) buildView(samples map[string]observation) {
 		v.Workloads = make([]policy.WorkloadView, len(c.order))
 	}
 	v.Workloads = v.Workloads[:len(c.order)]
-	for i, name := range c.order {
-		w := c.ws[name]
+	for i, w := range c.order {
 		v.Workloads[i] = policy.WorkloadView{
 			Name:        w.name,
 			Category:    policy.Category(w.state),
@@ -74,7 +70,7 @@ func (c *Controller) buildView(samples map[string]observation) {
 			JumpTo:      w.jumpTo,
 			Graced:      w.graceLeft > 0,
 			BaselineIPC: w.baselineIPC,
-			IPC:         samples[name].ipc,
+			IPC:         samples[i].ipc,
 			PhaseKey:    int64(w.phase),
 			Curve:       w.table,
 		}
@@ -92,8 +88,7 @@ func (c *Controller) applyGuards(total int) {
 		independent = true
 	}
 	sum := 0
-	for i, name := range c.order {
-		w := c.ws[name]
+	for i, w := range c.order {
 		if g.Ways[i] < 1 {
 			g.Ways[i] = 1
 		}
@@ -107,8 +102,8 @@ func (c *Controller) applyGuards(total int) {
 	}
 	for sum > total {
 		victim, surplus := -1, 0
-		for i, name := range c.order {
-			if s := g.Ways[i] - c.ws[name].baseline; s > surplus && g.Ways[i] > 1 {
+		for i, w := range c.order {
+			if s := g.Ways[i] - w.baseline; s > surplus && g.Ways[i] > 1 {
 				surplus, victim = s, i
 			}
 		}
@@ -133,8 +128,7 @@ func (c *Controller) applyGuards(total int) {
 func (c *Controller) Snapshot() []Status {
 	pol := c.policy.Name()
 	out := make([]Status, 0, len(c.order))
-	for _, name := range c.order {
-		w := c.ws[name]
+	for _, w := range c.order {
 		norm := 0.0
 		if w.baselineIPC > 0 {
 			norm = w.lastIPC / w.baselineIPC

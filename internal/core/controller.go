@@ -70,8 +70,14 @@ type Controller struct {
 	cfg     Config
 	mgr     *cat.Manager
 	sampler *perf.Sampler
+	// ws indexes the workloads by name for the by-name API; order is the
+	// tick's stable target order, and samples and alloc its reused
+	// buffers: one interval's observations (indexed like order) and the
+	// counts handed to the CAT manager.
 	ws      map[string]*wstate
-	order   []string
+	order   []*wstate
+	samples []observation
+	alloc   map[string]int
 	// poolEmpty records whether the previous allocation round ended
 	// with no free ways — part of the Streaming decision (§3.4: "all
 	// the available cache size is used").
@@ -119,14 +125,14 @@ func New(cfg Config, mgr *cat.Manager, counters perf.Reader, targets []Target) (
 		mgr:     mgr,
 		sampler: perf.NewSampler(counters),
 		ws:      make(map[string]*wstate),
+		alloc:   make(map[string]int, len(targets)),
 		policy:  cfg.policy(),
 	}
-	baseAlloc := make(map[string]int, len(targets))
 	for _, t := range targets {
 		if _, err := mgr.CreateGroup(t.Name, t.Cores); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		c.ws[t.Name] = &wstate{
+		w := &wstate{
 			name:     t.Name,
 			cores:    append([]int(nil), t.Cores...),
 			baseline: t.BaselineWays,
@@ -138,10 +144,11 @@ func New(cfg Config, mgr *cat.Manager, counters perf.Reader, targets []Target) (
 			histIPC:  make(map[phaseKey]float64),
 			det:      cfg.detector(),
 		}
-		c.order = append(c.order, t.Name)
-		baseAlloc[t.Name] = t.BaselineWays
+		c.ws[t.Name] = w
+		c.order = append(c.order, w)
+		c.alloc[t.Name] = t.BaselineWays
 	}
-	if err := mgr.SetAllocation(baseAlloc); err != nil {
+	if err := mgr.SetAllocation(c.alloc); err != nil {
 		return nil, fmt.Errorf("core: installing baselines: %w", err)
 	}
 	return c, nil
@@ -196,11 +203,13 @@ func (c *Controller) Tick() error {
 	if c.metrics != nil {
 		start = time.Now()
 	}
-	samples := make(map[string]observation, len(c.order))
-	for _, name := range c.order {
-		w := c.ws[name]
+	if cap(c.samples) < len(c.order) {
+		c.samples = make([]observation, len(c.order))
+	}
+	samples := c.samples[:len(c.order)]
+	for i, w := range c.order {
 		s := c.sampler.SampleCores(w.cores)
-		samples[name] = observation{
+		samples[i] = observation{
 			sample: s,
 			ipc:    s.IPC(),
 			miss:   s.LLCMissRate(),
@@ -208,33 +217,32 @@ func (c *Controller) Tick() error {
 		}
 	}
 
-	for _, name := range c.order {
-		w := c.ws[name]
-		o := samples[name]
-		c.observePhase(w, o)
+	for i, w := range c.order {
+		c.observePhase(w, samples[i])
 	}
 
-	for _, name := range c.order {
-		w := c.ws[name]
+	for i, w := range c.order {
 		if w.state == StateReclaim {
 			w.desire = w.baseline
 			continue
 		}
-		c.categorize(w, samples[name])
+		c.categorize(w, samples[i])
 	}
 
-	alloc := c.allocate(samples)
-	if err := c.mgr.SetAllocation(alloc); err != nil {
+	ways := c.allocate(samples)
+	for i, w := range c.order {
+		c.alloc[w.name] = ways[i]
+	}
+	if err := c.mgr.SetAllocation(c.alloc); err != nil {
 		return fmt.Errorf("core: tick %d: %w", c.ticks, err)
 	}
 	allocSum, churn := 0, 0
-	for _, name := range c.order {
-		w := c.ws[name]
-		w.lastIPC = samples[name].ipc
-		w.lastMiss = samples[name].miss
-		w.lastLLCRef = samples[name].sample.LLCRef
+	for i, w := range c.order {
+		w.lastIPC = samples[i].ipc
+		w.lastMiss = samples[i].miss
+		w.lastLLCRef = samples[i].sample.LLCRef
 		w.prevWays = w.ways
-		if n := alloc[name]; n != w.ways {
+		if n := ways[i]; n != w.ways {
 			if d := n - w.ways; d > 0 {
 				churn += d
 			} else {

@@ -262,8 +262,7 @@ func (c *Controller) emitNotes() {
 		if n.Workload < 0 || n.Workload >= len(c.order) {
 			continue
 		}
-		name := c.order[n.Workload]
-		w := c.ws[name]
+		w := c.order[n.Workload]
 		var kind obs.Kind
 		var reason string
 		switch n.Kind {
@@ -281,7 +280,7 @@ func (c *Controller) emitNotes() {
 		c.sink.Emit(obs.Event{
 			Tick:     c.ticks,
 			Kind:     kind,
-			Workload: name,
+			Workload: w.name,
 			To:       n.Label,
 			OldWays:  w.ways,
 			NewWays:  n.Ways,

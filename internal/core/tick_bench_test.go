@@ -7,18 +7,22 @@ import (
 	"repro/internal/cat"
 	"repro/internal/obs"
 	"repro/internal/perf"
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
 
 // BenchmarkControllerTick measures one controller period end-to-end —
 // sample → phase detection → categorization → allocation → backend
-// apply — at several tenant counts. This is the hot loop both the
-// daemon and the cluster agent drive every period.
+// apply — under each built-in allocation engine at several tenant
+// counts. This is the hot loop both the daemon and the cluster agent
+// drive every period.
 func BenchmarkControllerTick(b *testing.B) {
-	for _, n := range []int{2, 6, 12} {
-		b.Run(fmt.Sprintf("workloads=%d", n), func(b *testing.B) {
-			benchTick(b, n, false)
-		})
+	for _, pol := range policy.Names() {
+		for _, n := range []int{2, 6, 12} {
+			b.Run(fmt.Sprintf("policy=%s/workloads=%d", pol, n), func(b *testing.B) {
+				benchTick(b, pol, n, false)
+			})
+		}
 	}
 }
 
@@ -30,12 +34,16 @@ func BenchmarkControllerTick(b *testing.B) {
 func BenchmarkControllerTickTraced(b *testing.B) {
 	for _, n := range []int{2, 6, 12} {
 		b.Run(fmt.Sprintf("workloads=%d", n), func(b *testing.B) {
-			benchTick(b, n, true)
+			benchTick(b, "reactive", n, true)
 		})
 	}
 }
 
-func benchTick(b *testing.B, n int, traced bool) {
+func benchTick(b *testing.B, pol string, n int, traced bool) {
+	factory, err := policy.New(pol)
+	if err != nil {
+		b.Fatal(err)
+	}
 	file := perf.NewFile(n)
 	mgr, err := cat.NewManager(&fakeBackend{ways: 20})
 	if err != nil {
@@ -54,7 +62,9 @@ func benchTick(b *testing.B, n int, traced bool) {
 			behaviors[i] = idleBehavior()
 		}
 	}
-	ctl, err := New(DefaultConfig(), mgr, file, targets)
+	cfg := DefaultConfig()
+	cfg.NewPolicy = factory
+	ctl, err := New(cfg, mgr, file, targets)
 	if err != nil {
 		b.Fatal(err)
 	}

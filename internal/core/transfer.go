@@ -94,17 +94,17 @@ func (c *Controller) RemoveTarget(name string) (WorkloadState, error) {
 		return WorkloadState{}, fmt.Errorf("core: %w", err)
 	}
 	delete(c.ws, name)
-	for i, n := range c.order {
-		if n == name {
+	delete(c.alloc, name)
+	for i, ww := range c.order {
+		if ww == w {
 			c.order = append(c.order[:i], c.order[i+1:]...)
 			break
 		}
 	}
-	alloc := make(map[string]int, len(c.order))
-	for _, n := range c.order {
-		alloc[n] = c.ws[n].ways
+	for _, ww := range c.order {
+		c.alloc[ww.name] = ww.ways
 	}
-	if err := c.mgr.SetAllocation(alloc); err != nil {
+	if err := c.mgr.SetAllocation(c.alloc); err != nil {
 		return WorkloadState{}, fmt.Errorf("core: removing %q: %w", name, err)
 	}
 	return st, nil
@@ -127,8 +127,8 @@ func (c *Controller) AddTarget(t Target, st *WorkloadState) error {
 			t.Name, t.BaselineWays)
 	}
 	sumBase := t.BaselineWays
-	for _, n := range c.order {
-		sumBase += c.ws[n].baseline
+	for _, ww := range c.order {
+		sumBase += ww.baseline
 	}
 	if sumBase > c.mgr.TotalWays() {
 		return fmt.Errorf("core: baselines would total %d ways, socket has %d",
@@ -205,33 +205,33 @@ func (c *Controller) AddTarget(t Target, st *WorkloadState) error {
 		}
 	}
 	c.ws[t.Name] = w
-	c.order = append(c.order, t.Name)
+	c.order = append(c.order, w)
 
 	// Install the arrival allocation: everyone keeps their ways, the
 	// newcomer gets its baseline. If the pool cannot cover it, reclaim
 	// one way at a time from the largest above-baseline holder (the
 	// allocator's own over-commit priority); the baseline-sum check
 	// above guarantees this terminates with every group >= 1 way.
-	alloc := make(map[string]int, len(c.order))
+	alloc := c.alloc
 	allocated := 0
-	for _, n := range c.order {
-		alloc[n] = c.ws[n].ways
-		allocated += c.ws[n].ways
+	for _, ww := range c.order {
+		alloc[ww.name] = ww.ways
+		allocated += ww.ways
 	}
 	for allocated > c.mgr.TotalWays() {
 		best, bestSurplus := "", 0
-		for _, n := range c.order {
-			if n == t.Name {
+		for _, ww := range c.order {
+			if ww == w {
 				continue
 			}
-			if s := alloc[n] - c.ws[n].baseline; s > bestSurplus {
-				best, bestSurplus = n, s
+			if s := alloc[ww.name] - ww.baseline; s > bestSurplus {
+				best, bestSurplus = ww.name, s
 			}
 		}
 		if best == "" {
-			for _, n := range c.order {
-				if n != t.Name && alloc[n] > 1 {
-					best = n
+			for _, ww := range c.order {
+				if ww != w && alloc[ww.name] > 1 {
+					best = ww.name
 					break
 				}
 			}
@@ -245,9 +245,8 @@ func (c *Controller) AddTarget(t Target, st *WorkloadState) error {
 	if err := c.mgr.SetAllocation(alloc); err != nil {
 		return fmt.Errorf("core: adding %q: %w", t.Name, err)
 	}
-	for _, n := range c.order {
-		ww := c.ws[n]
-		if nw := alloc[n]; nw != ww.ways {
+	for _, ww := range c.order {
+		if nw := alloc[ww.name]; nw != ww.ways {
 			c.emitWayChange(ww, nw)
 			ww.ways = nw
 		}

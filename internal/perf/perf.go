@@ -135,13 +135,24 @@ func (s Sample) MemAccessPerInstr() float64 {
 
 // Sampler converts cumulative counters into per-interval deltas.
 type Sampler struct {
-	src  Reader
-	prev map[int]Counters
+	src Reader
+	// prev is the last snapshot per core, indexed by core ID; cores never
+	// sampled read as zero.
+	prev []Counters
 }
 
 // NewSampler wraps a Reader.
 func NewSampler(src Reader) *Sampler {
-	return &Sampler{src: src, prev: make(map[int]Counters)}
+	return &Sampler{src: src}
+}
+
+// slot returns the previous-snapshot slot of a core, growing prev to
+// cover it.
+func (sm *Sampler) slot(core int) *Counters {
+	if core >= len(sm.prev) {
+		sm.prev = append(sm.prev, make([]Counters, core+1-len(sm.prev))...)
+	}
+	return &sm.prev[core]
 }
 
 // snapshot reads all events for a core.
@@ -160,8 +171,9 @@ func (sm *Sampler) SampleCores(cores []int) Sample {
 	var agg Sample
 	for _, core := range cores {
 		cur := sm.snapshot(core)
-		prev := sm.prev[core]
-		sm.prev[core] = cur
+		p := sm.slot(core)
+		prev := *p
+		*p = cur
 		agg.Add(Sample{
 			L1Ref:   (cur[L1Hits] - prev[L1Hits]) + (cur[L1Misses] - prev[L1Misses]),
 			LLCRef:  cur[LLCReferences] - prev[LLCReferences],
@@ -180,9 +192,9 @@ func (sm *Sampler) SampleCores(cores []int) Sample {
 // the cores' whole cumulative past.
 func (sm *Sampler) Prime(cores []int) {
 	for _, core := range cores {
-		sm.prev[core] = sm.snapshot(core)
+		*sm.slot(core) = sm.snapshot(core)
 	}
 }
 
 // Reset forgets previous snapshots, so the next sample is cumulative.
-func (sm *Sampler) Reset() { sm.prev = make(map[int]Counters) }
+func (sm *Sampler) Reset() { clear(sm.prev) }

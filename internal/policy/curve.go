@@ -74,16 +74,37 @@ func (t Curve) Clone() Curve {
 //
 //	Max Σ norm_IPC_i  subject to  Σ ways_i ≤ budget,  min_i ≤ ways_i ≤ max_i.
 //
-// Each candidate supplies its curve, its bounds, and its current ways;
-// value at a way count falls back to the nearest lower entry. Returns
-// the chosen ways per candidate (len(cands)), or ok=false when the
-// bounds cannot fit the budget.
+// Each candidate supplies its curve, its bounds (Min ≥ 0), and its
+// current ways; value at a way count falls back to the nearest lower
+// entry. Returns the chosen ways per candidate (len(cands)), or ok=false
+// when the bounds cannot fit the budget.
 type SplitCand struct {
 	Table    Curve
 	Min, Max int
 }
 
 func OptimizeSplit(cands []SplitCand, budget int) ([]int, bool) {
+	var s splitScratch
+	return s.optimize(cands, budget)
+}
+
+// splitScratch is OptimizeSplit's working memory. The policies that run
+// the DP every tick keep one beside their candidate slice, so a steady
+// tick allocates nothing for it.
+type splitScratch struct {
+	// vals holds every candidate's value at each way count it may take,
+	// row i starting at rows[i]; has marks the ways its curve measured.
+	vals    []float64
+	has     []bool
+	rows    []int
+	dp, ndp []float64
+	choice  []int16 // n rows of budget+1
+	out     []int
+}
+
+// optimize is OptimizeSplit over s's buffers. The returned slice is
+// s's own and valid until the next call.
+func (s *splitScratch) optimize(cands []SplitCand, budget int) ([]int, bool) {
 	n := len(cands)
 	if n == 0 {
 		return nil, true
@@ -95,38 +116,36 @@ func OptimizeSplit(cands []SplitCand, budget int) ([]int, bool) {
 	if minSum > budget {
 		return nil, false
 	}
+	s.fillRows(cands, budget)
 	const neg = -1e18
 	// dp[b] = best value using budget b over candidates seen so far;
-	// choice[i][b] = ways picked for candidate i at budget b.
-	dp := make([]float64, budget+1)
+	// choice[i*stride+b] = ways picked for candidate i at budget b.
+	stride := budget + 1
+	dp, ndp := grow(s.dp, stride), grow(s.ndp, stride)
 	for b := range dp {
 		dp[b] = 0 // zero candidates, any budget: value 0
 	}
-	choice := make([][]int16, n)
+	s.choice = grow(s.choice, n*stride)
 	for i, c := range cands {
-		ndp := make([]float64, budget+1)
-		choice[i] = make([]int16, budget+1)
+		row := s.vals[s.rows[i]:s.rows[i+1]]
+		choice := s.choice[i*stride : (i+1)*stride]
 		for b := range ndp {
 			ndp[b] = neg
 		}
 		for b := 0; b <= budget; b++ {
 			for w := c.Min; w <= c.Max && w <= b; w++ {
-				v, ok := c.Table.At(w)
-				if !ok {
-					// No data at or below w: treat as baseline-equivalent.
-					v = 1
-				}
 				if dp[b-w] == neg {
 					continue
 				}
-				if nv := dp[b-w] + v; nv > ndp[b] {
+				if nv := dp[b-w] + row[w-c.Min]; nv > ndp[b] {
 					ndp[b] = nv
-					choice[i][b] = int16(w)
+					choice[b] = int16(w)
 				}
 			}
 		}
-		dp = ndp
+		dp, ndp = ndp, dp
 	}
+	s.dp, s.ndp = dp, ndp
 	// Pick the best feasible budget.
 	bestB, bestV := -1, neg
 	for b := 0; b <= budget; b++ {
@@ -138,12 +157,58 @@ func OptimizeSplit(cands []SplitCand, budget int) ([]int, bool) {
 	if bestB < 0 {
 		return nil, false
 	}
-	out := make([]int, n)
+	s.out = grow(s.out, n)
 	b := bestB
 	for i := n - 1; i >= 0; i-- {
-		w := int(choice[i][b])
-		out[i] = w
+		w := int(s.choice[i*stride+b])
+		s.out[i] = w
 		b -= w
 	}
-	return out, true
+	return s.out, true
+}
+
+// fillRows resolves each candidate's value at every way count the DP
+// can try, Min through min(Max, budget), in one pass over its curve:
+// Curve.At per way, without a map scan per way. A way with no entry at
+// or below it is worth 1 (baseline-equivalent).
+func (s *splitScratch) fillRows(cands []SplitCand, budget int) {
+	s.rows = grow(s.rows, len(cands)+1)
+	total := 0
+	for i, c := range cands {
+		s.rows[i] = total
+		total += max(min(c.Max, budget)-c.Min+1, 0)
+	}
+	s.rows[len(cands)] = total
+	s.vals, s.has = grow(s.vals, total), grow(s.has, total)
+	for i, c := range cands {
+		row, has := s.vals[s.rows[i]:s.rows[i+1]], s.has[s.rows[i]:s.rows[i+1]]
+		clear(has)
+		// below is the curve's value at its largest way under Min.
+		below, belowW := 1.0, -1
+		for w, v := range c.Table {
+			switch {
+			case w < c.Min:
+				if w > belowW {
+					below, belowW = v, w
+				}
+			case w-c.Min < len(row):
+				row[w-c.Min], has[w-c.Min] = v, true
+			}
+		}
+		for k := range row {
+			if has[k] {
+				below = row[k]
+			} else {
+				row[k] = below
+			}
+		}
+	}
+}
+
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

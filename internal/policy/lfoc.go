@@ -21,6 +21,7 @@ type LFOC struct {
 	clusters map[string]string
 	idx      []int
 	cands    []SplitCand
+	split    splitScratch
 }
 
 // NewLFOC returns a curve-shape clustering allocation policy.
@@ -56,14 +57,18 @@ func (l *LFOC) Propose(v *View, g *Grants) {
 		case w.BaselineIPC <= 0 || len(w.Curve) < 3:
 			// Curve too sparse to classify a shape.
 		default:
-			base, okB := w.Curve.At(w.Baseline)
-			best := 0.0
-			for _, nv := range w.Curve {
+			// One pass for the curve's peak and its value at the
+			// baseline (what Curve.At(w.Baseline) would return).
+			best, base, baseW := 0.0, 0.0, -1
+			for k, nv := range w.Curve {
 				if nv > best {
 					best = nv
 				}
+				if k <= w.Baseline && k > baseW {
+					base, baseW = nv, k
+				}
 			}
-			if okB && best-base >= v.IPCImpThr {
+			if baseW >= 0 && best-base >= v.IPCImpThr {
 				cluster = "sensitive"
 				l.idx = append(l.idx, i)
 			} else {
@@ -128,7 +133,7 @@ func (l *LFOC) Propose(v *View, g *Grants) {
 			}
 			cands[k] = SplitCand{Table: w.Curve, Min: min, Max: max}
 		}
-		if res, ok := OptimizeSplit(cands, budget); ok {
+		if res, ok := l.split.optimize(cands, budget); ok {
 			used := 0
 			for k, i := range l.idx {
 				g.Ways[i] = res[k]

@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"fmt"
-	"sort"
-)
+import "strconv"
 
 // PredictiveConfig bounds the phase-transition sequence model.
 type PredictiveConfig struct {
@@ -58,7 +55,7 @@ type preGrant struct {
 	idx    int
 	target int
 	conf   float64
-	label  string
+	phase  int64 // the predicted phase; labelled only if granted
 }
 
 // NewPredictive returns a phase-predictive allocation policy.
@@ -72,7 +69,7 @@ func (p *Predictive) Name() string { return "predictive" }
 // Stats reports the lifetime prediction hit/miss counters.
 func (p *Predictive) Stats() (hits, misses int) { return p.hits, p.misses }
 
-func phaseLabel(key int64) string { return fmt.Sprintf("phase(%d)", key) }
+func phaseLabel(key int64) string { return "phase(" + strconv.FormatInt(key, 10) + ")" }
 
 // Propose implements AllocationPolicy.
 func (p *Predictive) Propose(v *View, g *Grants) {
@@ -149,7 +146,7 @@ func (p *Predictive) Propose(v *View, g *Grants) {
 			if pred, conf, ok := p.predict(st, w.PhaseKey); ok && pred != w.PhaseKey {
 				if pw, ok := st.Pref[pred]; ok && pw >= w.Baseline {
 					p.pre = append(p.pre, preGrant{
-						idx: i, target: pw, conf: conf, label: phaseLabel(pred),
+						idx: i, target: pw, conf: conf, phase: pred,
 					})
 				}
 			}
@@ -183,7 +180,7 @@ func (p *Predictive) Propose(v *View, g *Grants) {
 		free -= delta
 		g.Notes = append(g.Notes, Note{
 			Workload: pg.idx, Kind: NotePreGrant,
-			Ways: g.Ways[pg.idx], Value: pg.conf, Label: pg.label,
+			Ways: g.Ways[pg.idx], Value: pg.conf, Label: phaseLabel(pg.phase),
 		})
 	}
 	g.PoolEmpty = free == 0
@@ -210,24 +207,19 @@ func (p *Predictive) learn(st *ModelState, from, to int64) {
 }
 
 // predict returns the most likely next phase out of from, with its
-// confidence, when the model is confident enough to act. Iteration is
-// over sorted keys so equal counts resolve deterministically.
+// confidence, when the model is confident enough to act. Equal counts
+// resolve to the smallest phase key, so map order never decides.
 func (p *Predictive) predict(st *ModelState, from int64) (to int64, conf float64, ok bool) {
 	tos := st.Transitions[from]
 	if len(tos) == 0 {
 		return 0, 0, false
 	}
-	keys := make([]int64, 0, len(tos))
 	total := 0
-	for k, n := range tos {
-		keys = append(keys, k)
-		total += n
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	best, bestN := int64(0), 0
-	for _, k := range keys {
-		if tos[k] > bestN {
-			best, bestN = k, tos[k]
+	for k, n := range tos {
+		total += n
+		if n > bestN || (n == bestN && n > 0 && k < best) {
+			best, bestN = k, n
 		}
 	}
 	conf = float64(bestN) / float64(total)

@@ -17,6 +17,7 @@ type Reactive struct {
 	// of per-tick allocations.
 	classes [3][]int
 	cands   []SplitCand
+	split   splitScratch
 	optIdx  []int
 }
 
@@ -199,7 +200,7 @@ func (r *Reactive) optimize(v *View, g *Grants, pool *int, total int) {
 		}
 		cands[k] = SplitCand{Table: w.Curve, Min: min, Max: max}
 	}
-	res, ok := OptimizeSplit(cands, budget)
+	res, ok := r.split.optimize(cands, budget)
 	if !ok {
 		return
 	}

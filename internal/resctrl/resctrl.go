@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,6 +34,11 @@ type Backend struct {
 	closids   int
 	domains   []int // L3 cache domains (sockets) to program
 	groupDirs map[int]string
+	// cpus holds the CPUs (sorted, distinct) this backend last wrote to
+	// each COS's cpus_list. The kernel keeps a CPU in one group only, so
+	// a write forgets every other COS that listed one of its CPUs, and a
+	// failed write forgets its own.
+	cpus map[int][]int
 }
 
 // NewBackend opens a resctrl tree rooted at root.
@@ -66,6 +72,7 @@ func NewBackend(root string) (*Backend, error) {
 		closids:   closids,
 		domains:   domains,
 		groupDirs: make(map[int]string),
+		cpus:      make(map[int][]int),
 	}, nil
 }
 
@@ -79,7 +86,9 @@ func (b *Backend) MaxCOS() int { return b.closids }
 func (b *Backend) Root() string { return b.root }
 
 // Apply implements cat.Backend: it materializes COS cos as a resctrl
-// group, writes its schemata, and assigns the cores.
+// group, writes its schemata, and assigns the cores. cpus_list is
+// rewritten only when the group's CPUs differ from what this backend
+// last wrote there: a mask change alone leaves it untouched.
 func (b *Backend) Apply(cos int, mask bits.CBM, cores []int) error {
 	if cos < 1 || cos >= b.closids {
 		return fmt.Errorf("resctrl: COS %d out of range [1,%d)", cos, b.closids)
@@ -107,11 +116,37 @@ func (b *Backend) Apply(cos int, mask bits.CBM, cores []int) error {
 	if err := os.WriteFile(filepath.Join(dir, "schemata"), []byte(sb.String()), 0o644); err != nil {
 		return fmt.Errorf("resctrl: writing schemata: %w", err)
 	}
+	cpus := sortedCPUs(cores)
+	if last, ok := b.cpus[cos]; ok && slices.Equal(last, cpus) {
+		return nil
+	}
+	delete(b.cpus, cos)
+	for other, list := range b.cpus {
+		if overlap(list, cpus) {
+			delete(b.cpus, other)
+		}
+	}
 	if err := os.WriteFile(filepath.Join(dir, "cpus_list"),
-		[]byte(formatCPUList(cores)+"\n"), 0o644); err != nil {
+		[]byte(formatCPUList(cpus)+"\n"), 0o644); err != nil {
 		return fmt.Errorf("resctrl: writing cpus_list: %w", err)
 	}
+	b.cpus[cos] = cpus
 	return nil
+}
+
+// overlap reports whether two sorted CPU lists share a CPU.
+func overlap(a, b []int) bool {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] == b[0]:
+			return true
+		case a[0] < b[0]:
+			a = a[1:]
+		default:
+			b = b[1:]
+		}
+	}
+	return false
 }
 
 // Schemata reads back a group's current schemata line (diagnostics).
@@ -166,6 +201,7 @@ func (b *Backend) Cleanup() error {
 		}
 		delete(b.groupDirs, cos)
 	}
+	clear(b.cpus)
 	return firstErr
 }
 
@@ -201,18 +237,20 @@ func parseDomains(path string) ([]int, error) {
 	return nil, fmt.Errorf("resctrl: no L3 line in schemata")
 }
 
+// sortedCPUs returns cores sorted, without duplicates, in a new slice.
+func sortedCPUs(cores []int) []int {
+	sorted := slices.Clone(cores)
+	slices.Sort(sorted)
+	return slices.Compact(sorted)
+}
+
 // formatCPUList renders cores as a kernel cpus_list string, collapsing
 // consecutive runs ("0-1,4").
 func formatCPUList(cores []int) string {
 	if len(cores) == 0 {
 		return ""
 	}
-	sorted := append([]int(nil), cores...)
-	for i := 1; i < len(sorted); i++ { // insertion sort: lists are tiny
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := sortedCPUs(cores)
 	var sb strings.Builder
 	start, prev := sorted[0], sorted[0]
 	flush := func() {
@@ -226,9 +264,6 @@ func formatCPUList(cores []int) string {
 		}
 	}
 	for _, c := range sorted[1:] {
-		if c == prev { // duplicate
-			continue
-		}
 		if c == prev+1 {
 			prev = c
 			continue

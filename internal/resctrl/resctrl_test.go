@@ -101,6 +101,75 @@ func TestApplyWritesGroupFiles(t *testing.T) {
 	}
 }
 
+// TestApplySkipsUnchangedCPUList: a mask change alone must not rewrite
+// cpus_list. Once another COS takes those CPUs (the kernel moves them
+// out of the old group) or a write fails, the next Apply writes it again.
+func TestApplySkipsUnchangedCPUList(t *testing.T) {
+	dir := mockTree(t)
+	b, err := NewBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "cos1", "cpus_list")
+	read := func() string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSpace(string(data))
+	}
+	apply := func(cos int, mask bits.CBM, cores []int) {
+		t.Helper()
+		if err := b.Apply(cos, mask, cores); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(1, bits.MustCBM(0, 4), []int{2, 3})
+	if got := read(); got != "2-3" {
+		t.Fatalf("first Apply wrote cpus_list %q, want 2-3", got)
+	}
+	// Stand-in for "untouched": anything Apply writes replaces it.
+	if err := os.WriteFile(path, []byte("sentinel\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	apply(1, bits.MustCBM(0, 6), []int{3, 2})
+	if got := read(); got != "sentinel" {
+		t.Errorf("mask change rewrote cpus_list to %q", got)
+	}
+	// A COS with disjoint CPUs leaves COS 1's list standing.
+	apply(2, bits.MustCBM(6, 2), []int{5})
+	apply(1, bits.MustCBM(0, 5), []int{2, 3})
+	if got := read(); got != "sentinel" {
+		t.Errorf("disjoint COS write made COS 1 rewrite cpus_list to %q", got)
+	}
+	// COS 3 takes CPU 3: COS 1's list is stale and must be rewritten.
+	apply(3, bits.MustCBM(8, 2), []int{3})
+	apply(1, bits.MustCBM(0, 4), []int{2, 3})
+	if got := read(); got != "2-3" {
+		t.Errorf("after another COS took its CPUs, cpus_list is %q, want 2-3", got)
+	}
+
+	// A failed write forgets the list: cpus_list as a directory makes the
+	// write fail; once it is a file again the next Apply writes it.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Apply(1, bits.MustCBM(0, 3), []int{0, 1}); err == nil {
+		t.Fatal("writing cpus_list over a directory should fail")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	apply(1, bits.MustCBM(0, 3), []int{0, 1})
+	if got := read(); got != "0-1" {
+		t.Errorf("after a failed write, cpus_list is %q, want 0-1", got)
+	}
+}
+
 func TestApplyValidation(t *testing.T) {
 	b, _ := NewBackend(mockTree(t))
 	if err := b.Apply(0, bits.FullMask(4), []int{0}); err == nil {
