@@ -8,13 +8,13 @@
 // Operators read:
 //
 //	GET /cluster             — every agent, liveness, workload categories
-//	GET /cluster/metrics     — Prometheus gauges
-//	GET /cluster/series.csv  — fleet time series
+//	GET /cluster/metrics     — Prometheus: fleet, per-tenant and
+//	                           coordinator families
 //	GET /fleet/events        — flight-recorder query plane (-recorder-dir)
 //	GET /fleet/explain?vm=X  — why did workload X change allocation?
 //	GET /fleet/placement     — placement engine status (-placement)
 //	GET /fleet/trace?id=T    — one decision's causality tree (-recorder-dir)
-//	GET /fleet/metrics       — per-tenant time series (JSON; ?format=prometheus)
+//	GET /fleet/metrics       — per-tenant time series (JSON)
 package main
 
 import (

@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flightrec"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -102,8 +104,9 @@ type Coordinator struct {
 	agents  map[string]*agentRecord // by agent id
 	byName  map[string]string       // agent name -> current id
 	nextID  int
-	reports int // total reports accepted; also the telemetry x-axis
-	rec     *telemetry.Recorder
+	reports int // total reports accepted; also the fleet x-axis
+	// enrollments counts agent (re-)enrollments.
+	enrollments int
 
 	// Fleet-wide decision-event accumulation (across agent restarts —
 	// a superseded record's counts stay in these totals).
@@ -112,7 +115,6 @@ type Coordinator struct {
 
 	// Observability hooks, all optional.
 	sink     obs.Sink
-	metrics  *coordMetrics
 	recorder *flightrec.Store
 	// self holds the coordinator's self-observability instruments. It
 	// is an atomic pointer, not a field under mu, because the lock-wait
@@ -127,14 +129,6 @@ type Coordinator struct {
 	// rebalancer: report-derived views feed it and /v1/placement serves
 	// its directives.
 	engine *placement.Engine
-}
-
-// coordMetrics holds the coordinator's registered metrics.
-type coordMetrics struct {
-	reports     *telemetry.Counter
-	transitions *telemetry.LabeledCounter
-	phases      *telemetry.Counter
-	enrolls     *telemetry.Counter
 }
 
 // coordSelf holds the coordinator's self-observability instruments:
@@ -218,7 +212,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cfg:              cfg,
 		agents:           make(map[string]*agentRecord),
 		byName:           make(map[string]string),
-		rec:              telemetry.NewRecorder(),
 		fleetTransitions: make(map[string]uint64),
 		tenants:          newTenantTable(cfg.MetricsRingSize, cfg.MetricsMaxTenants),
 	}
@@ -292,27 +285,95 @@ func (c *Coordinator) placementViewsLocked() []placement.AgentView {
 	return views
 }
 
-// RegisterMetrics registers the coordinator's counters on reg:
-//
-//	dcat_fleet_reports_total            reports accepted
-//	dcat_fleet_enrollments_total        agent (re-)enrollments
-//	dcat_fleet_state_transitions_total  counter{from,to} — forwarded
-//	                                    per-host category transitions
-//	dcat_fleet_phase_changes_total      forwarded phase changes
+// RegisterMetrics registers the coordinator's families on reg: the
+// dcat_cluster_* view of /cluster; the dcat_fleet_* gauges (alive
+// agents, allocated ways, and alive workloads per category, one family
+// per state) and counters (reports, enrollments, forwarded transitions
+// and phase changes); and each tenant's latest sample as dcat_tenant_*.
+// Every family is computed at scrape time under c.mu, so gauges read the
+// fleet as of the scrape and the report path records nothing for them.
 func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
-	m := &coordMetrics{
-		reports: reg.Counter("dcat_fleet_reports_total",
-			"Statistics reports accepted from agents."),
-		enrolls: reg.Counter("dcat_fleet_enrollments_total",
-			"Agent enrollments, including re-enrollments after restarts."),
-		transitions: reg.LabeledCounter("dcat_fleet_state_transitions_total",
-			"Category transitions forwarded by agents, summed fleet-wide.", "from", "to"),
-		phases: reg.Counter("dcat_fleet_phase_changes_total",
-			"Phase changes forwarded by agents, summed fleet-wide."),
+	type emitFunc = func(float64, ...string)
+	// view registers a family computed from the /cluster snapshot.
+	view := func(name, help, typ string, labels []string, collect func(st State, emit emitFunc)) {
+		reg.Func(name, help, typ, labels, func(emit emitFunc) { collect(c.ClusterState(), emit) })
 	}
-	c.mu.Lock()
-	c.metrics = m
-	c.mu.Unlock()
+	scalar := func(name, help, typ string, v func(st State) int) {
+		view(name, help, typ, nil, func(st State, emit emitFunc) { emit(float64(v(st))) })
+	}
+	transitions := func(st State, emit emitFunc) {
+		keys := make([]string, 0, len(st.Transitions))
+		for k := range st.Transitions {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			from, to, _ := strings.Cut(k, "->") // Validate admits only From->To keys
+			emit(float64(st.Transitions[k]), from, to)
+		}
+	}
+	const (
+		reportsHelp = "Statistics reports accepted from agents."
+		transHelp   = "Category transitions forwarded by agents, summed fleet-wide."
+		phasesHelp  = "Phase changes forwarded by agents, summed fleet-wide."
+	)
+	view("dcat_cluster_agents", "Enrolled agents by liveness.", "gauge", []string{"alive"}, func(st State, emit emitFunc) {
+		emit(float64(st.AgentsAlive), "true")
+		emit(float64(st.AgentsTotal-st.AgentsAlive), "false")
+	})
+	scalar("dcat_cluster_reports_total", reportsHelp, "counter", func(st State) int { return st.Reports })
+	scalar("dcat_cluster_total_ways", "LLC ways across alive agents.", "gauge", func(st State) int { return st.TotalWays })
+	scalar("dcat_cluster_allocated_ways", "LLC ways allocated to workloads across alive agents.", "gauge",
+		func(st State) int { return st.AllocatedWays })
+	view("dcat_cluster_agent_tick", "Latest controller tick each agent reported.", "gauge", []string{"agent", "alive"},
+		func(st State, emit emitFunc) {
+			for _, a := range st.Agents {
+				emit(float64(a.Tick), a.Name, strconv.FormatBool(a.Alive))
+			}
+		})
+	view("dcat_cluster_ways", "LLC ways each agent reported per workload.", "gauge", []string{"agent", "workload", "category"},
+		func(st State, emit emitFunc) {
+			for _, a := range st.Agents {
+				for _, wl := range a.Workloads {
+					emit(float64(wl.Ways), a.Name, wl.Name, wl.Category)
+				}
+			}
+		})
+	view("dcat_cluster_normalized_ipc", "Normalized IPC each agent reported per workload.", "gauge", []string{"agent", "workload"},
+		func(st State, emit emitFunc) {
+			for _, a := range st.Agents {
+				for _, wl := range a.Workloads {
+					emit(wl.NormIPC, a.Name, wl.Name)
+				}
+			}
+		})
+	view("dcat_cluster_state_transitions_total", transHelp, "counter", []string{"from", "to"}, transitions)
+	scalar("dcat_cluster_phase_changes_total", phasesHelp, "counter", func(st State) int { return int(st.PhaseChanges) })
+
+	scalar("dcat_fleet_agents_alive", "Agents alive as of the scrape.", "gauge", func(st State) int { return st.AgentsAlive })
+	scalar("dcat_fleet_ways_allocated", "LLC ways allocated across alive agents.", "gauge",
+		func(st State) int { return st.AllocatedWays })
+	for s := core.State(0); int(s) < core.NumStates; s++ {
+		scalar("dcat_fleet_category_"+s.String(), "Alive agents' workloads currently classified "+s.String()+".", "gauge",
+			func(st State) int { return st.aliveIn(s.String()) })
+	}
+	scalar("dcat_fleet_reports_total", reportsHelp, "counter", func(st State) int { return st.Reports })
+	c.registerLocked(reg, "dcat_fleet_enrollments_total", "Agent enrollments, including re-enrollments after restarts.",
+		"counter", nil, func(emit emitFunc) { emit(float64(c.enrollments)) })
+	view("dcat_fleet_state_transitions_total", transHelp, "counter", []string{"from", "to"}, transitions)
+	scalar("dcat_fleet_phase_changes_total", phasesHelp, "counter", func(st State) int { return int(st.PhaseChanges) })
+	c.registerTenantMetrics(reg)
+}
+
+// registerLocked registers a Func family whose collector runs under
+// c.mu, taken after the registry has released its own lock.
+func (c *Coordinator) registerLocked(reg *telemetry.Registry, name, help, typ string, labels []string,
+	collect func(emit func(float64, ...string))) {
+	reg.Func(name, help, typ, labels, func(emit func(float64, ...string)) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		collect(emit)
+	})
 }
 
 // AgentState is one agent's row in the cluster view.
@@ -347,6 +408,19 @@ type State struct {
 	// decision events fleet-wide, surviving agent restarts.
 	Transitions  map[string]uint64 `json:"transitions,omitempty"`
 	PhaseChanges uint64            `json:"phase_changes,omitempty"`
+}
+
+// aliveIn counts alive agents' workloads in the named category.
+func (st State) aliveIn(category string) int {
+	n := 0
+	for _, a := range st.Agents {
+		for _, wl := range a.Workloads {
+			if a.Alive && wl.Category == category {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // ClusterState snapshots the fleet, computing liveness against the
@@ -394,23 +468,6 @@ func (c *Coordinator) ClusterState() State {
 	}
 	sort.Slice(st.Agents, func(i, j int) bool { return st.Agents[i].Name < st.Agents[j].Name })
 	return st
-}
-
-// WriteSeriesCSV renders the fleet time series (one x per accepted
-// report) as CSV — agents alive, allocated ways, per-category workload
-// counts.
-func (c *Coordinator) WriteSeriesCSV(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rec.WriteCSV(w)
-}
-
-// WriteFleetMetrics renders the latest fleet series values as
-// Prometheus gauges.
-func (c *Coordinator) WriteFleetMetrics(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rec.WritePrometheus(w, "dcat_fleet")
 }
 
 func (c *Coordinator) aliveLocked(rec *agentRecord, now time.Time) bool {
@@ -497,11 +554,9 @@ func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	}
 	c.agents[id] = rec
 	c.byName[req.Agent] = id
+	c.enrollments++
 	expiry := c.cfg.HeartbeatExpiry
 	every := c.cfg.ReportEvery
-	if c.metrics != nil {
-		c.metrics.enrolls.Inc()
-	}
 	if c.sink != nil {
 		c.sink.Emit(obs.Event{
 			Tick:     c.reports,
@@ -545,10 +600,6 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	if req.Events != nil {
 		c.absorbEventsLocked(rec, req.Events)
 	}
-	if c.metrics != nil {
-		c.metrics.reports.Inc()
-	}
-	c.recordFleetLocked()
 	// Placement evaluation runs outside the registry lock — the engine
 	// reads the flight recorder (disk I/O) while scoring.
 	var (
@@ -686,7 +737,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // absorbEventsLocked folds one report's event summary into the
-// per-agent record, the fleet totals, and the registered counters.
+// per-agent record and the fleet totals.
 func (c *Coordinator) absorbEventsLocked(rec *agentRecord, ev *EventSummary) {
 	if len(ev.Transitions) > 0 && rec.transitions == nil {
 		rec.transitions = make(map[string]uint64, len(ev.Transitions))
@@ -694,41 +745,9 @@ func (c *Coordinator) absorbEventsLocked(rec *agentRecord, ev *EventSummary) {
 	for k, v := range ev.Transitions {
 		rec.transitions[k] += v
 		c.fleetTransitions[k] += v
-		if c.metrics != nil {
-			if from, to, ok := strings.Cut(k, "->"); ok {
-				c.metrics.transitions.With(from, to).Add(v)
-			}
-		}
 	}
 	rec.phaseChanges += ev.PhaseChanges
 	c.fleetPhases += ev.PhaseChanges
-	if c.metrics != nil && ev.PhaseChanges > 0 {
-		c.metrics.phases.Add(ev.PhaseChanges)
-	}
-}
-
-// recordFleetLocked appends one x to every fleet series. The x-axis is
-// the accepted-report sequence number, so hermetic tests need no clock.
-func (c *Coordinator) recordFleetLocked() {
-	now := c.cfg.Now()
-	x := float64(c.reports)
-	alive, allocated := 0, 0
-	categories := make(map[string]int)
-	for _, rec := range c.agents {
-		if !c.aliveLocked(rec, now) {
-			continue
-		}
-		alive++
-		for _, wl := range rec.workloads {
-			allocated += wl.Ways
-			categories[wl.Category]++
-		}
-	}
-	c.rec.Record("agents_alive", x, float64(alive))
-	c.rec.Record("ways_allocated", x, float64(allocated))
-	for cat, n := range categories {
-		c.rec.Record("category_"+cat, x, float64(n))
-	}
 }
 
 // workloadLocus keys fleet-wide workload counting by replica name AND

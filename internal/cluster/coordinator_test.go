@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 
 	"repro/internal/flightrec"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // manualClock is an injectable, advanceable time source.
@@ -201,8 +205,32 @@ func TestCoordinatorRejectsGarbage(t *testing.T) {
 	}
 }
 
+// exposition renders reg as a scraper sees it.
+func exposition(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+func wantLines(t *testing.T, out string, lines ...string) {
+	t.Helper()
+	for _, l := range lines {
+		if !strings.Contains(out, l+"\n") {
+			t.Errorf("exposition missing %q:\n%s", l, out)
+		}
+	}
+}
+
 func TestCoordinatorFleetTelemetry(t *testing.T) {
 	r := newCoordRig(t, CoordinatorConfig{})
+	reg := telemetry.NewRegistry()
+	r.coord.RegisterMetrics(reg)
+	// Registered families are present from the first scrape.
+	wantLines(t, exposition(t, reg), "dcat_fleet_agents_alive 0", "dcat_fleet_category_Reclaim 0",
+		"dcat_fleet_reports_total 0")
 	id := r.enroll(t, "host-a")
 	for tick := 1; tick <= 3; tick++ {
 		rep := validReport()
@@ -212,23 +240,80 @@ func TestCoordinatorFleetTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var csv bytes.Buffer
-	if err := r.coord.WriteSeriesCSV(&csv); err != nil {
+	wantLines(t, exposition(t, reg),
+		"dcat_fleet_agents_alive 1",
+		"dcat_fleet_ways_allocated 5",
+		"dcat_fleet_category_Receiver 1",
+		"dcat_fleet_category_Keeper 0",
+		"dcat_fleet_reports_total 3",
+		"dcat_cluster_reports_total 3",
+		`dcat_cluster_agent_tick{agent="host-a",alive="true"} 3`,
+		`dcat_tenant_ways{agent="host-a",workload="web",socket="0",category="Receiver",policy=""} 5`)
+}
+
+// TestFleetGaugesAtScrapeTime: the dcat_fleet_* gauges read the fleet
+// as of the scrape — a category a workload left reads 0, and a fleet
+// silent past the heartbeat expiry has no agents alive.
+func TestFleetGaugesAtScrapeTime(t *testing.T) {
+	r := newCoordRig(t, CoordinatorConfig{HeartbeatExpiry: 5 * time.Second})
+	reg := telemetry.NewRegistry()
+	r.coord.RegisterMetrics(reg)
+	id := r.enroll(t, "host-a")
+	for _, cat := range []string{"Streaming", "Keeper"} {
+		rep := validReport()
+		rep.AgentID = id
+		rep.Workloads[0].Category = cat
+		if _, err := r.cli.Report(context.Background(), rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLines(t, exposition(t, reg),
+		"dcat_fleet_category_Streaming 0", "dcat_fleet_category_Keeper 1", "dcat_fleet_agents_alive 1")
+	r.clock.Advance(6 * time.Second)
+	wantLines(t, exposition(t, reg),
+		"dcat_fleet_agents_alive 0", "dcat_fleet_ways_allocated 0", "dcat_fleet_category_Keeper 0")
+}
+
+// TestReportPathHeapFlat: an accepted report leaves nothing behind but
+// its bounded tenant-ring slot, so the heap after 10⁵ reports matches
+// the heap after 10⁴.
+func TestReportPathHeapFlat(t *testing.T) {
+	coord := NewCoordinator(CoordinatorConfig{})
+	h := coord.Handler()
+	serve := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	var enrolled EnrollResponse
+	if err := json.Unmarshal(serve(PathEnroll, mustJSON(t, validEnroll())).Body.Bytes(), &enrolled); err != nil {
 		t.Fatal(err)
 	}
-	out := csv.String()
-	if !strings.Contains(out, "agents_alive") || !strings.Contains(out, "ways_allocated") {
-		t.Errorf("fleet CSV missing series:\n%s", out)
+	rep := validReport()
+	rep.AgentID = enrolled.AgentID
+	rep.Workloads = append(rep.Workloads, WorkloadReport{Name: "batch", Category: "Keeper", Ways: 2, BaselineWays: 2})
+	body := mustJSON(t, rep)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	if lines := strings.Count(out, "\n"); lines != 4 { // header + 3 reports
-		t.Errorf("fleet CSV has %d lines, want 4:\n%s", lines, out)
+	const first, total = 10_000, 100_000
+	for i := 0; i < first; i++ {
+		serve(PathReport, body)
 	}
-	var prom bytes.Buffer
-	if err := r.coord.WriteFleetMetrics(&prom); err != nil {
-		t.Fatal(err)
+	before := heap()
+	for i := first; i < total; i++ {
+		serve(PathReport, body)
 	}
-	if !strings.Contains(prom.String(), "dcat_fleet_agents_alive 1") {
-		t.Errorf("fleet metrics missing gauge:\n%s", prom.String())
+	after := heap()
+	runtime.KeepAlive(coord) // what it holds must count at the second mark
+	if after > before+512<<10 {
+		t.Fatalf("heap grew %d KiB over %d reports (%d -> %d bytes)", (after-before)>>10, total-first, before, after)
 	}
 }
 

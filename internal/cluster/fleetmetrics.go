@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sort"
+	"strconv"
+
+	"repro/internal/telemetry"
 )
 
 // The fleet time-series plane: a bounded per-tenant ring at the
@@ -12,7 +13,8 @@ import (
 // trajectories instead of only event streams. Memory is strictly
 // bounded: at most MetricsMaxTenants rings of MetricsRingSize samples
 // each; tenants past the cap are counted, never stored. Served at
-// /fleet/metrics (JSON and Prometheus) and by `dcat-trace top`.
+// /fleet/metrics (JSON), as the dcat_tenant_* gauges on the
+// coordinator's registry, and by `dcat-trace top`.
 
 // TenantSample is one accepted report's observation of one workload.
 type TenantSample struct {
@@ -125,10 +127,9 @@ func (t *tenantTable) sample(agent, workload string, s TenantSample) {
 	r.push(s)
 }
 
-// snapshotSorted renders the whole table, sorted by agent then
-// workload for stable output.
-func (t *tenantTable) snapshotSorted() TenantMetrics {
-	m := TenantMetrics{RingSize: t.ringSize, MaxTenants: t.maxTenants, Overflow: t.overflow}
+// sortedKeys lists the tenants sorted by agent then workload, for
+// stable output.
+func (t *tenantTable) sortedKeys() []tenantKey {
 	keys := append([]tenantKey(nil), t.order...)
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].agent != keys[j].agent {
@@ -136,7 +137,13 @@ func (t *tenantTable) snapshotSorted() TenantMetrics {
 		}
 		return keys[i].workload < keys[j].workload
 	})
-	for _, k := range keys {
+	return keys
+}
+
+// snapshotSorted renders the whole table in sortedKeys order.
+func (t *tenantTable) snapshotSorted() TenantMetrics {
+	m := TenantMetrics{RingSize: t.ringSize, MaxTenants: t.maxTenants, Overflow: t.overflow}
+	for _, k := range t.sortedKeys() {
 		m.Series = append(m.Series, TenantSeries{
 			Agent:    k.agent,
 			Workload: k.workload,
@@ -177,41 +184,32 @@ func (c *Coordinator) TenantMetricsSnapshot() TenantMetrics {
 	return c.tenants.snapshotSorted()
 }
 
-// WriteTenantPrometheus renders each tenant's latest sample as gauges
+// registerTenantMetrics registers each tenant's latest sample as gauges
 // (dcat_tenant_ipc/mpki/ways, labeled by agent, workload, socket,
-// category, policy) — the Prometheus face of /fleet/metrics.
-func (c *Coordinator) WriteTenantPrometheus(w io.Writer) error {
-	m := c.TenantMetricsSnapshot()
-	families := []struct {
+// category, policy) plus the overflow counter — the Prometheus face of
+// /fleet/metrics. Collectors read one sample per ring under c.mu.
+func (c *Coordinator) registerTenantMetrics(reg *telemetry.Registry) {
+	labels := []string{"agent", "workload", "socket", "category", "policy"}
+	for _, f := range []struct {
 		name, help string
 		value      func(TenantSample) float64
 	}{
-		{"dcat_tenant_ipc", "Latest reported IPC per tenant.",
-			func(s TenantSample) float64 { return s.IPC }},
-		{"dcat_tenant_mpki", "Latest reported LLC misses per kilo-instruction per tenant.",
-			func(s TenantSample) float64 { return s.MPKI }},
-		{"dcat_tenant_ways", "Latest reported LLC way allocation per tenant.",
-			func(s TenantSample) float64 { return float64(s.Ways) }},
-	}
-	for _, f := range families {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", f.name, f.help, f.name); err != nil {
-			return err
-		}
-		for _, ts := range m.Series {
-			if len(ts.Samples) == 0 {
-				continue
+		{"dcat_tenant_ipc", "Latest reported IPC per tenant.", func(s TenantSample) float64 { return s.IPC }},
+		{"dcat_tenant_mpki", "Latest reported LLC misses per kilo-instruction per tenant.", func(s TenantSample) float64 { return s.MPKI }},
+		{"dcat_tenant_ways", "Latest reported LLC way allocation per tenant.", func(s TenantSample) float64 { return float64(s.Ways) }},
+	} {
+		c.registerLocked(reg, f.name, f.help, "gauge", labels, func(emit func(float64, ...string)) {
+			for _, k := range c.tenants.sortedKeys() {
+				r := c.tenants.rings[k] // created with its first sample
+				last := r.buf[(r.next-1+len(r.buf))%len(r.buf)]
+				emit(f.value(last), k.agent, k.workload, strconv.Itoa(last.Socket), last.Category, last.Policy)
 			}
-			last := ts.Samples[len(ts.Samples)-1]
-			if _, err := fmt.Fprintf(w, "%s{agent=%q,workload=%q,socket=\"%d\",category=%q,policy=%q} %g\n",
-				f.name, ts.Agent, ts.Workload, last.Socket, last.Category, last.Policy, f.value(last)); err != nil {
-				return err
+		})
+	}
+	c.registerLocked(reg, "dcat_tenant_overflow_total", "Samples dropped because the tenant cap was reached.",
+		"counter", nil, func(emit func(float64, ...string)) {
+			if c.tenants.overflow > 0 {
+				emit(float64(c.tenants.overflow))
 			}
-		}
-	}
-	if m.Overflow > 0 {
-		if _, err := fmt.Fprintf(w, "# HELP dcat_tenant_overflow_total Samples dropped because the tenant cap was reached.\n# TYPE dcat_tenant_overflow_total counter\ndcat_tenant_overflow_total %d\n", m.Overflow); err != nil {
-			return err
-		}
-	}
-	return nil
+		})
 }

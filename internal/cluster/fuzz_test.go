@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzDecodeProtocol locks in the protocol decoder's contract:
@@ -25,6 +28,12 @@ func FuzzDecodeProtocol(f *testing.F) {
 	f.Add([]byte(`{"version":1,"agent_id":"agent-1","acks":[{"id":3,"ok":true},{"id":4,"ok":false,"detail":"out of cores"}]}`))
 	f.Add([]byte(`{"version":1,"agent_id":"agent-1","acks":[{"id":0,"ok":true}]}`))
 	f.Add([]byte(`{"version":1,"agent_id":"agent-1","acks":[]}`))
+	f.Add([]byte(`{"version":1,"agent_id":"agent-1","tick":2,"workloads":[{"name":"web","category":"Keeper","ways":2,"policy":"lfoc"}],"events":{"transitions":{"Keeper->Donor":1,"Reclaim->Unknown":2}}}`))
+	f.Add([]byte(`{"version":1,"agent_id":"agent-1","tick":2,"workloads":[{"name":"web","category":"Growing","ways":2}],"events":{"transitions":{"Keeper->Donor":1,"Donor->Stable":2}}}`))
+	states := map[string]bool{}
+	for s := core.State(0); int(s) < core.NumStates; s++ {
+		states[s.String()] = true
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := DecodeEnrollRequest(data); err == nil {
 			if err := req.Validate(); err != nil {
@@ -40,6 +49,21 @@ func FuzzDecodeProtocol(f *testing.F) {
 			}
 			if _, err := json.Marshal(req); err != nil {
 				t.Fatalf("decoded report fails re-encoding: %v", err)
+			}
+			// Categories and transition keys become metric names and
+			// labels: only the closed set of states may get through.
+			for _, w := range req.Workloads {
+				if !states[w.Category] {
+					t.Fatalf("decoded report carries category %q", w.Category)
+				}
+			}
+			if req.Events != nil {
+				for k := range req.Events.Transitions {
+					from, to, ok := strings.Cut(k, "->")
+					if !ok || !states[from] || !states[to] {
+						t.Fatalf("decoded report carries transition key %q", k)
+					}
+				}
 			}
 		}
 		if req, err := DecodeHeartbeatRequest(data); err == nil {

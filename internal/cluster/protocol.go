@@ -22,7 +22,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/placement"
 )
@@ -59,11 +61,10 @@ const (
 	maxNameLen  = 128
 	maxWorkload = 256
 	maxWays     = 1024
-	// maxTransitionKinds bounds an event summary's transition map; the
-	// state machine has 6 states so 36 pairs exist, but the limit leaves
-	// room for protocol growth without letting a hostile agent ship an
-	// unbounded map.
-	maxTransitionKinds = 64
+	// maxTransitionKinds bounds an event summary's transition map: keys
+	// are From->To pairs over the state machine's closed set, so no more
+	// can exist.
+	maxTransitionKinds = core.NumStates * core.NumStates
 	// maxEventBatch bounds one flight-recorder upload; the streamer
 	// splits bigger backlogs into multiple batches.
 	maxEventBatch = 1024
@@ -354,6 +355,14 @@ func (r *ReportRequest) Validate() error {
 		if err := validSocket(w.Name, w.Socket); err != nil {
 			return err
 		}
+		// Categories and transition keys become metric names and label
+		// values: the closed set of states bounds their cardinality.
+		if _, ok := core.ParseState(w.Category); !ok {
+			return fmt.Errorf("cluster: workload %q category %q is not a dCat state", w.Name, w.Category)
+		}
+		if err := validName("policy", w.Policy); w.Policy != "" && err != nil {
+			return err
+		}
 	}
 	if r.Events != nil {
 		if len(r.Events.Transitions) > maxTransitionKinds {
@@ -361,8 +370,10 @@ func (r *ReportRequest) Validate() error {
 				len(r.Events.Transitions), maxTransitionKinds)
 		}
 		for k := range r.Events.Transitions {
-			if err := validName("transition", k); err != nil {
-				return err
+			from, to, _ := strings.Cut(k, "->")
+			_, okFrom := core.ParseState(from)
+			if _, okTo := core.ParseState(to); !okFrom || !okTo {
+				return fmt.Errorf("cluster: transition key %q is not From->To over dCat states", k)
 			}
 		}
 	}

@@ -85,6 +85,23 @@ func TestDecodeReportRejects(t *testing.T) {
 		{"huge ways", func(r *ReportRequest) { r.Workloads[0].Ways = 5000 }},
 		{"negative ipc", func(r *ReportRequest) { r.Workloads[0].IPC = -0.5 }},
 		{"miss rate above 1", func(r *ReportRequest) { r.Workloads[0].MissRate = 1.5 }},
+		{"unknown category", func(r *ReportRequest) { r.Workloads[0].Category = "Growing" }},
+		{"empty category", func(r *ReportRequest) { r.Workloads[0].Category = "" }},
+		{"lower-case category", func(r *ReportRequest) { r.Workloads[0].Category = "keeper" }},
+		{"control chars in policy", func(r *ReportRequest) { r.Workloads[0].Policy = "re\x00active" }},
+		{"oversized policy", func(r *ReportRequest) { r.Workloads[0].Policy = strings.Repeat("p", maxNameLen+1) }},
+		{"transition key without arrow", func(r *ReportRequest) {
+			r.Events = &EventSummary{Transitions: map[string]uint64{"KeeperDonor": 1}}
+		}},
+		{"transition to unknown state", func(r *ReportRequest) {
+			r.Events = &EventSummary{Transitions: map[string]uint64{"Keeper->Growing": 1}}
+		}},
+		{"transition from unknown state", func(r *ReportRequest) {
+			r.Events = &EventSummary{Transitions: map[string]uint64{"Stable->Keeper": 1}}
+		}},
+		{"transition with two arrows", func(r *ReportRequest) {
+			r.Events = &EventSummary{Transitions: map[string]uint64{"Keeper->Donor->Keeper": 1}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -30,6 +30,20 @@ const (
 	StateReclaim
 )
 
+// NumStates is the size of the closed state set: the valid States are
+// 0 .. NumStates-1.
+const NumStates = int(StateReclaim) + 1
+
+// ParseState maps a name String returns back to its State.
+func ParseState(name string) (State, bool) {
+	for s := State(0); int(s) < NumStates; s++ {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
 // String names the state as the paper does.
 func (s State) String() string {
 	switch s {

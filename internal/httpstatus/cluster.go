@@ -3,10 +3,7 @@ package httpstatus
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -19,33 +16,19 @@ type ClusterSource interface {
 	ClusterState() cluster.State
 }
 
-// SeriesSource is optionally implemented by sources that keep fleet
-// time series (cluster.Coordinator does); it enables
-// /cluster/series.csv.
-type SeriesSource interface {
-	WriteSeriesCSV(w io.Writer) error
-}
-
-// FleetMetricsSource is optionally implemented by sources that render
-// fleet telemetry gauges; its output is appended to /cluster/metrics.
-type FleetMetricsSource interface {
-	WriteFleetMetrics(w io.Writer) error
-}
-
-// ClusterHandler serves cluster-wide state for operators and scrapers:
+// ClusterHandler serves cluster-wide state for operators:
 //
 //	GET /cluster             — JSON: every agent, liveness, per-workload
 //	                           category / ways / IPC / miss rate
-//	GET /cluster/metrics     — Prometheus gauges for the same
 //	GET /cluster/healthz     — liveness (200 once any agent is alive)
-//	GET /cluster/series.csv  — fleet time series (when available)
 func ClusterHandler(src ClusterSource) http.Handler {
 	return ClusterHandlerOpts(src, Options{})
 }
 
 // ClusterHandlerOpts is ClusterHandler plus the optional surfaces in
-// Options: a registry appended to /cluster/metrics, and — for the
-// coordinator's own decision trace (enrollments, hints) — the
+// Options: /cluster/metrics serving the Metrics registry (the
+// coordinator's families land there through its RegisterMetrics), and
+// — for the coordinator's own decision trace (enrollments, hints) — the
 // /debug/journal, /debug/explain, and pprof endpoints.
 func ClusterHandlerOpts(src ClusterSource, opts Options) http.Handler {
 	mux := http.NewServeMux()
@@ -66,63 +49,8 @@ func ClusterHandlerOpts(src ClusterSource, opts Options) http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		st := src.ClusterState()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprintln(w, "# TYPE dcat_cluster_agents gauge")
-		fmt.Fprintf(w, "dcat_cluster_agents{alive=\"true\"} %d\n", st.AgentsAlive)
-		fmt.Fprintf(w, "dcat_cluster_agents{alive=\"false\"} %d\n", st.AgentsTotal-st.AgentsAlive)
-		fmt.Fprintf(w, "# TYPE dcat_cluster_reports_total counter\ndcat_cluster_reports_total %d\n", st.Reports)
-		fmt.Fprintf(w, "# TYPE dcat_cluster_total_ways gauge\ndcat_cluster_total_ways %d\n", st.TotalWays)
-		fmt.Fprintf(w, "# TYPE dcat_cluster_allocated_ways gauge\ndcat_cluster_allocated_ways %d\n", st.AllocatedWays)
-		fmt.Fprintln(w, "# TYPE dcat_cluster_agent_tick gauge")
-		for _, a := range st.Agents {
-			fmt.Fprintf(w, "dcat_cluster_agent_tick{agent=%q,alive=\"%t\"} %d\n", a.Name, a.Alive, a.Tick)
-		}
-		fmt.Fprintln(w, "# TYPE dcat_cluster_ways gauge")
-		for _, a := range st.Agents {
-			for _, wl := range a.Workloads {
-				fmt.Fprintf(w, "dcat_cluster_ways{agent=%q,workload=%q,category=%q} %d\n",
-					a.Name, wl.Name, wl.Category, wl.Ways)
-			}
-		}
-		fmt.Fprintln(w, "# TYPE dcat_cluster_normalized_ipc gauge")
-		for _, a := range st.Agents {
-			for _, wl := range a.Workloads {
-				fmt.Fprintf(w, "dcat_cluster_normalized_ipc{agent=%q,workload=%q} %g\n",
-					a.Name, wl.Name, wl.NormIPC)
-			}
-		}
-		if len(st.Transitions) > 0 {
-			fmt.Fprintln(w, "# TYPE dcat_cluster_state_transitions_total counter")
-			keys := make([]string, 0, len(st.Transitions))
-			for k := range st.Transitions {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if from, to, ok := strings.Cut(k, "->"); ok {
-					fmt.Fprintf(w, "dcat_cluster_state_transitions_total{from=%q,to=%q} %d\n",
-						from, to, st.Transitions[k])
-				}
-			}
-		}
-		fmt.Fprintf(w, "# TYPE dcat_cluster_phase_changes_total counter\ndcat_cluster_phase_changes_total %d\n",
-			st.PhaseChanges)
-		if fm, ok := src.(FleetMetricsSource); ok {
-			_ = fm.WriteFleetMetrics(w)
-		}
-		if opts.Metrics != nil {
-			_ = opts.Metrics.WritePrometheus(w)
-		}
-	})
-	if ss, ok := src.(SeriesSource); ok {
-		mux.HandleFunc("/cluster/series.csv", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/csv")
-			if err := ss.WriteSeriesCSV(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
+	if opts.Metrics != nil {
+		mux.Handle("/cluster/metrics", metricsHandler(opts.Metrics))
 	}
 	mountDebug(mux, opts)
 	mountFleet(mux, opts)

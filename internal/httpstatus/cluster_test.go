@@ -2,8 +2,7 @@ package httpstatus
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -12,23 +11,10 @@ import (
 	"repro/internal/cluster"
 )
 
-// fakeCluster is a canned coordinator view; seriesCluster adds the
-// optional fleet-telemetry surfaces.
+// fakeCluster is a canned coordinator view.
 type fakeCluster struct{ st cluster.State }
 
 func (f *fakeCluster) ClusterState() cluster.State { return f.st }
-
-type seriesCluster struct{ fakeCluster }
-
-func (s *seriesCluster) WriteSeriesCSV(w io.Writer) error {
-	_, err := fmt.Fprintln(w, "x,agents_alive\n1,2")
-	return err
-}
-
-func (s *seriesCluster) WriteFleetMetrics(w io.Writer) error {
-	_, err := fmt.Fprintln(w, "dcat_fleet_agents_alive 2")
-	return err
-}
 
 func testClusterState() cluster.State {
 	return cluster.State{
@@ -81,32 +67,31 @@ func TestClusterJSON(t *testing.T) {
 	}
 }
 
+// TestClusterMetrics: /cluster/metrics serves the registry the
+// coordinator registered its families on; without a registry there is
+// no metrics endpoint.
 func TestClusterMetrics(t *testing.T) {
-	src := &seriesCluster{fakeCluster{st: testClusterState()}}
-	srv := httptest.NewServer(ClusterHandler(src))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/cluster/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, reg := scriptedCoordinator(t)
+	out := scrape(t, ClusterHandlerOpts(coord, Options{Metrics: reg}), "/cluster/metrics")
 	for _, want := range []string{
 		`dcat_cluster_agents{alive="true"} 1`,
 		`dcat_cluster_agents{alive="false"} 1`,
-		"dcat_cluster_reports_total 12",
+		"dcat_cluster_reports_total 5",
 		"dcat_cluster_total_ways 20",
-		"dcat_cluster_allocated_ways 9",
-		`dcat_cluster_ways{agent="host-a",workload="web",category="Receiver"} 6`,
+		"dcat_cluster_allocated_ways 7",
+		`dcat_cluster_ways{agent="host-b",workload="web",category="Keeper"} 5`,
 		`dcat_cluster_normalized_ipc{agent="host-a",workload="batch"} 1`,
-		"dcat_fleet_agents_alive 2", // appended FleetMetricsSource output
+		"dcat_fleet_agents_alive 1",
+		`dcat_tenant_mpki{agent="host-b",workload="web",socket="0",category="Keeper",policy="reactive"} 125`,
 	} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
+	}
+	rec := httptest.NewRecorder()
+	ClusterHandler(coord).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster/metrics", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("/cluster/metrics without a registry: status %d, want 404", rec.Code)
 	}
 }
 
@@ -131,30 +116,5 @@ func TestClusterHealthz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 503 {
 		t.Errorf("dead cluster: status %d, want 503", resp.StatusCode)
-	}
-}
-
-func TestClusterSeriesCSV(t *testing.T) {
-	srv := httptest.NewServer(ClusterHandler(&seriesCluster{fakeCluster{st: testClusterState()}}))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/cluster/series.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 || !strings.Contains(string(out), "agents_alive") {
-		t.Errorf("series.csv: status %d body %q", resp.StatusCode, out)
-	}
-	// Without the optional SeriesSource the endpoint 404s.
-	plain := httptest.NewServer(ClusterHandler(&fakeCluster{st: testClusterState()}))
-	defer plain.Close()
-	resp, err = plain.Client().Get(plain.URL + "/cluster/series.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Errorf("series.csv without source: status %d, want 404", resp.StatusCode)
 	}
 }

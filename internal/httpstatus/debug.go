@@ -36,8 +36,11 @@ type Options struct {
 	// is internally locked, so no Locked adapter is involved — scrapes
 	// never contend with anything but the emit path.
 	Journal *obs.Journal
-	// Metrics, when set, is rendered after the built-in gauges on
-	// /metrics (or /cluster/metrics for ClusterHandlerOpts).
+	// Metrics is the registry /metrics serves; HandlerOpts registers the
+	// controller's built-in gauges on it (on a private registry when
+	// nil), so one registry backs one handler. ClusterHandlerOpts serves
+	// it at /cluster/metrics, and mounts no metrics endpoint when it is
+	// nil.
 	Metrics *telemetry.Registry
 	// Pprof mounts net/http/pprof handlers under /debug/pprof/. Off by
 	// default: profiling endpoints can stall the process and belong
@@ -60,7 +63,7 @@ type Options struct {
 	Recorder *flightrec.Store
 	// Tenants, when set, mounts the fleet time-series plane:
 	//
-	//	GET /fleet/metrics[?format=prometheus]
+	//	GET /fleet/metrics
 	//
 	// Only the coordinator sets this (a *cluster.Coordinator satisfies
 	// it).

@@ -7,10 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	dcat "repro"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -200,42 +198,27 @@ func TestDebugDisabledByDefault(t *testing.T) {
 	}
 }
 
-// fakeClusterSource serves a canned fleet state.
-type fakeClusterSource struct{ st cluster.State }
-
-func (f fakeClusterSource) ClusterState() cluster.State { return f.st }
-
 // TestClusterMetricsTransitions: /cluster/metrics renders the fleet's
 // forwarded transition counters, and ClusterHandlerOpts mounts the
 // debug tree for the coordinator's own journal.
 func TestClusterMetricsTransitions(t *testing.T) {
-	src := fakeClusterSource{st: cluster.State{
-		Version:      cluster.ProtocolVersion,
-		AgentsAlive:  1,
-		AgentsTotal:  1,
-		Reports:      7,
-		Transitions:  map[string]uint64{"Keeper->Unknown": 4, "Unknown->Receiver": 2},
-		PhaseChanges: 3,
-		Agents: []cluster.AgentState{{
-			Name: "host-a", Alive: true, LastSeen: time.Now(),
-		}},
-	}}
+	coord, reg := scriptedCoordinator(t)
 	journal := obs.NewJournal(16)
 	journal.Emit(obs.Event{Kind: obs.KindAgentEnrolled, Workload: "host-a", Reason: "enrolled"})
-	reg := telemetry.NewRegistry()
-	reg.Counter("dcat_fleet_reports_total", "").Add(7)
 
-	srv := httptest.NewServer(ClusterHandlerOpts(src, Options{Journal: journal, Metrics: reg}))
+	srv := httptest.NewServer(ClusterHandlerOpts(coord, Options{Journal: journal, Metrics: reg}))
 	defer srv.Close()
 
 	res := get(t, srv.URL, "/cluster/metrics")
 	body, _ := io.ReadAll(res.Body)
 	res.Body.Close()
 	for _, want := range []string{
-		`dcat_cluster_state_transitions_total{from="Keeper",to="Unknown"} 4`,
-		`dcat_cluster_state_transitions_total{from="Unknown",to="Receiver"} 2`,
-		"dcat_cluster_phase_changes_total 3",
-		"dcat_fleet_reports_total 7",
+		`dcat_cluster_state_transitions_total{from="Unknown",to="Streaming"} 1`,
+		`dcat_cluster_state_transitions_total{from="Receiver",to="Keeper"} 1`,
+		`dcat_fleet_state_transitions_total{from="Unknown",to="Receiver"} 1`,
+		"dcat_cluster_phase_changes_total 1",
+		"dcat_fleet_phase_changes_total 1",
+		"dcat_fleet_reports_total 5",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/cluster/metrics missing %q:\n%s", want, body)

@@ -3,7 +3,6 @@ package httpstatus
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -17,7 +16,6 @@ import (
 // it.
 type TenantSource interface {
 	TenantMetricsSnapshot() cluster.TenantMetrics
-	WriteTenantPrometheus(w io.Writer) error
 }
 
 // defaultExplainTail bounds /fleet/explain responses when the client
@@ -39,23 +37,14 @@ func mountFleet(mux *http.ServeMux, opts Options) {
 	}
 	if opts.Tenants != nil {
 		ts := opts.Tenants
-		// /fleet/metrics serves the per-tenant time-series plane: JSON by
-		// default, Prometheus gauges with ?format=prometheus.
+		// /fleet/metrics serves the per-tenant time-series plane as JSON;
+		// each tenant's latest sample is also a dcat_tenant_* gauge on
+		// /cluster/metrics.
 		mux.HandleFunc("/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
-			switch r.URL.Query().Get("format") {
-			case "", "json":
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(ts.TenantMetricsSnapshot())
-			case "prometheus":
-				w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-				if err := ts.WriteTenantPrometheus(w); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			default:
-				http.Error(w, "unknown format: want json or prometheus", http.StatusBadRequest)
-			}
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			_ = enc.Encode(ts.TenantMetricsSnapshot())
 		})
 	}
 	store := opts.Recorder

@@ -279,13 +279,7 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 	if m.RingSize <= 0 || m.MaxTenants <= 0 {
 		t.Errorf("memory bound undocumented: ring=%d maxTenants=%d", m.RingSize, m.MaxTenants)
 	}
-
-	res2 := get(t, srv.URL, "/fleet/metrics?format=prometheus")
-	res2.Body.Close()
-	if res2.StatusCode != 200 {
-		t.Fatalf("prometheus format: status %d", res2.StatusCode)
-	}
-	if code := getStatus(t, srv.URL, "/fleet/metrics?format=xml"); code != 400 {
-		t.Errorf("unknown format: status %d, want 400", code)
+	if ct := res.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content type %q, want JSON", ct)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // Source is the controller-side surface the server reads. It must be
@@ -105,42 +106,60 @@ func HandlerOpts(src Source, opts Options) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprintf(w, "# TYPE dcat_ticks_total counter\ndcat_ticks_total %d\n", src.Ticks())
-		snap := src.Snapshot()
-		sort.Slice(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name })
-		occ, hasOcc := src.Occupancy()
-		fmt.Fprintln(w, "# TYPE dcat_ways gauge")
-		for _, st := range snap {
-			fmt.Fprintf(w, "dcat_ways{workload=%q,state=%q} %d\n", st.Name, st.State, st.Ways)
-		}
-		fmt.Fprintln(w, "# TYPE dcat_normalized_ipc gauge")
-		for _, st := range snap {
-			fmt.Fprintf(w, "dcat_normalized_ipc{workload=%q} %g\n", st.Name, st.NormIPC)
-		}
-		if hasOcc {
-			fmt.Fprintln(w, "# TYPE dcat_llc_occupancy_bytes gauge")
-			for _, st := range snap {
-				fmt.Fprintf(w, "dcat_llc_occupancy_bytes{workload=%q} %d\n", st.Name, occ[st.Name])
-			}
-		}
-		if opts.Metrics != nil {
-			_ = opts.Metrics.WritePrometheus(w)
-		}
-	})
+	reg := opts.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	registerSourceMetrics(reg, src)
+	mux.Handle("/metrics", metricsHandler(reg))
 	mountDebug(mux, opts)
 	mountFleet(mux, opts)
 	return mux
 }
 
-// Serve starts the server on addr in a new goroutine and returns the
-// http.Server for shutdown.
-func Serve(addr string, src Source) *http.Server {
-	return ServeOpts(addr, src, Options{})
+// registerSourceMetrics registers the controller's built-in families on
+// reg, read from src at each scrape (through Locked, under the daemon's
+// lock), one sample per workload in name order.
+func registerSourceMetrics(reg *telemetry.Registry, src Source) {
+	type emitFunc = func(float64, ...string)
+	byName := func() []core.Status {
+		snap := src.Snapshot()
+		sort.Slice(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name })
+		return snap
+	}
+	reg.Func("dcat_ticks_total", "Controller ticks since start.", "counter", nil, func(emit emitFunc) { emit(float64(src.Ticks())) })
+	reg.Func("dcat_ways", "LLC ways per workload, labeled with its category.", "gauge", []string{"workload", "state"},
+		func(emit emitFunc) {
+			for _, st := range byName() {
+				emit(float64(st.Ways), st.Name, st.State.String())
+			}
+		})
+	reg.Func("dcat_normalized_ipc", "IPC over the phase's baseline IPC, per workload.", "gauge", []string{"workload"},
+		func(emit emitFunc) {
+			for _, st := range byName() {
+				emit(st.NormIPC, st.Name)
+			}
+		})
+	reg.Func("dcat_llc_occupancy_bytes", "LLC bytes each workload occupies (CMT hosts only).", "gauge", []string{"workload"},
+		func(emit emitFunc) {
+			if occ, ok := src.Occupancy(); ok {
+				for _, st := range byName() {
+					emit(float64(occ[st.Name]), st.Name)
+				}
+			}
+		})
 }
 
-// ServeOpts is Serve with optional observability surfaces.
+// metricsHandler serves reg in Prometheus text exposition format.
+func metricsHandler(reg *telemetry.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = reg.WritePrometheus(w) // a failed write means the scraper went away
+	})
+}
+
+// ServeOpts starts the server on addr in a new goroutine and returns
+// the http.Server for shutdown.
 func ServeOpts(addr string, src Source, opts Options) *http.Server {
 	srv := &http.Server{Addr: addr, Handler: HandlerOpts(src, opts), ReadHeaderTimeout: 5 * time.Second}
 	go func() {

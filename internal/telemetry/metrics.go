@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,8 +38,8 @@ type exposable interface {
 	family() string
 	// header returns the family's HELP text and TYPE keyword.
 	header() (help, typ string)
-	// exposeSamples writes the instance's sample lines.
-	exposeSamples(w io.Writer) error
+	// exposeSamples appends the instance's sample lines.
+	exposeSamples(b *bytes.Buffer)
 }
 
 // NewRegistry returns an empty registry.
@@ -92,32 +94,36 @@ func (r *Registry) bucketOverride(name string) ([]float64, bool) {
 
 // WritePrometheus renders every registered metric in registration
 // order, grouping same-family instances (per-socket label variants)
-// under one header.
+// under one header. A family with no samples writes no header. The
+// registry's lock is released before any samples are rendered, so a
+// Func collector may take the lock that guards its data.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	metrics := append([]exposable(nil), r.order...)
 	r.mu.Unlock()
 	done := make(map[string]bool, len(metrics))
+	var out bytes.Buffer
 	for _, m := range metrics {
 		fam := m.family()
 		if done[fam] {
 			continue
 		}
 		done[fam] = true
+		start := out.Len()
 		help, typ := m.header()
-		if err := exposeHeader(w, fam, help, typ); err != nil {
-			return err
-		}
+		exposeHeader(&out, fam, help, typ)
+		header := out.Len()
 		for _, inst := range metrics {
-			if inst.family() != fam {
-				continue
+			if inst.family() == fam {
+				inst.exposeSamples(&out)
 			}
-			if err := inst.exposeSamples(w); err != nil {
-				return err
-			}
+		}
+		if out.Len() == header {
+			out.Truncate(start)
 		}
 	}
-	return nil
+	_, err := out.WriteTo(w)
+	return err
 }
 
 // constLabelSet renders alternating name,value pairs as
@@ -175,9 +181,8 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (c *Counter) family() string             { return c.name }
 func (c *Counter) header() (help, typ string) { return c.help, "counter" }
-func (c *Counter) exposeSamples(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "%s%s %d\n", c.name, braced(c.labels), c.Value())
-	return err
+func (c *Counter) exposeSamples(b *bytes.Buffer) {
+	fmt.Fprintf(b, "%s%s %d\n", c.name, braced(c.labels), c.Value())
 }
 
 // Gauge is a settable float64.
@@ -202,9 +207,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *Gauge) family() string             { return g.name }
 func (g *Gauge) header() (help, typ string) { return g.help, "gauge" }
-func (g *Gauge) exposeSamples(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "%s%s %g\n", g.name, braced(g.labels), g.Value())
-	return err
+func (g *Gauge) exposeSamples(b *bytes.Buffer) {
+	fmt.Fprintf(b, "%s%s %g\n", g.name, braced(g.labels), g.Value())
 }
 
 // DefLatencyBuckets spans 50µs to 10s — wide enough for a simulated
@@ -291,28 +295,21 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 
 func (h *Histogram) family() string             { return h.name }
 func (h *Histogram) header() (help, typ string) { return h.help, "histogram" }
-func (h *Histogram) exposeSamples(w io.Writer) error {
+func (h *Histogram) exposeSamples(b *bytes.Buffer) {
 	// Bucket samples merge const labels with le: {socket="1",le="0.5"}.
 	lePrefix := "{"
 	if h.labels != "" {
 		lePrefix = "{" + h.labels + ","
 	}
 	var cum uint64
-	for i, b := range h.bounds {
+	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%sle=%q} %d\n", h.name, lePrefix, fmt.Sprintf("%g", b), cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_bucket%sle=%q} %d\n", h.name, lePrefix, fmt.Sprintf("%g", bound), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", h.name, lePrefix, cum); err != nil {
-		return err
-	}
+	fmt.Fprintf(b, "%s_bucket%sle=\"+Inf\"} %d\n", h.name, lePrefix, cum)
 	cl := braced(h.labels)
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", h.name, cl, h.Sum(), h.name, cl, cum); err != nil {
-		return err
-	}
-	return nil
+	fmt.Fprintf(b, "%s_sum%s %g\n%s_count%s %d\n", h.name, cl, h.Sum(), h.name, cl, cum)
 }
 
 // LabeledCounter is a counter family keyed by label values ("from",
@@ -406,28 +403,65 @@ func (lc *LabeledCounter) Values() map[string]uint64 {
 
 func (lc *LabeledCounter) family() string             { return lc.name }
 func (lc *LabeledCounter) header() (help, typ string) { return lc.help, "counter" }
-func (lc *LabeledCounter) exposeSamples(w io.Writer) error {
+func (lc *LabeledCounter) exposeSamples(b *bytes.Buffer) {
 	lc.mu.Lock()
 	children := append([]*labeledChild(nil), lc.order...)
 	lc.mu.Unlock()
 	// Stable output regardless of creation order.
 	sort.Slice(children, func(i, j int) bool { return children[i].rendered < children[j].rendered })
 	for _, ch := range children {
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", lc.name, ch.rendered, ch.c.Value()); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s%s %d\n", lc.name, ch.rendered, ch.c.Value())
 	}
-	return nil
 }
 
-func exposeHeader(w io.Writer, name, help, typ string) error {
-	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-			return err
+// funcFamily is a family whose samples a callback computes at scrape
+// time.
+type funcFamily struct {
+	name, help, typ string
+	labels          []string
+	collect         func(emit func(v float64, labelValues ...string))
+}
+
+// Func registers a family of the given type ("gauge", "counter") whose
+// samples collect computes on every scrape: collect calls emit once per
+// sample, with one label value per labelNames entry, in order. It runs
+// after the registry has released its own lock, so it may take the lock
+// that guards the data it reads — gauges then report the state as of
+// the scrape, and nothing is stored between scrapes.
+func (r *Registry) Func(name, help, typ string, labelNames []string, collect func(emit func(v float64, labelValues ...string))) {
+	f := &funcFamily{name: sanitizeMetric(name), help: help, typ: typ, labels: labelNames, collect: collect}
+	r.register(f.name, f)
+}
+
+func (f *funcFamily) family() string             { return f.name }
+func (f *funcFamily) header() (help, typ string) { return f.help, f.typ }
+func (f *funcFamily) exposeSamples(b *bytes.Buffer) {
+	kv := make([]string, 2*len(f.labels))
+	f.collect(func(v float64, values ...string) {
+		if len(values) != len(f.labels) {
+			panic(fmt.Sprintf("telemetry: %s takes %d label values, got %d", f.name, len(f.labels), len(values)))
 		}
+		for i, name := range f.labels {
+			kv[2*i], kv[2*i+1] = name, values[i]
+		}
+		fmt.Fprintf(b, "%s%s %s\n", f.name, braced(constLabelSet(kv)), formatValue(v))
+	})
+}
+
+// formatValue renders a sample value: integral values as integers
+// (16777216, not %g's 1.6777216e+07), anything else as %g does.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-	return err
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+func exposeHeader(b *bytes.Buffer, name, help, typ string) {
+	if help != "" {
+		fmt.Fprintf(b, "# HELP %s %s\n", name, help)
+	}
+	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
 }
 
 // escapeLabel applies Prometheus label-value escaping (backslash,

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -140,5 +141,65 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `m{name="a\"b\\c\nd"} 1`) {
 		t.Fatalf("label not escaped:\n%s", sb.String())
+	}
+}
+
+// TestFunc pins the scrape-time family: samples come from the collector
+// on every scrape, integral values print as integers, label values get
+// Prometheus escaping (and nothing else — a no-break space stays raw),
+// and a family that emits nothing writes no header.
+func TestFunc(t *testing.T) {
+	reg := NewRegistry()
+	n := 16777216.0
+	reg.Func("dcat_bytes", "Bytes held.", "gauge", []string{"workload"}, func(emit func(float64, ...string)) {
+		emit(n, "a\u00a0b")
+		emit(2.5, `q"x\y`)
+	})
+	reg.Func("dcat_total", "", "counter", nil, func(emit func(float64, ...string)) { emit(1e6) })
+	reg.Func("dcat_empty", "Never emits.", "gauge", nil, func(func(float64, ...string)) {})
+
+	scrape := func() string {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want := "# HELP dcat_bytes Bytes held.\n# TYPE dcat_bytes gauge\n" +
+		"dcat_bytes{workload=\"a\u00a0b\"} 16777216\n" +
+		`dcat_bytes{workload="q\"x\\y"} 2.5` + "\n" +
+		"# TYPE dcat_total counter\ndcat_total 1000000\n"
+	if got := scrape(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	n = 3
+	if got := scrape(); !strings.Contains(got, "dcat_bytes{workload=\"a\u00a0b\"} 3\n") {
+		t.Fatalf("collector not re-run on scrape:\n%s", got)
+	}
+}
+
+func TestFuncLabelArity(t *testing.T) {
+	reg := NewRegistry()
+	reg.Func("m", "", "gauge", []string{"a", "b"}, func(emit func(float64, ...string)) { emit(1, "only-one") })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wrong label arity did not panic")
+		}
+	}()
+	_ = reg.WritePrometheus(io.Discard)
+}
+
+func TestSanitizeMetric(t *testing.T) {
+	tests := []struct{ in, want string }{
+		{"agents_alive", "agents_alive"},
+		{"ways allocated", "ways_allocated"},
+		{"ipc/web-0", "ipc_web_0"},
+		{"9lives", "_lives"},
+		{"a:b", "a:b"},
+	}
+	for _, tt := range tests {
+		if got := sanitizeMetric(tt.in); got != tt.want {
+			t.Errorf("sanitizeMetric(%q) = %q, want %q", tt.in, got, tt.want)
+		}
 	}
 }

@@ -113,25 +113,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// WritePrometheus renders the most recent value of every series as a
-// Prometheus gauge named prefix_<series>, sanitizing series names to
-// the metric character set. Series are emitted in first-recorded
-// order. Scrapers poll it for fleet dashboards while WriteCSV keeps
-// the full history.
-func (r *Recorder) WritePrometheus(w io.Writer, prefix string) error {
-	for _, name := range r.order {
-		s := r.series[name]
-		if len(s.Points) == 0 {
-			continue
-		}
-		metric := sanitizeMetric(prefix + "_" + name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", metric, metric, s.Last().Y); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // sanitizeMetric maps a series name onto [a-zA-Z0-9_:], the Prometheus
 // metric-name alphabet.
 func sanitizeMetric(s string) string {
