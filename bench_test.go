@@ -1,8 +1,13 @@
 package dcat
 
-// The benchmark harness: one testing.B per table and figure of the
-// paper's evaluation, plus microbenchmarks for the simulator and the
-// controller's own overhead (the paper claims <1% CPU for the daemon).
+// The root package holds no code: only the repository-wide checks
+// (the committed bench_results renders, DESIGN.md's package inventory),
+// end-to-end tests of one simulated node (node_test.go) and the
+// benchmark harness, one testing.B per table and figure of the
+// paper's evaluation. The simulator's and the controller's own
+// microbenchmarks live beside their code: BenchmarkHostInterval and
+// BenchmarkNUMAInterval in internal/host, BenchmarkControllerTick in
+// internal/core (the paper claims <1% CPU for the daemon).
 //
 // Each experiment benchmark regenerates its table/figure through
 // internal/experiments and writes the rendered output to
@@ -176,110 +181,3 @@ func BenchmarkAblationReplacement(b *testing.B)    { runExperiment(b, "ablation-
 // NUMA topology (DESIGN.md §NUMA).
 
 func BenchmarkNUMAPlacement(b *testing.B) { runExperiment(b, "numa-placement") }
-
-// BenchmarkNUMAInterval measures one simulated interval plus the
-// per-socket controller round on a 2-socket host — the cross-socket
-// counterpart of BenchmarkSimulatedInterval.
-func BenchmarkNUMAInterval(b *testing.B) {
-	sim, err := NewSimulation(SimConfig{CyclesPerInterval: 4_000_000, Sockets: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mlr, err := sim.NewMLR(8<<20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sim.AddVM("target", 2, mlr); err != nil {
-		b.Fatal(err)
-	}
-	baselines := map[string]int{"target": 3}
-	for socket := 0; socket < 2; socket++ {
-		for i := 0; i < 2; i++ {
-			name := string(rune('a'+2*socket+i)) + "lb"
-			w, err := sim.NewLookbusyOn(socket)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sim.AddVMOn(socket, name, 2, w); err != nil {
-				b.Fatal(err)
-			}
-			baselines[name] = 3
-		}
-	}
-	if err := sim.Start(DefaultConfig(), baselines); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sim.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkControllerTick measures one controller period (sampling,
-// phase detection, categorization, allocation) for a fully loaded
-// socket — the paper reports the daemon's CPU overhead stays below 1%
-// of one core; at a 1 s period that allows 10 ms per tick.
-func BenchmarkControllerTick(b *testing.B) {
-	sim, err := NewSimulation(SimConfig{CyclesPerInterval: 4_000_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	baselines := map[string]int{}
-	for i := 0; i < 9; i++ { // 9 two-core VMs fill the 18-core socket
-		name := string(rune('a' + i))
-		w, err := sim.NewLookbusy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sim.AddVM(name, 2, w); err != nil {
-			b.Fatal(err)
-		}
-		baselines[name] = 2
-	}
-	if err := sim.Start(DefaultConfig(), baselines); err != nil {
-		b.Fatal(err)
-	}
-	sim.Host().RunInterval()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sim.Controller().Tick(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulatedInterval measures the cost of simulating one
-// interval of the paper's 6-VM microbenchmark mix.
-func BenchmarkSimulatedInterval(b *testing.B) {
-	sim, err := NewSimulation(SimConfig{CyclesPerInterval: 4_000_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mlr, err := sim.NewMLR(8<<20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sim.AddVM("target", 2, mlr); err != nil {
-		b.Fatal(err)
-	}
-	baselines := map[string]int{"target": 3}
-	for i := 0; i < 5; i++ {
-		name := string(rune('a' + i))
-		w, _ := sim.NewLookbusy()
-		if err := sim.AddVM(name, 2, w); err != nil {
-			b.Fatal(err)
-		}
-		baselines[name] = 3
-	}
-	if err := sim.Start(DefaultConfig(), baselines); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sim.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

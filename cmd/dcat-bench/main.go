@@ -7,7 +7,6 @@
 //	dcat-bench -j 8            # run up to 8 experiments in parallel
 //	dcat-bench -run fig10,fig17
 //	dcat-bench -out results/   # also save one file per experiment
-//	dcat-bench -sockets 2      # run the suite on a 2-socket NUMA host
 //	dcat-bench -study studies.json             # also run a declarative study sweep
 //	dcat-bench -study studies.json -study-dry-run  # validate + print the plan only
 //	dcat-bench -list
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/policy"
 	"repro/internal/study"
 )
 
@@ -47,9 +45,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "experiments to run in parallel")
 		failFast = flag.Bool("failfast", false, "cancel pending experiments after the first failure")
-		sockets  = flag.Int("sockets", 0, "run every experiment on an N-socket NUMA host (0 = original single-socket host)")
-		policyFl = flag.String("alloc-policy", "", "allocation policy for every controller: reactive, predictive, or lfoc (\"\" = reactive)")
-		penalty  = flag.Uint64("remote-penalty", 0, "cross-socket DRAM penalty in cycles (0 = default when -sockets > 1)")
 		studyPth = flag.String("study", "", "also run this declarative study file (see docs/EXPERIMENTS.md) as the 'study' experiment")
 		studyDry = flag.Bool("study-dry-run", false, "validate the -study file, print its scenario plan, and exit without running anything")
 		studyOut = flag.String("study-out", "study_results", "directory for per-study result dirs and the cross-study table (with -study)")
@@ -66,9 +61,6 @@ func main() {
 		list:       *list,
 		jobs:       *jobs,
 		failFast:   *failFast,
-		sockets:    *sockets,
-		penalty:    *penalty,
-		policy:     *policyFl,
 		study:      *studyPth,
 		studyDry:   *studyDry,
 		studyOut:   *studyOut,
@@ -87,9 +79,6 @@ type config struct {
 	list       bool
 	jobs       int
 	failFast   bool
-	sockets    int
-	penalty    uint64
-	policy     string
 	study      string
 	studyDry   bool
 	studyOut   string
@@ -144,13 +133,6 @@ func realMain(ctx context.Context, cfg config) error {
 	if cfg.quick {
 		opts = experiments.Quick()
 	}
-	opts.Sockets = cfg.sockets
-	opts.RemotePenalty = cfg.penalty
-	if cfg.policy != "" && !policy.Known(cfg.policy) {
-		return fmt.Errorf("unknown -alloc-policy %q (have: %s)",
-			cfg.policy, strings.Join(policy.Names(), ", "))
-	}
-	opts.AllocPolicy = cfg.policy
 	// opts.Jobs stays unset: RunAll attaches the shared -j worker
 	// budget, so in-experiment sweeps widen onto idle slots instead of
 	// multiplying the parallelism per layer.

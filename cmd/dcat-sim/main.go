@@ -9,6 +9,8 @@
 //	dcat-sim -workload spec:omnetpp -policy perf
 //	dcat-sim -alloc-policy predictive         # phase-predictive allocation engine
 //	dcat-sim -csv timeline.csv
+//	dcat-sim -record redis.trace -workload redis
+//	dcat-sim -workload trace:redis.trace      # replay a recorded target
 //	dcat-sim -sockets 2                       # NUMA: one dCat loop per LLC
 //	dcat-sim -sockets 2 -target-mem 1         # target's memory on the far socket
 //	dcat-sim -topology sockets=2,machine=xeon-d,penalty=150
@@ -17,151 +19,225 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"strings"
 
-	"repro"
+	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/host"
+	"repro/internal/memsys"
 	allocpolicy "repro/internal/policy"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		wl        = flag.String("workload", "mlr", "target workload: mlr|mload|redis|postgres|elasticsearch|spec:<name>")
-		wsMB      = flag.Uint64("ws", 8, "working set in MB (mlr/mload)")
-		baseline  = flag.Int("baseline", 3, "baseline (contracted) ways per VM")
-		neighbors = flag.Int("neighbors", 5, "number of lookbusy neighbour VMs")
-		noisy     = flag.Int("noisy", 0, "number of MLOAD-60MB noisy neighbour VMs")
-		policy    = flag.String("policy", "fair", "allocation policy: fair|perf")
-		allocPol  = flag.String("alloc-policy", "", "pluggable allocation engine: reactive|predictive|lfoc (\"\" = reactive)")
-		intervals = flag.Int("intervals", 25, "simulated controller periods")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		csvPath   = flag.String("csv", "", "write the ways/IPC timeline as CSV")
-		record    = flag.String("record", "", "save the target's access trace to this file")
-		sockets   = flag.Int("sockets", 0, "NUMA sockets (0 = single-socket host); neighbours round-robin across sockets")
-		penalty   = flag.Uint64("remote-penalty", 0, "cross-socket DRAM penalty in cycles (0 = default when -sockets > 1)")
-		topology  = flag.String("topology", "", "memsys topology spec (e.g. sockets=2,machine=xeon-d,penalty=150); overrides -sockets/-remote-penalty")
-		targetMem = flag.Int("target-mem", 0, "socket the target's memory is allocated on (mlr/mload; target runs on socket 0)")
-	)
-	flag.Parse()
-	simCfg := dcat.SimConfig{
-		Seed:          *seed,
-		Sockets:       *sockets,
-		RemotePenalty: *penalty,
-		Topology:      *topology,
+// options is everything the command line selects.
+type options struct {
+	workload   string
+	ws         uint64 // bytes
+	baseline   int
+	neighbors  int
+	noisy      int
+	policy     string
+	allocPol   string
+	intervals  int
+	seed       int64
+	csvPath    string
+	recordPath string
+	sockets    int
+	penalty    uint64
+	topology   string
+	targetMem  int
+}
+
+// parseFlags declares every dcat-sim flag on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	var wsMB uint64
+	fs.StringVar(&o.workload, "workload", "mlr", "target workload: mlr|mload|redis|postgres|elasticsearch|spec:<name>|trace:<file>")
+	fs.Uint64Var(&wsMB, "ws", 8, "working set in MB (mlr/mload)")
+	fs.IntVar(&o.baseline, "baseline", 3, "baseline (contracted) ways per VM")
+	fs.IntVar(&o.neighbors, "neighbors", 5, "number of lookbusy neighbour VMs")
+	fs.IntVar(&o.noisy, "noisy", 0, "number of MLOAD-60MB noisy neighbour VMs")
+	fs.StringVar(&o.policy, "policy", "fair", "allocation policy: fair|perf")
+	fs.StringVar(&o.allocPol, "alloc-policy", "", "pluggable allocation engine: reactive|predictive|lfoc (\"\" = reactive)")
+	fs.IntVar(&o.intervals, "intervals", 25, "simulated controller periods")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.StringVar(&o.csvPath, "csv", "", "write the ways/IPC timeline as CSV")
+	fs.StringVar(&o.recordPath, "record", "", "save the target's access trace to this file")
+	fs.IntVar(&o.sockets, "sockets", 0, "NUMA sockets (0 = single-socket host); neighbours round-robin across sockets")
+	fs.Uint64Var(&o.penalty, "remote-penalty", 0, "cross-socket DRAM penalty in cycles (0 = default when -sockets > 1)")
+	fs.StringVar(&o.topology, "topology", "", "memsys topology spec (e.g. sockets=2,machine=xeon-d,penalty=150); overrides -sockets/-remote-penalty")
+	fs.IntVar(&o.targetMem, "target-mem", 0, "socket the target's memory is allocated on (not with trace:; target runs on socket 0)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	if err := realMain(simCfg, *wl, *wsMB<<20, *baseline, *neighbors, *noisy, *policy, *allocPol,
-		*intervals, *seed, *csvPath, *record, *targetMem); err != nil {
+	o.ws = wsMB << 20
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(os.Stdout, o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcat-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func buildTarget(sim *dcat.Simulation, wl string, ws uint64, seed int64, memSocket int) (dcat.Workload, error) {
+// newHost builds the simulated machine: the paper's Xeon E5 socket,
+// -sockets of them, or the -topology spec wholesale.
+func newHost(o options) (*host.Host, error) {
+	hc := host.DefaultConfig()
+	hc.Seed = o.seed
+	hc.Sockets = o.sockets
+	hc.RemotePenalty = o.penalty
+	if o.topology != "" {
+		nc, err := memsys.ParseNUMA(o.topology)
+		if err != nil {
+			return nil, err
+		}
+		hc.Mem = nc.Socket
+		hc.Sockets = nc.Sockets
+		hc.RemotePenalty = nc.RemotePenalty
+		hc.MemBytes = nc.MemBytesPerSocket * uint64(nc.Sockets)
+	}
+	return host.New(hc)
+}
+
+// buildTarget builds the target workload; every synthetic one draws its
+// frames from socket memSocket's memory. A recorded trace carries its
+// own addresses, so it has no memory to place.
+func buildTarget(h *host.Host, wl string, ws uint64, seed int64, memSocket int) (workload.Generator, error) {
+	if path, ok := strings.CutPrefix(wl, "trace:"); ok {
+		if memSocket != 0 {
+			return nil, fmt.Errorf("-target-mem does not apply to a recorded trace")
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return workload.ReadTrace(f)
+	}
+	alloc := h.AllocatorOn(memSocket)
 	switch {
 	case wl == "mlr":
-		return sim.NewMLROn(memSocket, ws, seed)
+		return workload.NewMLR(ws, addr.PageSize4K, alloc, seed)
 	case wl == "mload":
-		return sim.NewMLOADOn(memSocket, ws)
+		return workload.NewMLOAD(ws, addr.PageSize4K, alloc)
 	case wl == "redis":
-		return sim.NewRedis(seed)
+		return workload.NewRedis(alloc, seed)
 	case wl == "postgres":
-		return sim.NewPostgres(seed)
+		return workload.NewPostgres(alloc, seed)
 	case wl == "elasticsearch":
-		return sim.NewElasticsearch(seed)
+		return workload.NewElasticsearch(alloc, seed)
 	case strings.HasPrefix(wl, "spec:"):
-		return sim.NewSPEC(strings.TrimPrefix(wl, "spec:"), seed)
-	case strings.HasPrefix(wl, "trace:"):
-		return dcat.ReadTraceFile(strings.TrimPrefix(wl, "trace:"))
+		p, err := workload.ProfileByName(strings.TrimPrefix(wl, "spec:"))
+		if err != nil {
+			return nil, err
+		}
+		return workload.NewSpec(p, alloc, seed)
 	default:
 		return nil, fmt.Errorf("unknown workload %q", wl)
 	}
 }
 
-func realMain(simCfg dcat.SimConfig, wl string, ws uint64, baseline, neighbors, noisy int, policy, allocPol string,
-	intervals int, seed int64, csvPath, recordPath string, targetMem int) error {
-	cfg := dcat.DefaultConfig()
-	switch policy {
+func run(w io.Writer, o options) error {
+	cfg := core.DefaultConfig()
+	switch o.policy {
 	case "fair":
-		cfg.Policy = dcat.MaxFairness
+		cfg.Policy = core.MaxFairness
 	case "perf":
-		cfg.Policy = dcat.MaxPerformance
+		cfg.Policy = core.MaxPerformance
 	default:
-		return fmt.Errorf("unknown policy %q", policy)
+		return fmt.Errorf("unknown policy %q", o.policy)
 	}
-	if allocPol != "" {
-		factory, err := allocpolicy.New(allocPol)
+	if o.allocPol != "" {
+		factory, err := allocpolicy.New(o.allocPol)
 		if err != nil {
 			return err
 		}
 		cfg.NewPolicy = factory
 	}
 
-	sim, err := dcat.NewSimulation(simCfg)
+	h, err := newHost(o)
 	if err != nil {
 		return err
 	}
-	nsys := sim.Host().NUMA()
+	nsys := h.NUMA()
 	nSockets := nsys.Sockets()
-	if targetMem < 0 || targetMem >= nSockets {
-		return fmt.Errorf("-target-mem %d out of range for %d socket(s)", targetMem, nSockets)
+	if o.targetMem < 0 || o.targetMem >= nSockets {
+		return fmt.Errorf("-target-mem %d out of range for %d socket(s)", o.targetMem, nSockets)
 	}
-	target, err := buildTarget(sim, wl, ws, seed, targetMem)
+	target, err := buildTarget(h, o.workload, o.ws, o.seed, o.targetMem)
 	if err != nil {
 		return err
 	}
-	var recorder *dcat.TraceRecorder
-	if recordPath != "" {
-		recorder, err = dcat.NewTraceRecorder(target)
+	var recorder *workload.Recorder
+	if o.recordPath != "" {
+		recorder, err = workload.NewRecorder(target)
 		if err != nil {
 			return err
 		}
 		target = recorder
 	}
-	if err := sim.AddVM("target", 2, target); err != nil {
+	if _, err := h.AddVM("target", 2, target); err != nil {
 		return err
 	}
-	baselines := map[string]int{"target": baseline}
+	baselines := map[string]int{"target": o.baseline}
 	// Neighbours round-robin across sockets, each touching its own
 	// socket's memory, so every LLC has a population to manage.
-	for i := 0; i < noisy; i++ {
+	for i := 0; i < o.noisy; i++ {
 		name := fmt.Sprintf("noisy%d", i+1)
 		socket := i % nSockets
-		w, err := sim.NewMLOADOn(socket, 60<<20)
+		gen, err := workload.NewMLOAD(60<<20, addr.PageSize4K, h.AllocatorOn(socket))
 		if err != nil {
 			return err
 		}
-		if err := sim.AddVMOn(socket, name, 2, w); err != nil {
+		if _, err := h.AddVMOn(socket, name, 2, gen); err != nil {
 			return err
 		}
-		baselines[name] = baseline
+		baselines[name] = o.baseline
 	}
-	for i := 0; i < neighbors; i++ {
+	for i := 0; i < o.neighbors; i++ {
 		name := fmt.Sprintf("lb%d", i+1)
 		socket := i % nSockets
-		w, err := sim.NewLookbusyOn(socket)
+		gen, err := workload.NewLookbusy(h.AllocatorOn(socket))
 		if err != nil {
 			return err
 		}
-		if err := sim.AddVMOn(socket, name, 2, w); err != nil {
+		if _, err := h.AddVMOn(socket, name, 2, gen); err != nil {
 			return err
 		}
-		baselines[name] = baseline
+		baselines[name] = o.baseline
 	}
-	if err := sim.Start(cfg, baselines); err != nil {
+	ctl, err := h.Controllers(cfg, baselines)
+	if err != nil {
 		return err
 	}
 
 	rec := telemetry.NewRecorder()
-	fmt.Printf("%-4s %-10s %-10s %-5s %-8s %-9s %-10s\n", "t", "vm", "state", "ways", "IPC", "normIPC", "LLC(MB)")
-	for i := 1; i <= intervals; i++ {
-		if err := sim.Step(); err != nil {
+	fmt.Fprintf(w, "%-4s %-10s %-10s %-5s %-8s %-9s %-10s\n", "t", "vm", "state", "ways", "IPC", "normIPC", "LLC(MB)")
+	for i := 1; i <= o.intervals; i++ {
+		h.RunInterval()
+		if err := ctl.Tick(); err != nil {
 			return err
 		}
-		occ := sim.Occupancy()
-		for _, st := range sim.Snapshot() {
+		// Each loop's CMT view of its socket's LLC; the simulated
+		// backend always monitors.
+		occ := map[string]uint64{}
+		for _, s := range ctl.Sockets() {
+			m, _ := ctl.Controller(s).Occupancy()
+			maps.Copy(occ, m)
+		}
+		for _, st := range ctl.Snapshot() {
 			if st.Name == "target" || strings.HasPrefix(st.Name, "noisy") {
-				fmt.Printf("%-4d %-10s %-10s %-5d %-8.4f %-9.2f %-10.2f\n",
+				fmt.Fprintf(w, "%-4d %-10s %-10s %-5d %-8.4f %-9.2f %-10.2f\n",
 					i, st.Name, st.State, st.Ways, st.IPC, st.NormIPC,
 					float64(occ[st.Name])/(1<<20))
 			}
@@ -169,49 +245,55 @@ func realMain(simCfg dcat.SimConfig, wl string, ws uint64, baseline, neighbors, 
 			rec.Record("normipc-"+st.Name, float64(i), st.NormIPC)
 		}
 	}
-	fmt.Println()
-	fmt.Println("final allocation:")
-	for _, st := range sim.Snapshot() {
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "final allocation:")
+	for _, st := range ctl.Snapshot() {
 		suffix := ""
 		if nSockets > 1 {
-			if vm, ok := sim.Host().VM(st.Name); ok {
+			if vm, ok := h.VM(st.Name); ok {
 				suffix = fmt.Sprintf(" [socket %d]", vm.Socket)
 			}
 		}
-		fmt.Printf("  %-10s %-10s %2d ways (baseline %d)%s\n", st.Name, st.State, st.Ways, st.Baseline, suffix)
+		fmt.Fprintf(w, "  %-10s %-10s %2d ways (baseline %d)%s\n", st.Name, st.State, st.Ways, st.Baseline, suffix)
 	}
 	if nSockets > 1 {
-		fmt.Println("cross-socket traffic:")
+		fmt.Fprintln(w, "cross-socket traffic:")
 		for s := 0; s < nSockets; s++ {
-			fmt.Printf("  socket %d: %d remote accesses, %d penalty cycles\n",
+			fmt.Fprintf(w, "  socket %d: %d remote accesses, %d penalty cycles\n",
 				s, nsys.RemoteAccesses(s), nsys.RemotePenaltyCycles(s))
 		}
 	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
+	if o.csvPath != "" {
+		if err := writeFile(o.csvPath, rec.WriteCSV); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			return err
-		}
-		fmt.Printf("timeline written to %s\n", csvPath)
+		fmt.Fprintf(w, "timeline written to %s\n", o.csvPath)
 	}
 	if recorder != nil {
 		tr, err := recorder.Trace()
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(recordPath)
-		if err != nil {
+		if err := writeFile(o.recordPath, func(f io.Writer) error {
+			_, err := tr.WriteTo(f)
+			return err
+		}); err != nil {
 			return err
 		}
-		defer f.Close()
-		if _, err := tr.WriteTo(f); err != nil {
-			return err
-		}
-		fmt.Printf("trace of %d accesses written to %s\n", tr.Len(), recordPath)
+		fmt.Fprintf(w, "trace of %d accesses written to %s\n", tr.Len(), o.recordPath)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -11,11 +11,12 @@
 //	dcat-trace top -coord http://coord:9400
 //	dcat-trace placement -coord http://coord:9400
 //
-// Without one it inspects a recorded access trace (see
-// dcat-sim -record): its footprint, and — by running the trace through
-// a UCP-style shadow-tag monitor against the Xeon E5 LLC geometry —
-// the expected hit rate at every way count, with a suggested
-// contracted baseline for a target miss rate.
+// Without one it inspects a recorded access trace, the format
+// workload.ReadTrace reads and dcat-sim -record writes: its footprint,
+// and — by running the trace through a UCP-style shadow-tag monitor
+// against the Xeon E5 LLC geometry — the expected hit rate at every
+// way count, with a suggested contracted baseline for a target miss
+// rate.
 //
 //	dcat-trace -target-miss 0.03 redis.trace
 package main
@@ -25,9 +26,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
 	"repro/internal/memsys"
 	"repro/internal/ucp"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -56,7 +57,12 @@ func main() {
 }
 
 func realMain(path string, targetMiss float64, sample int) error {
-	tr, err := dcat.ReadTraceFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	tr, err := workload.ReadTrace(f)
 	if err != nil {
 		return err
 	}

@@ -40,13 +40,15 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/addr"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/daemoncfg"
+	"repro/internal/host"
 	"repro/internal/httpstatus"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // options is everything the command line selects: the File (from flags
@@ -115,18 +117,18 @@ func defaultName() string {
 }
 
 // node is the host the loop drives: the controller set and, in -demo,
-// the simulation that has to run an interval before each tick. It is
-// the agent's cluster.Local, the status server's httpstatus.Source and,
-// on a multi-socket demo, the cluster.Mover that turns coordinator
+// the simulated host that has to run an interval before each tick. It
+// is the agent's cluster.Local, the status server's httpstatus.Source
+// and, on a multi-socket demo, the cluster.Mover that turns coordinator
 // placement directives into live migrations.
 type node struct {
 	*core.MultiController
-	sim *dcat.Simulation // nil on hardware
+	h *host.Host // nil on hardware
 }
 
 func (n node) Tick() error {
-	if n.sim != nil {
-		return n.sim.Step()
+	if n.h != nil {
+		n.h.RunInterval()
 	}
 	return n.MultiController.Tick()
 }
@@ -134,14 +136,14 @@ func (n node) Tick() error {
 // Occupancy reports the hardware loop's CMT readings; the simulated
 // host exports none.
 func (n node) Occupancy() (map[string]uint64, bool) {
-	if n.sim != nil {
+	if n.h != nil {
 		return nil, false
 	}
 	return n.Controller(0).Occupancy()
 }
 
 func (n node) MigrateVM(name string, toSocket int) error {
-	return n.sim.MigrateVM(name, toSocket)
+	return n.h.MigrateManaged(n.MultiController, name, toSocket)
 }
 
 // openDemo builds the simulated host: MLR + MLOAD + lookbusy tenants on
@@ -153,61 +155,64 @@ func (n node) MigrateVM(name string, toSocket int) error {
 // more ways than one socket has, so the pool genuinely exhausts and a
 // coordinator running -placement has a starved Receiver to move.
 func openDemo(cfg core.Config, sockets int) (node, error) {
-	sim, err := dcat.NewSimulation(dcat.SimConfig{Sockets: sockets})
+	hc := host.DefaultConfig()
+	hc.Sockets = sockets
+	h, err := host.New(hc)
 	if err != nil {
 		return node{}, err
 	}
 	type tenant struct {
 		name string
-		w    dcat.Workload
+		w    workload.Generator
 	}
 	var vms []tenant
 	if sockets > 1 {
 		for i, seed := range []int64{1, 2, 3} {
-			m, err := sim.NewMLROn(0, 16<<20, seed)
+			m, err := workload.NewMLR(16<<20, addr.PageSize4K, h.Allocator(), seed)
 			if err != nil {
 				return node{}, err
 			}
 			vms = append(vms, tenant{fmt.Sprintf("mlr-%c", 'a'+i), m})
 		}
 	} else {
-		mlr, err := sim.NewMLROn(0, 8<<20, 1)
+		mlr, err := workload.NewMLR(8<<20, addr.PageSize4K, h.Allocator(), 1)
 		if err != nil {
 			return node{}, err
 		}
 		vms = append(vms, tenant{"mlr", mlr})
 	}
-	mload, err := sim.NewMLOADOn(0, 60<<20)
+	mload, err := workload.NewMLOAD(60<<20, addr.PageSize4K, h.Allocator())
 	if err != nil {
 		return node{}, err
 	}
-	lb, err := sim.NewLookbusyOn(0)
+	lb, err := workload.NewLookbusy(h.Allocator())
 	if err != nil {
 		return node{}, err
 	}
 	vms = append(vms, tenant{"mload", mload}, tenant{"lookbusy", lb})
 	for _, vm := range vms {
-		if err := sim.AddVMOn(0, vm.name, 2, vm.w); err != nil {
+		if _, err := h.AddVM(vm.name, 2, vm.w); err != nil {
 			return node{}, err
 		}
 	}
 	for s := 1; s < sockets; s++ {
-		idle, err := sim.NewLookbusyOn(s)
+		idle, err := workload.NewLookbusy(h.AllocatorOn(s))
 		if err != nil {
 			return node{}, err
 		}
-		if err := sim.AddVMOn(s, fmt.Sprintf("idle-%d", s), 2, idle); err != nil {
+		if _, err := h.AddVMOn(s, fmt.Sprintf("idle-%d", s), 2, idle); err != nil {
 			return node{}, err
 		}
 	}
 	baselines := make(map[string]int)
-	for _, vm := range sim.Host().VMs() {
+	for _, vm := range h.VMs() {
 		baselines[vm.Name] = 3
 	}
-	if err := sim.Start(cfg, baselines); err != nil {
+	ctl, err := h.Controllers(cfg, baselines)
+	if err != nil {
 		return node{}, err
 	}
-	return node{MultiController: sim.Controller(), sim: sim}, nil
+	return node{MultiController: ctl, h: h}, nil
 }
 
 // open builds the host the options select.

@@ -16,46 +16,53 @@ import (
 	"log"
 	"os"
 
-	"repro"
+	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
-func buildMix(sim *dcat.Simulation) (map[string]int, error) {
-	redis, err := sim.NewRedis(1)
+func buildMix(h *host.Host) (map[string]int, error) {
+	redis, err := workload.NewRedis(h.Allocator(), 1)
 	if err != nil {
 		return nil, err
 	}
-	pg, err := sim.NewPostgres(2)
+	pg, err := workload.NewPostgres(h.Allocator(), 2)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := sim.NewSPEC("omnetpp", 3)
+	omnetpp, err := workload.ProfileByName("omnetpp")
 	if err != nil {
 		return nil, err
 	}
-	batch, err := sim.NewMLOAD(60 << 20)
+	spec, err := workload.NewSpec(omnetpp, h.Allocator(), 3)
+	if err != nil {
+		return nil, err
+	}
+	batch, err := workload.NewMLOAD(60<<20, addr.PageSize4K, h.Allocator())
 	if err != nil {
 		return nil, err
 	}
 	baselines := map[string]int{}
 	for _, t := range []struct {
 		name string
-		w    dcat.Workload
+		w    workload.Generator
 	}{
 		{"redis", redis}, {"postgres", pg}, {"omnetpp", spec}, {"batch", batch},
 	} {
-		if err := sim.AddVM(t.name, 2, t.w); err != nil {
+		if _, err := h.AddVM(t.name, 2, t.w); err != nil {
 			return nil, err
 		}
 		baselines[t.name] = 3
 	}
 	for i := 1; i <= 2; i++ {
-		lb, err := sim.NewLookbusy()
+		lb, err := workload.NewLookbusy(h.Allocator())
 		if err != nil {
 			return nil, err
 		}
 		name := fmt.Sprintf("svc%d", i)
-		if err := sim.AddVM(name, 2, lb); err != nil {
+		if _, err := h.AddVM(name, 2, lb); err != nil {
 			return nil, err
 		}
 		baselines[name] = 3
@@ -63,32 +70,36 @@ func buildMix(sim *dcat.Simulation) (map[string]int, error) {
 	return baselines, nil
 }
 
-func runPolicy(policy dcat.Policy, intervals int, rec *telemetry.Recorder) ([]dcat.Status, error) {
-	sim, err := dcat.NewSimulation(dcat.SimConfig{Seed: 11})
+func runPolicy(policy core.Policy, intervals int, rec *telemetry.Recorder) ([]core.Status, error) {
+	hc := host.DefaultConfig()
+	hc.Seed = 11
+	h, err := host.New(hc)
 	if err != nil {
 		return nil, err
 	}
-	baselines, err := buildMix(sim)
+	baselines, err := buildMix(h)
 	if err != nil {
 		return nil, err
 	}
-	cfg := dcat.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Policy = policy
-	if err := sim.Start(cfg, baselines); err != nil {
+	ctl, err := h.Controllers(cfg, baselines)
+	if err != nil {
 		return nil, err
 	}
 	for t := 1; t <= intervals; t++ {
-		if err := sim.Step(); err != nil {
+		h.RunInterval()
+		if err := ctl.Tick(); err != nil {
 			return nil, err
 		}
 		if rec != nil {
-			for _, st := range sim.Snapshot() {
+			for _, st := range ctl.Snapshot() {
 				rec.Record(policy.String()+"/ways-"+st.Name, float64(t), float64(st.Ways))
 				rec.Record(policy.String()+"/normipc-"+st.Name, float64(t), st.NormIPC)
 			}
 		}
 	}
-	return sim.Snapshot(), nil
+	return ctl.Snapshot(), nil
 }
 
 func main() {
@@ -101,14 +112,14 @@ func main() {
 	)
 	flag.Parse()
 
-	var policies []dcat.Policy
+	var policies []core.Policy
 	switch *policyFlag {
 	case "fair":
-		policies = []dcat.Policy{dcat.MaxFairness}
+		policies = []core.Policy{core.MaxFairness}
 	case "perf":
-		policies = []dcat.Policy{dcat.MaxPerformance}
+		policies = []core.Policy{core.MaxPerformance}
 	case "both":
-		policies = []dcat.Policy{dcat.MaxFairness, dcat.MaxPerformance}
+		policies = []core.Policy{core.MaxFairness, core.MaxPerformance}
 	default:
 		log.Fatalf("unknown policy %q", *policyFlag)
 	}

@@ -15,49 +15,53 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/addr"
+	"repro/internal/core"
 	"repro/internal/host"
+	"repro/internal/workload"
 )
 
 const intervals = 18
 
 // buildSocket assembles the tenant + 2 noisy + 2 polite VM mix.
-func buildSocket() (*dcat.Simulation, map[string]int, error) {
-	sim, err := dcat.NewSimulation(dcat.SimConfig{Seed: 7})
+func buildSocket() (*host.Host, map[string]int, error) {
+	hc := host.DefaultConfig()
+	hc.Seed = 7
+	h, err := host.New(hc)
 	if err != nil {
 		return nil, nil, err
 	}
-	tenant, err := sim.NewMLR(8<<20, 7)
+	tenant, err := workload.NewMLR(8<<20, addr.PageSize4K, h.Allocator(), 7)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := sim.AddVM("tenant", 2, tenant); err != nil {
+	if _, err := h.AddVM("tenant", 2, tenant); err != nil {
 		return nil, nil, err
 	}
 	baselines := map[string]int{"tenant": 3}
 	for i := 1; i <= 2; i++ {
-		noisy, err := sim.NewMLOAD(60 << 20)
+		noisy, err := workload.NewMLOAD(60<<20, addr.PageSize4K, h.Allocator())
 		if err != nil {
 			return nil, nil, err
 		}
 		name := fmt.Sprintf("noisy%d", i)
-		if err := sim.AddVM(name, 2, noisy); err != nil {
+		if _, err := h.AddVM(name, 2, noisy); err != nil {
 			return nil, nil, err
 		}
 		baselines[name] = 3
 	}
 	for i := 1; i <= 2; i++ {
-		polite, err := sim.NewLookbusy()
+		polite, err := workload.NewLookbusy(h.Allocator())
 		if err != nil {
 			return nil, nil, err
 		}
 		name := fmt.Sprintf("polite%d", i)
-		if err := sim.AddVM(name, 2, polite); err != nil {
+		if _, err := h.AddVM(name, 2, polite); err != nil {
 			return nil, nil, err
 		}
 		baselines[name] = 3
 	}
-	return sim, baselines, nil
+	return h, baselines, nil
 }
 
 // tenantLatency returns the tenant's final-interval average access
@@ -68,37 +72,37 @@ func tenantLatency(h *host.Host) float64 {
 }
 
 func runShared() (float64, error) {
-	sim, _, err := buildSocket()
+	h, _, err := buildSocket()
 	if err != nil {
 		return 0, err
 	}
 	// No controller, no masks: a fully shared LLC.
 	for i := 0; i < intervals; i++ {
-		sim.Host().RunInterval()
+		h.RunInterval()
 	}
-	return tenantLatency(sim.Host()), nil
+	return tenantLatency(h), nil
 }
 
 func runManaged(dynamic bool) (float64, error) {
-	sim, baselines, err := buildSocket()
+	h, baselines, err := buildSocket()
 	if err != nil {
 		return 0, err
 	}
-	if err := sim.Start(dcat.DefaultConfig(), baselines); err != nil {
+	ctl, err := h.Controllers(core.DefaultConfig(), baselines)
+	if err != nil {
 		return 0, err
 	}
 	for i := 0; i < intervals; i++ {
+		h.RunInterval()
+		// Static CAT: the baselines Controllers installed stay put
+		// because the controller simply never runs.
 		if dynamic {
-			if err := sim.Step(); err != nil {
+			if err := ctl.Tick(); err != nil {
 				return 0, err
 			}
-		} else {
-			// Static CAT: baselines were installed by Start; the
-			// controller simply never runs.
-			sim.Host().RunInterval()
 		}
 	}
-	return tenantLatency(sim.Host()), nil
+	return tenantLatency(h), nil
 }
 
 func main() {

@@ -13,56 +13,62 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/host"
+	"repro/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("quickstart: ")
 
-	sim, err := dcat.NewSimulation(dcat.SimConfig{Seed: 1})
+	h, err := host.New(host.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Workloads draw their memory from the simulation's (fragmented)
-	// physical memory, so they are built through it.
-	tenant, err := sim.NewMLR(8<<20, 42)
+	// Workloads draw their memory from the host's (fragmented)
+	// physical memory, so they are built from its frame allocator.
+	tenant, err := workload.NewMLR(8<<20, addr.PageSize4K, h.Allocator(), 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	neighbor, err := sim.NewLookbusy()
+	neighbor, err := workload.NewLookbusy(h.Allocator())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.AddVM("tenant", 2, tenant); err != nil {
+	if _, err := h.AddVM("tenant", 2, tenant); err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.AddVM("neighbor", 2, neighbor); err != nil {
+	if _, err := h.AddVM("neighbor", 2, neighbor); err != nil {
 		log.Fatal(err)
 	}
 
-	// Start the controller with the paper's default thresholds and a
-	// 3-way contracted baseline for each VM.
-	if err := sim.Start(dcat.DefaultConfig(), map[string]int{
+	// Put the host under dCat with the paper's default thresholds and
+	// a 3-way contracted baseline for each VM.
+	ctl, err := h.Controllers(core.DefaultConfig(), map[string]int{
 		"tenant":   3,
 		"neighbor": 3,
-	}); err != nil {
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("t   vm        state      ways  normIPC")
 	for t := 1; t <= 15; t++ {
-		if err := sim.Step(); err != nil {
+		// One controller period: every VM runs, then dCat re-partitions.
+		h.RunInterval()
+		if err := ctl.Tick(); err != nil {
 			log.Fatal(err)
 		}
-		for _, st := range sim.Snapshot() {
+		for _, st := range ctl.Snapshot() {
 			fmt.Printf("%-3d %-9s %-10s %-5d %.2f\n", t, st.Name, st.State, st.Ways, st.NormIPC)
 		}
 	}
 
 	fmt.Println()
-	for _, st := range sim.Snapshot() {
+	for _, st := range ctl.Snapshot() {
 		fmt.Printf("%s finished as %s with %d ways (baseline %d), running at %.2fx its baseline IPC\n",
 			st.Name, st.State, st.Ways, st.Baseline, st.NormIPC)
 	}

@@ -20,9 +20,74 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro"
+	"repro/internal/addr"
+	"repro/internal/bits"
+	"repro/internal/cat"
+	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/resctrl"
+	"repro/internal/workload"
 )
+
+// mirror fans every CAT operation out to two backends, primary first
+// (its errors abort). The two must agree on the way count.
+type mirror struct {
+	primary, secondary cat.Backend
+}
+
+func newMirror(primary, secondary cat.Backend) (*mirror, error) {
+	if p, s := primary.TotalWays(), secondary.TotalWays(); p != s {
+		return nil, fmt.Errorf("backends disagree on ways: %d vs %d", p, s)
+	}
+	return &mirror{primary: primary, secondary: secondary}, nil
+}
+
+func (m *mirror) TotalWays() int { return m.primary.TotalWays() }
+
+func (m *mirror) Apply(cos int, mask bits.CBM, cores []int) error {
+	if err := m.primary.Apply(cos, mask, cores); err != nil {
+		return err
+	}
+	return m.secondary.Apply(cos, mask, cores)
+}
+
+func (m *mirror) FlushWays(mask bits.CBM) error {
+	for _, b := range []cat.Backend{m.primary, m.secondary} {
+		if f, ok := b.(cat.WayFlusher); ok {
+			if err := f.FlushWays(mask); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// mirroredLoop puts every VM on h under one dCat loop whose CAT writes
+// go to the resctrl tree at dir and to h's socket-0 LLC.
+func mirroredLoop(h *host.Host, dir string, baseline int) (*core.MultiController, error) {
+	rc, err := resctrl.NewBackend(dir)
+	if err != nil {
+		return nil, err
+	}
+	sim, err := h.CATBackend(0)
+	if err != nil {
+		return nil, err
+	}
+	backend, err := newMirror(rc, sim)
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := cat.NewManager(backend)
+	if err != nil {
+		return nil, err
+	}
+	var targets []core.Target
+	for _, vm := range h.VMs() {
+		targets = append(targets, core.Target{Name: vm.Name, Cores: vm.Cores, BaselineWays: baseline})
+	}
+	return core.NewMulti(core.DefaultConfig(), h.Counters(),
+		[]core.SocketSpec{{Socket: 0, Mgr: mgr, Targets: targets}})
+}
 
 func main() {
 	log.SetFlags(0)
@@ -38,60 +103,45 @@ func main() {
 	if err := resctrl.CreateMockTree(dir, 20, 16, 18); err != nil {
 		log.Fatal(err)
 	}
-	rcBackend, err := dcat.NewResctrlBackend(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
 
-	sim, err := dcat.NewSimulation(dcat.SimConfig{Seed: 5})
+	hc := host.DefaultConfig()
+	hc.Seed = 5
+	h, err := host.New(hc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	simBackend, err := sim.SimBackend()
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Mirror every schemata write into the simulator so the tenants'
-	// behaviour actually responds to the partitioning being written.
-	backend, err := dcat.MirrorBackend(rcBackend, simBackend)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mlr, err := sim.NewMLR(8<<20, 5)
+	mlr, err := workload.NewMLR(8<<20, addr.PageSize4K, h.Allocator(), 5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The second tenant sleeps for 8 intervals, then starts its own
 	// cache-hungry phase: watch its Reclaim pull ways back.
-	lateMLR, err := sim.NewMLR(6<<20, 6)
+	lateMLR, err := workload.NewMLR(6<<20, addr.PageSize4K, h.Allocator(), 6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	late, err := dcat.NewPhased("late-riser",
-		dcat.PhaseStage{Workload: sim.NewIdle(), Intervals: 8},
-		dcat.PhaseStage{Workload: lateMLR})
+	late, err := workload.NewPhased("late-riser",
+		workload.Stage{Gen: workload.Idle{}, Intervals: 8},
+		workload.Stage{Gen: lateMLR})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.AddVM("steady", 2, mlr); err != nil {
+	if _, err := h.AddVM("steady", 2, mlr); err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.AddVM("late", 2, late); err != nil {
+	if _, err := h.AddVM("late", 2, late); err != nil {
 		log.Fatal(err)
 	}
-
-	var targets []dcat.Target
-	for _, vm := range sim.Host().VMs() {
-		targets = append(targets, dcat.Target{Name: vm.Name, Cores: vm.Cores, BaselineWays: 4})
-	}
-	ctl, err := dcat.NewController(dcat.DefaultConfig(), backend, sim.Host().System().Counters(), targets)
+	// Mirror every schemata write into the simulator so the tenants'
+	// behaviour actually responds to the partitioning being written.
+	ctl, err := mirroredLoop(h, dir, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("mock resctrl tree: %s\n\n", dir)
 	for t := 1; t <= 16; t++ {
-		sim.Host().RunInterval()
+		h.RunInterval()
 		if err := ctl.Tick(); err != nil {
 			log.Fatal(err)
 		}

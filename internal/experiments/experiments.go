@@ -18,8 +18,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/host"
-	"repro/internal/memsys"
-	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -70,18 +68,6 @@ type Options struct {
 	// and results are collected in sweep order, so rendered output is
 	// independent of parallelism either way.
 	Jobs int
-	// Sockets is how many sockets every scenario's host has (0 and 1 are
-	// the same one-socket host). Experiments that don't place VMs
-	// explicitly put everything on socket 0.
-	Sockets int
-	// RemotePenalty is the cross-socket DRAM penalty in cycles; 0
-	// selects memsys.DefaultRemotePenalty when Sockets>1.
-	RemotePenalty uint64
-	// AllocPolicy selects the controller's allocation policy by registry
-	// name ("" keeps the built-in reactive allocator, bit-identical to
-	// the pre-policy controller). Experiments that pin their own policy
-	// via core.Config.NewPolicy win over this knob.
-	AllocPolicy string
 
 	// pool, when set by RunAll, is the engine-wide worker budget that
 	// sweeps draw from instead of Jobs.
@@ -167,18 +153,17 @@ type vmSpec struct {
 type scenario struct {
 	host  *host.Host
 	specs []vmSpec
-	opts  Options
 }
 
-// newScenario builds a host (paper's Xeon E5 by default) and its VMs.
+// newScenario builds a host (paper's Xeon E5 sockets) and its VMs. The
+// host has as many sockets as the specs place VMs on: one unless a
+// spec names another.
 func newScenario(opts Options, specs []vmSpec) (*scenario, error) {
 	cfg := host.DefaultConfig()
 	cfg.CyclesPerInterval = opts.Cycles
 	cfg.Seed = opts.Seed
-	cfg.Sockets = opts.Sockets
-	cfg.RemotePenalty = opts.RemotePenalty
-	if opts.Sockets > 1 && opts.RemotePenalty == 0 {
-		cfg.RemotePenalty = memsys.DefaultRemotePenalty
+	for _, s := range specs {
+		cfg.Sockets = max(cfg.Sockets, s.socket+1)
 	}
 	h, err := host.New(cfg)
 	if err != nil {
@@ -197,7 +182,7 @@ func newScenario(opts Options, specs []vmSpec) (*scenario, error) {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
-	return &scenario{host: h, specs: specs, opts: opts}, nil
+	return &scenario{host: h, specs: specs}, nil
 }
 
 // run executes the scenario for n intervals under the given mode,
@@ -205,13 +190,6 @@ func newScenario(opts Options, specs []vmSpec) (*scenario, error) {
 // one loop per populated socket — is nil in ModeShared; in ModeStatic it
 // only holds the baselines it installed.
 func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.MultiController)) (*core.MultiController, error) {
-	if s.opts.AllocPolicy != "" && ctlCfg.NewPolicy == nil {
-		factory, err := policy.New(s.opts.AllocPolicy)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		ctlCfg.NewPolicy = factory
-	}
 	var ctl *core.MultiController
 	switch mode {
 	case ModeShared:

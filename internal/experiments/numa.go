@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/host"
-	"repro/internal/memsys"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -23,16 +22,12 @@ func NUMAPlacement(opts Options) (*TableResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Sockets = 2
-	if opts.RemotePenalty == 0 {
-		opts.RemotePenalty = memsys.DefaultRemotePenalty
-	}
-
 	type result struct {
 		lat, ipc float64
 		ways     int
 		remote   uint64
 		penalty  uint64
+		perMiss  uint64 // the host's cross-socket DRAM penalty
 	}
 	// memSocket is where the target's frames are allocated; the target
 	// itself always executes on socket 1.
@@ -83,6 +78,7 @@ func NUMAPlacement(opts Options) (*TableResult, error) {
 			ways:    ctl.Ways("target"),
 			remote:  nsys.RemoteAccesses(1),
 			penalty: nsys.RemotePenaltyCycles(1),
+			perMiss: nsys.Config().RemotePenalty,
 		}, nil
 	}
 
@@ -106,7 +102,7 @@ func NUMAPlacement(opts Options) (*TableResult, error) {
 		Title: "Local vs remote memory placement on a 2-socket host",
 		Tab:   tab,
 		Notes: []string{
-			fmt.Sprintf("remote DRAM penalty: %d cycles; per-socket CAT domains, one dCat loop per LLC", opts.RemotePenalty),
+			fmt.Sprintf("remote DRAM penalty: %d cycles; per-socket CAT domains, one dCat loop per LLC", local.perMiss),
 			fmt.Sprintf("target latency ratio remote/local: %s", pct(remote.lat/local.lat)),
 		},
 	}, nil

@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/host"
-	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/telemetry"
@@ -27,10 +26,6 @@ import (
 func FleetPlacement(opts Options) (*TableResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	opts.Sockets = 2
-	if opts.RemotePenalty == 0 {
-		opts.RemotePenalty = memsys.DefaultRemotePenalty
 	}
 	// The moved tenants refill their working sets through remote DRAM;
 	// the comparison needs the post-move steady state, not the refill.
@@ -63,7 +58,7 @@ func FleetPlacement(opts Options) (*TableResult, error) {
 				st.Issued, st.Executed, st.Settled, st.RolledBack, st.Failed),
 			fmt.Sprintf("fleet IPC engine/static: %s; cache-sensitive tenants alone: %s",
 				pct(engine.fleetIPC/static.fleetIPC), pct(engine.mlrIPC/static.mlrIPC)),
-			fmt.Sprintf("remote DRAM penalty: %d cycles — the movers' frames stay homed on socket 0", opts.RemotePenalty),
+			fmt.Sprintf("remote DRAM penalty: %d cycles — the movers' frames stay homed on socket 0", static.penalty),
 		},
 	}, nil
 }
@@ -76,6 +71,7 @@ type fleetResult struct {
 	moves     int     // directives executed successfully
 	moverWays int     // ways held by the last moved tenant at the end
 	remote    uint64  // remote DRAM accesses charged to socket 1
+	penalty   uint64  // the host's cross-socket DRAM penalty in cycles
 }
 
 // runFleet runs the imbalanced scenario under per-socket dCat, with
@@ -152,6 +148,7 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 		res.moverWays = ctl.Ways(lastMover)
 	}
 	res.remote = s.host.NUMA().RemoteAccesses(1)
+	res.penalty = s.host.NUMA().Config().RemotePenalty
 	return res, nil
 }
 

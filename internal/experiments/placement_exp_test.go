@@ -56,7 +56,6 @@ func TestPlacementSingleSocketInert(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	opts := tiny()
-	opts.Sockets = 1
 
 	run := func(eng *placement.Engine) (string, error) {
 		specs := []vmSpec{

@@ -1,10 +1,13 @@
-package dcat_test
+package host_test
 
 import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/host"
+	"repro/internal/workload"
 )
 
 // Example shows the minimal dCat loop: a cache-hungry tenant and a
@@ -12,34 +15,39 @@ import (
 // periods the neighbour has donated down to the 1-way minimum and the
 // tenant has grown past its 3-way contracted baseline.
 func Example() {
-	sim, err := dcat.NewSimulation(dcat.SimConfig{Seed: 1})
+	h, err := host.New(host.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	tenant, err := sim.NewMLR(8<<20, 42) // 8 MB of random reads
+	// Workloads draw their frames from the host's fragmented memory.
+	tenant, err := workload.NewMLR(8<<20, addr.PageSize4K, h.Allocator(), 42) // 8 MB of random reads
 	if err != nil {
 		log.Fatal(err)
 	}
-	neighbor, err := sim.NewLookbusy()
+	neighbor, err := workload.NewLookbusy(h.Allocator())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.AddVM("tenant", 2, tenant); err != nil {
+	if _, err := h.AddVM("tenant", 2, tenant); err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.AddVM("neighbor", 2, neighbor); err != nil {
+	if _, err := h.AddVM("neighbor", 2, neighbor); err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.Start(dcat.DefaultConfig(), map[string]int{
+	ctl, err := h.Controllers(core.DefaultConfig(), map[string]int{
 		"tenant":   3,
 		"neighbor": 3,
-	}); err != nil {
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.Run(12); err != nil {
-		log.Fatal(err)
+	for i := 0; i < 12; i++ {
+		h.RunInterval()
+		if err := ctl.Tick(); err != nil {
+			log.Fatal(err)
+		}
 	}
-	for _, st := range sim.Snapshot() {
+	for _, st := range ctl.Snapshot() {
 		switch st.Name {
 		case "neighbor":
 			fmt.Printf("neighbor: %s at %d way(s)\n", st.State, st.Ways)

@@ -43,7 +43,8 @@ type Config struct {
 	// AllocatorOn.
 	Sockets int
 	// RemotePenalty is the extra cycles a cross-socket DRAM access
-	// costs (0 disables the penalty; a one-socket host never pays it).
+	// costs; 0 selects memsys.DefaultRemotePenalty on a multi-socket
+	// host. A one-socket host never pays it.
 	RemotePenalty uint64
 }
 
@@ -148,6 +149,9 @@ func New(cfg Config) (*Host, error) {
 	}
 	if cfg.Sockets < 1 {
 		cfg.Sockets = 1
+	}
+	if cfg.Sockets > 1 && cfg.RemotePenalty == 0 {
+		cfg.RemotePenalty = memsys.DefaultRemotePenalty
 	}
 	// Round each socket's share down to a 2 MB multiple so every socket
 	// base stays hugepage-aligned; a lone socket keeps the full range.

@@ -10,8 +10,9 @@ import (
 // This file is the one place a simulated host is put under dCat: a CAT
 // domain per socket, one decision loop per populated socket, and live
 // migration that keeps the host's and the controllers' views of a VM
-// in step. The facade, the experiments, the study runner and the demo
-// daemons all assemble their nodes here.
+// in step. The experiments, the study runner, dcat-sim, dcatd -demo
+// and the examples all assemble their nodes here; each period is
+// RunInterval followed by the controller set's Tick.
 
 // CATBackend returns the CAT domain of one socket: the backend that
 // masks that socket's LLC ways, addressed by the host's global core IDs.

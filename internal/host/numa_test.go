@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/memsys"
 	"repro/internal/workload"
 )
 
@@ -115,6 +116,29 @@ func TestSocketsZeroMeansOne(t *testing.T) {
 	vb, errB := one.AddVM("vm", 2, workload.Idle{})
 	if errA != nil || errB != nil || va.Socket != vb.Socket || va.Cores[0] != vb.Cores[0] || va.Cores[1] != vb.Cores[1] {
 		t.Fatalf("placement differs: %+v (%v) vs %+v (%v)", va, errA, vb, errB)
+	}
+}
+
+// TestRemotePenaltyDefault pins the Config.RemotePenalty contract: 0
+// on a multi-socket host selects memsys.DefaultRemotePenalty, an
+// explicit value is kept, and a one-socket host keeps 0.
+func TestRemotePenaltyDefault(t *testing.T) {
+	for _, tc := range []struct {
+		sockets     int
+		penalty     uint64
+		wantPenalty uint64
+	}{
+		{2, 0, memsys.DefaultRemotePenalty},
+		{4, 0, memsys.DefaultRemotePenalty},
+		{2, 150, 150},
+		{1, 0, 0},
+		{0, 0, 0},
+	} {
+		h := MustNew(numaConfig(tc.sockets, tc.penalty))
+		if got := h.NUMA().Config().RemotePenalty; got != tc.wantPenalty {
+			t.Errorf("Sockets=%d RemotePenalty=%d built penalty %d, want %d",
+				tc.sockets, tc.penalty, got, tc.wantPenalty)
+		}
 	}
 }
 

@@ -8,9 +8,12 @@ import (
 	"sync"
 	"testing"
 
-	dcat "repro"
+	"repro/internal/addr"
+	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // get fetches a path and returns the response; the caller owns Body.
@@ -40,24 +43,28 @@ func getStatus(t *testing.T, base, path string) int {
 // /debug/explain is the same contiguous state-transition chain the
 // journal holds.
 func TestDebugEndpointsLiveController(t *testing.T) {
-	sim, err := dcat.NewSimulation(dcat.SimConfig{CyclesPerInterval: 4_000_000, Seed: 3})
+	hc := host.DefaultConfig()
+	hc.CyclesPerInterval = 4_000_000
+	hc.Seed = 3
+	h, err := host.New(hc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mlr, err := sim.NewMLR(8<<20, 1)
+	mlr, err := workload.NewMLR(8<<20, addr.PageSize4K, h.Allocator(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.AddVM("web", 2, mlr); err != nil {
+	if _, err := h.AddVM("web", 2, mlr); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.AddVM("lazy", 2, sim.NewIdle()); err != nil {
+	if _, err := h.AddVM("lazy", 2, workload.Idle{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Start(dcat.DefaultConfig(), map[string]int{"web": 3, "lazy": 3}); err != nil {
+	multi, err := h.Controllers(core.DefaultConfig(), map[string]int{"web": 3, "lazy": 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := sim.Controller().Controller(0)
+	ctl := multi.Controller(0)
 	journal := obs.NewJournal(obs.DefaultJournalSize)
 	reg := telemetry.NewRegistry()
 	ctl.SetSink(journal)
@@ -77,7 +84,8 @@ func TestDebugEndpointsLiveController(t *testing.T) {
 	go func() {
 		for i := 0; i < steps; i++ {
 			mu.Lock()
-			err := sim.Step()
+			h.RunInterval()
+			err := multi.Tick()
 			mu.Unlock()
 			if err != nil {
 				done <- err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/host"
-	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/placement"
@@ -55,9 +54,6 @@ func runScenario(sc Scenario) (*ScenarioResult, error) {
 	cfg.Sockets = sc.Sockets
 	cfg.MemBytes = sc.MemBytes * uint64(sc.Sockets)
 	cfg.RemotePenalty = sc.Remote
-	if sc.Sockets > 1 && cfg.RemotePenalty == 0 {
-		cfg.RemotePenalty = memsys.DefaultRemotePenalty
-	}
 	h, err := host.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("study: %s/%s: %w", sc.Study, sc.ID, err)

@@ -57,7 +57,7 @@ type Base struct {
 	// MemMBPerSocket sizes each socket's DRAM range in megabytes.
 	MemMBPerSocket int `json:"mem_mb_per_socket"`
 	// RemotePenalty is the cross-socket DRAM penalty in cycles; 0
-	// keeps memsys.DefaultRemotePenalty on multi-socket scenarios.
+	// keeps the host's default on multi-socket scenarios.
 	RemotePenalty uint64 `json:"remote_penalty"`
 	// ArrivalGraceTicks overrides core.Config.ArrivalGraceTicks for
 	// every scenario's controllers; nil keeps the default, 0 disables
