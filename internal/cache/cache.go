@@ -121,15 +121,19 @@ type Result struct {
 	EvictedSharers uint32
 }
 
-// Cache is a set-associative cache. It is not safe for concurrent use;
-// the host simulator serializes accesses, as a real LLC serializes
-// fills per set.
+// Cache is a set-associative cache. It is not safe for concurrent use,
+// with one exception: accesses through different lanes (AccessLane) may
+// run on different goroutines when they touch disjoint sets.
 type Cache struct {
 	cfg  Config
 	sets int
 	// setMask is sets-1 when sets is a power of two (masked indexing);
 	// -1 flags the modulo slow path for other geometries.
 	setMask int64
+
+	// lanes hold the LRU clock and the outcome counts; Access uses
+	// lane 0 (see SetLanes).
+	lanes []Lane
 
 	// Flat arrays indexed by set*ways+way. tags stores line+1 so the
 	// zero value means invalid.
@@ -139,28 +143,13 @@ type Cache struct {
 	sharers []uint32 // cores that touched the line while resident
 	rrpv    []uint8  // SRRIP re-reference prediction values
 
-	// occ is the per-set occupancy bitmask: bit w set iff tags[set*ways+w]
-	// is valid. The hit path scans only resident ways through it, and the
-	// miss path picks an invalid allowed way with one bit-scan instead of
-	// walking every way's tag. The per-set valid-way count is
-	// OnesCount64(occ[set]); storing it separately would be redundant
-	// state to keep coherent. Invariant (guarded by tests): a bit is set
-	// exactly when the corresponding tag is non-zero.
-	occ []uint64
-	// mru is the per-set way of the most recent hit or fill, probed
-	// before the occupancy scan. Pure way prediction: tags are unique
-	// within a set (fills happen only on miss), so a hit's outcome is
-	// scan-order independent and checking the hot way first cannot
-	// change behaviour — it only skips the scan for temporally local
-	// access streams. A stale prediction costs one extra tag compare.
-	mru []uint8
+	// set holds the per-set state (see setState).
+	set []setState
 	// waysMask has the low Ways bits set — the widest mask the geometry
 	// admits; bits beyond it in a caller's CBM are ignored.
 	waysMask uint64
 
-	clock    uint64
 	rngState uint64 // xorshift state for ReplRandom
-	stats    Stats
 
 	// ReplRandom victim choice indexes into the ascending list of ways a
 	// CBM allows (LRU/SRRIP iterate the mask bits directly); the list is
@@ -171,6 +160,35 @@ type Cache struct {
 	lastMask bits.CBM
 	lastWays []uint8
 	wayLists map[bits.CBM][]uint8
+}
+
+// setState is one set's bookkeeping beside its ways.
+type setState struct {
+	// occ is the occupancy bitmask: bit w set iff tags[set*ways+w] is
+	// valid. The hit path scans only resident ways through it, and the
+	// miss path picks an invalid allowed way with one bit-scan instead
+	// of walking every way's tag. The valid-way count is
+	// OnesCount64(occ); storing it separately would be redundant state
+	// to keep coherent. Invariant (guarded by tests): a bit is set
+	// exactly when the corresponding tag is non-zero.
+	occ uint64
+	// mru is the way of the most recent hit or fill, probed before the
+	// occupancy scan. Pure way prediction: tags are unique within a set
+	// (fills happen only on miss), so a hit's outcome is scan-order
+	// independent and checking the hot way first cannot change
+	// behaviour — it only skips the scan for temporally local access
+	// streams. A stale prediction costs one extra tag compare. It sits
+	// beside occ rather than in a byte array of its own so that lanes
+	// replayed on different cores never write the same host cache line.
+	mru uint8
+}
+
+// Lane is one share of a cache's LRU clock and counters, padded to a
+// host cache line so lanes used on different cores do not share one.
+type Lane struct {
+	clock uint64
+	stats Stats
+	_     [64 - 32]byte
 }
 
 // New builds a cache from cfg.
@@ -187,8 +205,8 @@ func New(cfg Config) (*Cache, error) {
 		tick:     make([]uint64, n),
 		owner:    make([]uint16, n),
 		sharers:  make([]uint32, n),
-		occ:      make([]uint64, cfg.Sets()),
-		mru:      make([]uint8, cfg.Sets()),
+		set:      make([]setState, cfg.Sets()),
+		lanes:    make([]Lane, 1),
 		waysMask: uint64(bits.FullMask(cfg.Ways)),
 		rngState: uint64(cfg.Seed)*2685821657736338717 + 88172645463325252,
 		wayLists: make(map[bits.CBM][]uint8),
@@ -220,11 +238,61 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.cfg.Ways }
 
-// Stats returns accumulated statistics.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns accumulated statistics, summed over the lanes.
+func (c *Cache) Stats() Stats {
+	var s Stats
+	for i := range c.lanes {
+		l := &c.lanes[i].stats
+		s.Hits += l.Hits
+		s.Misses += l.Misses
+		s.Evictions += l.Evictions
+	}
+	return s
+}
 
 // ResetStats clears counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+func (c *Cache) ResetStats() {
+	for i := range c.lanes {
+		c.lanes[i].stats = Stats{}
+	}
+}
+
+// SetLanes gives the cache n lanes, so that n goroutines can access it
+// at once, each through its own lane and its own disjoint group of
+// sets. LRU only compares ticks within a set, so a clock per lane keeps
+// every set's order exact provided that, between two SyncLanes calls,
+// each set is accessed through one lane only. ReplRandom draws every
+// victim from one random sequence, so it cannot be split. The clock and
+// counters so far stay with lane 0.
+func (c *Cache) SetLanes(n int) error {
+	if n < 1 {
+		return fmt.Errorf("cache %s: %d lanes", c.cfg.Name, n)
+	}
+	if n > 1 && c.cfg.Repl == ReplRandom {
+		return fmt.Errorf("cache %s: random replacement cannot be split into lanes", c.cfg.Name)
+	}
+	lanes := make([]Lane, n)
+	lanes[0].stats = c.Stats()
+	c.lanes = lanes
+	c.SyncLanes()
+	return nil
+}
+
+// Lane returns lane i, for AccessLane.
+func (c *Cache) Lane(i int) *Lane { return &c.lanes[i] }
+
+// SyncLanes sets every lane's clock to the highest, so that afterwards
+// any lane may take over any set. Call it whenever the assignment of
+// sets to lanes changes.
+func (c *Cache) SyncLanes() {
+	var clock uint64
+	for i := range c.lanes {
+		clock = max(clock, c.lanes[i].clock)
+	}
+	for i := range c.lanes {
+		c.lanes[i].clock = clock
+	}
+}
 
 // Pow2Sets reports whether the set count is a power of two, i.e.
 // whether set indexing takes the masked fast path.
@@ -263,11 +331,18 @@ func (c *Cache) allowedWays(mask bits.CBM) []uint8 {
 // it fills the line, evicting the least-recently-used line among the
 // ways allowed by mask. The owning core is recorded for inclusive
 // back-invalidation by the caller. A full mask gives unrestricted
-// (shared-cache) behaviour.
+// (shared-cache) behaviour. It counts in lane 0.
 func (c *Cache) Access(line uint64, mask bits.CBM, core uint16) Result {
+	return c.AccessLane(&c.lanes[0], line, mask, core)
+}
+
+// AccessLane is Access counted in lane ln, which must be one of the
+// cache's lanes (see SetLanes).
+func (c *Cache) AccessLane(ln *Lane, line uint64, mask bits.CBM, core uint16) Result {
 	set := c.SetIndex(line)
 	base := set * c.cfg.Ways
-	c.clock++
+	st := &c.set[set]
+	ln.clock++
 
 	// Hit path: a line may reside in any way, including ways outside
 	// the current mask (e.g. filled under an earlier, wider mask) — but
@@ -276,34 +351,34 @@ func (c *Cache) Access(line uint64, mask bits.CBM, core uint16) Result {
 	// instead of every way. Cold and partially filled sets exit after
 	// exactly as many tag compares as they hold lines.
 	tag := line + 1
-	if i := base + int(c.mru[set]); c.tags[i] == tag {
-		c.tick[i] = c.clock
+	if i := base + int(st.mru); c.tags[i] == tag {
+		c.tick[i] = ln.clock
 		c.sharers[i] |= 1 << (core % MaxCores)
 		if c.rrpv != nil {
 			c.rrpv[i] = 0 // SRRIP: near re-reference on hit
 		}
-		c.stats.Hits++
+		ln.stats.Hits++
 		return Result{Hit: true}
 	}
-	for m := c.occ[set]; m != 0; m &= m - 1 {
+	for m := st.occ; m != 0; m &= m - 1 {
 		w := mbits.TrailingZeros64(m)
 		i := base + w
 		if c.tags[i] == tag {
-			c.tick[i] = c.clock
+			c.tick[i] = ln.clock
 			c.sharers[i] |= 1 << (core % MaxCores)
 			if c.rrpv != nil {
 				c.rrpv[i] = 0 // SRRIP: near re-reference on hit
 			}
-			c.mru[set] = uint8(w)
-			c.stats.Hits++
+			st.mru = uint8(w)
+			ln.stats.Hits++
 			return Result{Hit: true}
 		}
 	}
 
 	// Miss: fill into an allowed way — an invalid one if available,
 	// otherwise evict per the replacement policy among allowed ways.
-	c.stats.Misses++
-	victim := c.selectVictim(set, base, mask)
+	ln.stats.Misses++
+	victim := c.selectVictim(st.occ, base, mask)
 	if victim < 0 {
 		// Empty mask: the access bypasses the cache entirely. CAT
 		// cannot express this (minimum one way), but the simulator
@@ -317,12 +392,12 @@ func (c *Cache) Access(line uint64, mask bits.CBM, core uint16) Result {
 		res.EvictedLine = c.tags[i] - 1
 		res.EvictedCore = c.owner[i]
 		res.EvictedSharers = c.sharers[i]
-		c.stats.Evictions++
+		ln.stats.Evictions++
 	}
 	c.tags[i] = tag
-	c.occ[set] |= 1 << uint(victim)
-	c.mru[set] = uint8(victim)
-	c.tick[i] = c.clock
+	st.occ |= 1 << uint(victim)
+	st.mru = uint8(victim)
+	c.tick[i] = ln.clock
 	c.owner[i] = core
 	c.sharers[i] = 1 << (core % MaxCores)
 	if c.rrpv != nil {
@@ -338,14 +413,15 @@ func (c *Cache) Access(line uint64, mask bits.CBM, core uint16) Result {
 // that react to individual evictions (e.g. inclusive hierarchies) use
 // Access per line.
 func (c *Cache) AccessMany(lines []uint64, mask bits.CBM, core uint16) Stats {
-	before := c.stats
+	before := c.Stats()
 	for _, l := range lines {
 		c.Access(l, mask, core)
 	}
+	after := c.Stats()
 	return Stats{
-		Hits:      c.stats.Hits - before.Hits,
-		Misses:    c.stats.Misses - before.Misses,
-		Evictions: c.stats.Evictions - before.Evictions,
+		Hits:      after.Hits - before.Hits,
+		Misses:    after.Misses - before.Misses,
+		Evictions: after.Evictions - before.Evictions,
 	}
 }
 
@@ -361,12 +437,12 @@ const (
 // way absent from the occupancy bitmask is found with one bit-scan,
 // matching the old ascending tag walk bit for bit. Eviction iterates
 // the allowed ways in ascending order straight off the mask bits.
-func (c *Cache) selectVictim(set, base int, mask bits.CBM) int {
+func (c *Cache) selectVictim(occ uint64, base int, mask bits.CBM) int {
 	allowed := uint64(mask) & c.waysMask
 	if allowed == 0 {
 		return -1
 	}
-	if inv := allowed &^ c.occ[set]; inv != 0 {
+	if inv := allowed &^ occ; inv != 0 {
 		return mbits.TrailingZeros64(inv)
 	}
 	switch c.cfg.Repl {
@@ -418,7 +494,7 @@ func (c *Cache) Probe(line uint64) bool {
 	set := c.SetIndex(line)
 	base := set * c.cfg.Ways
 	tag := line + 1
-	for m := c.occ[set]; m != 0; m &= m - 1 {
+	for m := c.set[set].occ; m != 0; m &= m - 1 {
 		if c.tags[base+mbits.TrailingZeros64(m)] == tag {
 			return true
 		}
@@ -431,11 +507,12 @@ func (c *Cache) Invalidate(line uint64) bool {
 	set := c.SetIndex(line)
 	base := set * c.cfg.Ways
 	tag := line + 1
-	for m := c.occ[set]; m != 0; m &= m - 1 {
+	st := &c.set[set]
+	for m := st.occ; m != 0; m &= m - 1 {
 		w := mbits.TrailingZeros64(m)
 		if c.tags[base+w] == tag {
 			c.tags[base+w] = 0
-			c.occ[set] &^= 1 << uint(w)
+			st.occ &^= 1 << uint(w)
 			return true
 		}
 	}
@@ -444,11 +521,9 @@ func (c *Cache) Invalidate(line uint64) bool {
 
 // Flush empties the cache and leaves statistics intact.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	for s := range c.occ {
-		c.occ[s] = 0
+	clear(c.tags)
+	for s := range c.set {
+		c.set[s].occ = 0
 	}
 }
 
@@ -457,19 +532,24 @@ func (c *Cache) Flush() {
 // cache-flush pass the paper requires after reallocating ways (§6):
 // without it, data left in reassigned or pooled ways keeps serving hits
 // to its old owner.
+//
+// The walk is set-major over the occupancy bitmask: per set, the
+// resident lines in the flushed ways are occ&mask, so empty ways cost
+// nothing and each set's state is read once.
 func (c *Cache) FlushWays(mask bits.CBM) int {
+	m := uint64(mask) & c.waysMask
 	n := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !mask.Contains(w) {
+	for s := range c.set {
+		st := &c.set[s]
+		drop := st.occ & m
+		if drop == 0 {
 			continue
 		}
-		for s := 0; s < c.sets; s++ {
-			i := s*c.cfg.Ways + w
-			if c.tags[i] != 0 {
-				c.tags[i] = 0
-				c.occ[s] &^= 1 << uint(w)
-				n++
-			}
+		st.occ &^= drop
+		n += mbits.OnesCount64(drop)
+		base := s * c.cfg.Ways
+		for ; drop != 0; drop &= drop - 1 {
+			c.tags[base+mbits.TrailingZeros64(drop)] = 0
 		}
 	}
 	return n
@@ -480,13 +560,13 @@ func (c *Cache) FlushWays(mask bits.CBM) int {
 func (c *Cache) OccupancyBySet() []int {
 	occ := make([]int, c.sets)
 	for s := range occ {
-		occ[s] = mbits.OnesCount64(c.occ[s])
+		occ[s] = mbits.OnesCount64(c.set[s].occ)
 	}
 	return occ
 }
 
 // SetOccupancy returns how many valid lines one set holds.
-func (c *Cache) SetOccupancy(set int) int { return mbits.OnesCount64(c.occ[set]) }
+func (c *Cache) SetOccupancy(set int) int { return mbits.OnesCount64(c.set[set].occ) }
 
 // OccupancyByCore returns resident line counts keyed by owning core.
 func (c *Cache) OccupancyByCore() map[uint16]int {

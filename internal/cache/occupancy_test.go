@@ -149,8 +149,8 @@ func checkOccInvariant(t *testing.T, c *Cache) {
 				want |= 1 << uint(w)
 			}
 		}
-		if c.occ[s] != want {
-			t.Fatalf("set %d: occ = %b, tags say %b", s, c.occ[s], want)
+		if c.set[s].occ != want {
+			t.Fatalf("set %d: occ = %b, tags say %b", s, c.set[s].occ, want)
 		}
 		if got := c.SetOccupancy(s); got != mbits.OnesCount64(want) {
 			t.Fatalf("set %d: SetOccupancy = %d, want %d", s, got, mbits.OnesCount64(want))
@@ -331,6 +331,90 @@ func TestLinesPerSetAgreement(t *testing.T) {
 		want := float64(n) / float64(sets)
 		if got := FractionSetsAtLeast(lines, sets, k); got != want {
 			t.Fatalf("FractionSetsAtLeast(%d) = %g, want %g", k, got, want)
+		}
+	}
+}
+
+// flushWaysWayMajor is the original FlushWays: way by way over every
+// set, dropping each valid tag. It is the reference the set-major walk
+// over the occupancy bitmask must match.
+func flushWaysWayMajor(c *Cache, mask bits.CBM) int {
+	n := 0
+	for w := 0; w < c.cfg.Ways; w++ {
+		if !mask.Contains(w) {
+			continue
+		}
+		for s := 0; s < c.sets; s++ {
+			i := s*c.cfg.Ways + w
+			if c.tags[i] != 0 {
+				c.tags[i] = 0
+				c.set[s].occ &^= 1 << uint(w)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// cloneCache deep-copies a cache's contents.
+func cloneCache(c *Cache) *Cache {
+	d := *c
+	d.tags = append([]uint64(nil), c.tags...)
+	d.tick = append([]uint64(nil), c.tick...)
+	d.owner = append([]uint16(nil), c.owner...)
+	d.sharers = append([]uint32(nil), c.sharers...)
+	d.set = append([]setState(nil), c.set...)
+	d.lanes = append([]Lane(nil), c.lanes...)
+	if c.rrpv != nil {
+		d.rrpv = append([]uint8(nil), c.rrpv...)
+	}
+	return &d
+}
+
+// TestFlushWaysMatchesWayMajor checks the set-major FlushWays against
+// the way-major reference: same count, same final tags and occupancy,
+// for contiguous, scattered, full, empty and out-of-range masks on a
+// power-of-two and a non-power-of-two geometry.
+func TestFlushWaysMatchesWayMajor(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "pow2", SizeBytes: 64 * 8 * LineSize, Ways: 8},
+		{Name: "nonpow2", SizeBytes: 96 * 20 * LineSize, Ways: 20},
+	} {
+		c := MustNew(cfg)
+		rnd := testRand(5)
+		for round := 0; round < 40; round++ {
+			for i := 0; i < 2000; i++ {
+				start := int(rnd.next() % uint64(cfg.Ways))
+				n := 1 + int(rnd.next()%uint64(cfg.Ways-start))
+				c.Access(rnd.next()%8192, bits.MustCBM(start, n), uint16(i%4))
+			}
+			var mask bits.CBM
+			switch round % 4 {
+			case 0:
+				mask = bits.CBM(rnd.next()) // scattered bits, some beyond Ways
+			case 1:
+				mask = bits.FullMask(cfg.Ways)
+			case 2:
+				mask = 0
+			default:
+				mask = bits.MustCBM(int(rnd.next()%uint64(cfg.Ways-1)), 1)
+			}
+			ref := cloneCache(c)
+			want := flushWaysWayMajor(ref, mask)
+			if got := c.FlushWays(mask); got != want {
+				t.Fatalf("%s round %d mask %b: dropped %d, way-major %d", cfg.Name, round, mask, got, want)
+			}
+			for i := range c.tags {
+				if c.tags[i] != ref.tags[i] {
+					t.Fatalf("%s round %d: tag %d differs", cfg.Name, round, i)
+				}
+			}
+			for s := range c.set {
+				if c.set[s] != ref.set[s] {
+					t.Fatalf("%s round %d: set %d state differs", cfg.Name, round, s)
+				}
+			}
+			checkOccInvariant(t, c)
 		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 
 // BenchmarkHostInterval measures one controller period of a loaded
 // socket — the unit of work every experiment repeats tens of times, and
-// the loop the batched memsys.AccessMany entry point exists to speed
-// up.
+// the loop the set-partitioned memsys.Replay exists to speed up.
 func BenchmarkHostInterval(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.CyclesPerInterval = 4_000_000

@@ -135,7 +135,16 @@ type Host struct {
 	freeCores [][]int
 	vms       []*VM
 	interval  int
-	lineBuf   []uint64 // reused per block for batched memory access
+
+	// Interval state, reused so that a steady-state interval allocates
+	// nothing.
+	states  []vmState
+	active  []*vmState // VMs with budget left, in creation order
+	cursor  int        // index in active of the VM whose block is next
+	blocks  []memsys.Block
+	owners  []*vmState // owners[i] drew blocks[i]
+	lat     []uint64   // per-block latency sums from Replay
+	lineBuf []uint64   // every line of the current batch
 }
 
 // New builds a host.
@@ -376,101 +385,180 @@ func (h *Host) VM(name string) (*VM, bool) {
 
 // vmState tracks one VM through one interval. Workload parameters are
 // hoisted to interval start (every in-tree generator only changes them
-// in Tick, which runs at interval end) and the fused memory pass stays
-// open across all of the VM's blocks.
+// in Tick, which runs at interval end).
 type vmState struct {
 	vm     *VM
 	budget uint64
 	m      IntervalMetrics
 	params workload.Params
-	pass   memsys.IntervalPass    // nil for idle guests
 	bulk   workload.BulkGenerator // non-nil when the generator draws in bulk
+	idle   bool                   // no memory accesses: one block takes the whole interval
+	// accesses is the line count of one block, and maxCycles the most
+	// cycles one block can take.
+	accesses, maxCycles uint64
+	// horizon is how many more blocks are certain to run, counted from
+	// the last accounted one, and taken how many are drawn and not yet
+	// accounted.
+	horizon, taken uint64
+	done           bool
 }
 
-// runBlock executes one block of instructions for a VM on its lead core
-// and returns the metrics and cycles consumed.
-func (h *Host) runBlock(st *vmState) IntervalMetrics {
-	p := st.params
-	instr := h.cfg.BlockInstr
-	vm := st.vm
-	var m IntervalMetrics
-	m.Instructions = instr
-	if p.AccessesPerInstr == 0 {
-		// Idle guest: the vCPU is halted almost the whole interval; a
-		// token instruction stream models the guest kernel tick.
-		m.Cycles = h.cfg.CyclesPerInterval
-		h.nsys.Retire(vm.Cores[0], instr, m.Cycles)
-		return m
-	}
-	accesses := uint64(float64(instr) * p.AccessesPerInstr)
-	// Draw the block's whole line stream first, then replay it through
-	// the hierarchy in one batched call: generators never read cache
-	// state, so the split is behaviourally identical to interleaving
-	// and lets memsys amortize its per-access bookkeeping.
-	if uint64(cap(h.lineBuf)) < accesses {
-		h.lineBuf = make([]uint64, accesses)
-	}
-	buf := h.lineBuf[:accesses]
-	if st.bulk != nil {
-		st.bulk.NextLines(buf)
-	} else {
-		for i := range buf {
-			buf[i] = vm.Gen.NextLine()
-		}
-	}
-	if vm.observer != nil {
-		for _, line := range buf {
-			vm.observer.Observe(line)
-		}
-	}
-	latSum := st.pass.AccessMany(buf)
-	m.Accesses = accesses
-	m.LatencySum = latSum
-	stall := float64(latSum) / p.MLP
-	m.Cycles = uint64(float64(instr)*p.BaseCPI + stall)
-	if m.Cycles == 0 {
-		m.Cycles = 1
-	}
-	h.nsys.Retire(vm.Cores[0], instr, m.Cycles)
-	return m
+// batchLines caps the lines of one batch: enough that waking helpers
+// costs little against the replay, few enough that the line buffer
+// stays in the host's L2.
+const batchLines = 1 << 15
+
+// blockCycles is the CPI model: base cycles plus memory stall, the
+// latency sum overlapped by the workload's memory-level parallelism.
+// It is monotone in latSum, which is what makes maxCycles a bound.
+func blockCycles(instr uint64, p workload.Params, latSum uint64) uint64 {
+	c := uint64(float64(instr)*p.BaseCPI + float64(latSum)/p.MLP)
+	return max(c, 1)
 }
 
 // RunInterval simulates one controller period: every VM's lead core
 // consumes its cycle budget, interleaved block by block with all other
-// VMs. Non-lead cores idle (the paper's benchmarks are single-threaded
-// inside 2-vCPU guests).
+// VMs in round-robin order. Non-lead cores idle (the paper's benchmarks
+// are single-threaded inside 2-vCPU guests).
+//
+// Blocks run in batches. A batch is the longest run of blocks, in
+// round-robin order, that is certain to execute whatever the caches
+// do: VM v runs its next n blocks for sure while its budget exceeds
+// (n-1)·maxCycles_v, since a block only ends v's interval once it has
+// spent the budget. The host draws a batch's lines on this goroutine,
+// in block order, and memsys replays the whole batch at once, across
+// set partitions in parallel. Per-block latencies then drive the
+// budgets in block order, exactly as a block-at-a-time loop would; a
+// VM can only finish on its last block of a batch, and its Tick runs
+// then. Tick touches only the VM's own generator, which draws nothing
+// more this interval, so every generator's stream is unchanged.
 func (h *Host) RunInterval() {
-	active := make([]*vmState, 0, len(h.vms))
-	for _, vm := range h.vms {
-		vm.last = IntervalMetrics{}
-		st := &vmState{vm: vm, budget: h.cfg.CyclesPerInterval, params: vm.Gen.Params()}
-		if st.params.AccessesPerInstr > 0 {
-			st.pass = h.nsys.BeginInterval(vm.Cores[0])
-			st.bulk, _ = vm.Gen.(workload.BulkGenerator)
-		}
-		active = append(active, st)
+	if cap(h.states) < len(h.vms) {
+		h.states = make([]vmState, len(h.vms))
 	}
-	for len(active) > 0 {
-		next := active[:0]
-		for _, st := range active {
-			bm := h.runBlock(st)
-			st.m.add(bm)
-			if bm.Cycles >= st.budget {
-				st.budget = 0
-				if st.pass != nil {
-					st.pass.Close()
-				}
-				st.vm.last = st.m
-				st.vm.total.add(st.m)
-				st.vm.Gen.Tick()
-				continue
-			}
-			st.budget -= bm.Cycles
-			next = append(next, st)
+	h.states = h.states[:len(h.vms)]
+	h.active = h.active[:0]
+	need := batchLines
+	for i, vm := range h.vms {
+		vm.last = IntervalMetrics{}
+		st := &h.states[i]
+		*st = vmState{vm: vm, budget: h.cfg.CyclesPerInterval, params: vm.Gen.Params()}
+		st.idle = st.params.AccessesPerInstr == 0
+		if st.idle {
+			st.maxCycles = h.cfg.CyclesPerInterval
+		} else {
+			st.bulk, _ = vm.Gen.(workload.BulkGenerator)
+			st.accesses = uint64(float64(h.cfg.BlockInstr) * st.params.AccessesPerInstr)
+			worst := st.accesses * (h.cfg.Mem.Lat.DRAM + h.nsys.Config().RemotePenalty)
+			st.maxCycles = blockCycles(h.cfg.BlockInstr, st.params, worst)
 		}
-		active = next
+		need = max(need, int(st.accesses))
+		h.active = append(h.active, st)
+	}
+	if cap(h.lineBuf) < need {
+		h.lineBuf = make([]uint64, need)
+	}
+	h.cursor = 0
+	for len(h.active) > 0 {
+		h.runBatch()
 	}
 	h.interval++
+}
+
+// runBatch draws, replays and accounts one batch.
+func (h *Host) runBatch() {
+	for _, st := range h.active {
+		st.horizon = (st.budget-1)/st.maxCycles + 1
+	}
+	h.blocks, h.owners = h.blocks[:0], h.owners[:0]
+	used := 0
+	for {
+		st := h.active[h.cursor]
+		if st.taken == st.horizon || (used > 0 && used+int(st.accesses) > batchLines) {
+			break
+		}
+		lines := h.lineBuf[used : used+int(st.accesses)]
+		if !st.idle {
+			st.draw(lines)
+		}
+		used += len(lines)
+		h.blocks = append(h.blocks, memsys.Block{Core: st.vm.Cores[0], Lines: lines})
+		h.owners = append(h.owners, st)
+		st.taken++
+		if h.cursor++; h.cursor == len(h.active) {
+			h.cursor = 0
+		}
+	}
+	if cap(h.lat) < len(h.blocks) {
+		h.lat = make([]uint64, cap(h.blocks))
+	}
+	lat := h.lat[:len(h.blocks)]
+	h.nsys.Replay(h.blocks, lat)
+
+	finished := false
+	instr := h.cfg.BlockInstr
+	for i, st := range h.owners {
+		m := IntervalMetrics{Instructions: instr}
+		if st.idle {
+			// Idle guest: the vCPU is halted almost the whole interval;
+			// a token instruction stream models the guest kernel tick.
+			m.Cycles = h.cfg.CyclesPerInterval
+		} else {
+			m.Accesses = st.accesses
+			m.LatencySum = lat[i]
+			m.Cycles = blockCycles(instr, st.params, lat[i])
+		}
+		h.nsys.Retire(st.vm.Cores[0], instr, m.Cycles)
+		st.m.add(m)
+		st.taken--
+		if m.Cycles < st.budget {
+			st.budget -= m.Cycles
+			continue
+		}
+		if st.taken != 0 {
+			panic(fmt.Sprintf("host: VM %q spent its budget with %d blocks of the batch left", st.vm.Name, st.taken))
+		}
+		st.budget = 0
+		st.done = true
+		st.vm.last = st.m
+		st.vm.total.add(st.m)
+		st.vm.Gen.Tick()
+		finished = true
+	}
+	if !finished {
+		return
+	}
+	next, cursor := h.active[:0], 0
+	for i, st := range h.active {
+		if st.done {
+			continue
+		}
+		if i < h.cursor {
+			cursor++
+		}
+		next = append(next, st)
+	}
+	h.active, h.cursor = next, cursor
+	if h.cursor == len(h.active) {
+		h.cursor = 0
+	}
+}
+
+// draw fills lines from the VM's generator and shows them to its
+// observer.
+func (st *vmState) draw(lines []uint64) {
+	if st.bulk != nil {
+		st.bulk.NextLines(lines)
+	} else {
+		for i := range lines {
+			lines[i] = st.vm.Gen.NextLine()
+		}
+	}
+	if obs := st.vm.observer; obs != nil {
+		for _, line := range lines {
+			obs.Observe(line)
+		}
+	}
 }
 
 // RunIntervals simulates n periods, invoking after (if non-nil) at the

@@ -10,6 +10,7 @@ package memsys
 import (
 	"fmt"
 	mbits "math/bits"
+	"runtime"
 
 	"repro/internal/bits"
 	"repro/internal/cache"
@@ -77,7 +78,8 @@ func (c Config) Validate() error {
 }
 
 // System is one socket's memory hierarchy. Not safe for concurrent use;
-// the host interleaves core accesses deterministically.
+// the host interleaves core accesses deterministically, and
+// NUMASystem.Replay splits a batch into set classes that share no state.
 type System struct {
 	cfg    Config
 	l1     []*cache.Cache
@@ -85,6 +87,13 @@ type System struct {
 	ctrs   *perf.File
 	masks  []bits.CBM // per-core LLC fill mask (the CAT knob)
 	l1Full bits.CBM   // full L1 mask, hoisted off the access path
+
+	// Line l is in set class (l>>classShift)&(classes-1), which fixes
+	// both its L1 set and its LLC set (see setClasses). Every cache has
+	// one lane per class: the partition of class c accesses through lane
+	// c, the one-pass replay and Access through lane 0.
+	classes    int
+	classShift uint
 }
 
 // New builds the hierarchy. All cores start with the full LLC mask
@@ -101,10 +110,16 @@ func New(cfg Config) (*System, error) {
 		masks:  make([]bits.CBM, cfg.Cores),
 		l1Full: bits.FullMask(cfg.L1.Ways),
 	}
+	s.classes, s.classShift = setClasses(cfg)
 	full := bits.FullMask(cfg.LLC.Ways)
 	for i := range s.l1 {
 		s.l1[i] = cache.MustNew(cfg.L1)
 		s.masks[i] = full
+	}
+	for _, c := range append(s.l1, s.llc) {
+		if err := c.SetLanes(s.classes); err != nil {
+			return nil, fmt.Errorf("memsys: %w", err)
+		}
 	}
 	return s, nil
 }
@@ -164,6 +179,38 @@ func (s *System) Access(core int, line uint64) uint64 {
 	return s.cfg.Lat.DRAM
 }
 
+// replay runs lines for one local core through the hierarchy, exactly
+// as Access would but through the given lane of every cache, and
+// returns the outcome counts instead of touching the perf banks. Lines
+// outside [lo, hi) are homed on another socket.
+func (s *System) replay(core int, lines []uint64, lo, hi uint64, lane int) outcome {
+	l1, llc := s.l1[core], s.llc
+	l1Lane, llcLane := l1.Lane(lane), llc.Lane(lane)
+	l1Full, mask, c16 := s.l1Full, s.masks[core], uint16(core)
+	var o outcome
+	for _, line := range lines {
+		remote := line < lo || line >= hi
+		if remote {
+			o.remote++
+		}
+		if l1.AccessLane(l1Lane, line, l1Full, c16).Hit {
+			o.l1Hits++
+			continue
+		}
+		r := llc.AccessLane(llcLane, line, mask, c16)
+		if r.Hit {
+			o.llcHits++
+			continue
+		}
+		o.llcMisses++
+		if remote {
+			o.remoteMisses++
+		}
+		s.backInvalidate(r)
+	}
+	return o
+}
+
 // backInvalidate enforces inclusion after an LLC eviction: the victim
 // is dropped from the L1 of every core that touched it while resident.
 func (s *System) backInvalidate(r cache.Result) {
@@ -176,94 +223,6 @@ func (s *System) backInvalidate(r cache.Result) {
 			s.l1[c].Invalidate(r.EvictedLine)
 		}
 	}
-}
-
-// IntervalPass is a fused multi-batch access pass for one core across
-// one host interval: bank/L1/latency lookups are resolved once at
-// BeginInterval and perf-counter updates are flushed once at Close,
-// instead of per block. Between the two, AccessMany replays batches
-// with the exact cache-state and latency semantics of calling Access
-// per line (guarded by TestIntervalPassMatchesAccessMany).
-//
-// Counter reads through Counters() lag until Close, so callers must
-// close every pass before reading counters — the host closes each VM's
-// pass when its interval budget is exhausted, before any controller
-// runs.
-type IntervalPass interface {
-	// AccessMany replays lines in order and returns the summed latency.
-	AccessMany(lines []uint64) uint64
-	// Close flushes the accumulated perf-counter deltas. The pass must
-	// not be used afterwards.
-	Close()
-}
-
-// corePass is System's IntervalPass: the hot per-line loop touches only
-// fields resolved at BeginInterval plus the shared caches. The LLC fill
-// mask is re-read per batch (not per line) so a mask installed between
-// batches — nothing in-tree does this mid-interval — would still apply.
-type corePass struct {
-	sys  *System
-	core int
-	l1   *cache.Cache
-	c16  uint16
-	lat  Latency
-
-	l1Hits    uint64
-	llcHits   uint64
-	llcMisses uint64
-}
-
-// BeginInterval opens a fused access pass for one core. The returned
-// pass must be closed before the core's perf counters are read.
-func (s *System) BeginInterval(core int) IntervalPass {
-	return &corePass{sys: s, core: core, l1: s.l1[core], c16: uint16(core), lat: s.cfg.Lat}
-}
-
-// run replays lines and accumulates outcome counts without touching the
-// perf banks.
-func (p *corePass) run(lines []uint64) {
-	l1 := p.l1
-	l1Mask := p.sys.l1Full
-	llc := p.sys.llc
-	llcMask := p.sys.masks[p.core]
-	c16 := p.c16
-	var l1Hits, llcHits, llcMisses uint64
-	for _, line := range lines {
-		if r := l1.Access(line, l1Mask, c16); r.Hit {
-			l1Hits++
-			continue
-		}
-		r := llc.Access(line, llcMask, c16)
-		if r.Hit {
-			llcHits++
-			continue
-		}
-		llcMisses++
-		p.sys.backInvalidate(r)
-	}
-	p.l1Hits += l1Hits
-	p.llcHits += llcHits
-	p.llcMisses += llcMisses
-}
-
-// AccessMany implements IntervalPass. The latency sum is computed from
-// the batch's outcome counts — identical arithmetic to the per-line
-// additions, hoisted out of the inner loop.
-func (p *corePass) AccessMany(lines []uint64) uint64 {
-	h1, hl, ml := p.l1Hits, p.llcHits, p.llcMisses
-	p.run(lines)
-	return (p.l1Hits-h1)*p.lat.L1Hit + (p.llcHits-hl)*p.lat.LLCHit + (p.llcMisses-ml)*p.lat.DRAM
-}
-
-// Close implements IntervalPass.
-func (p *corePass) Close() {
-	bank := p.sys.ctrs.Core(p.core)
-	l1Misses := p.llcHits + p.llcMisses
-	bank.Add(perf.L1Hits, p.l1Hits)
-	bank.Add(perf.L1Misses, l1Misses)
-	bank.Add(perf.LLCReferences, l1Misses)
-	bank.Add(perf.LLCMisses, p.llcMisses)
-	p.l1Hits, p.llcHits, p.llcMisses = 0, 0, 0
 }
 
 // Retire accounts n retired instructions and the given unhalted cycles
@@ -292,6 +251,43 @@ func (s *System) FlushWays(mask bits.CBM) {
 	for _, l1 := range s.l1 {
 		l1.Flush()
 	}
+}
+
+// partitionsForTest, when positive, replaces GOMAXPROCS as the wanted
+// class count and sends every batch down the partitioned path. Tests
+// set it to show that the partition count changes no outcome.
+var partitionsForTest int
+
+// setClasses picks how many set classes a socket's caches are split
+// into, and the run length 1<<shift of consecutive sets per class. A
+// class must fix a line's set in every cache, so the class count times
+// the run length divides g, the largest power of two dividing both set
+// counts (64 for every preset). The count is the most GOMAXPROCS asks
+// for. ReplRandom draws every victim from one sequence, so a hierarchy
+// with a random cache is one class.
+func setClasses(cfg Config) (n int, shift uint) {
+	g := cfg.L1.Sets() | cfg.LLC.Sets()
+	g &= -g
+	want := runtime.GOMAXPROCS(0)
+	if partitionsForTest > 0 {
+		want = partitionsForTest
+	}
+	if cfg.L1.Repl == cache.ReplRandom || cfg.LLC.Repl == cache.ReplRandom {
+		want = 1
+	}
+	n = 1
+	for n*2 <= want && n*2 <= g {
+		n *= 2
+	}
+	return n, uint(mbits.TrailingZeros(uint(g / n)))
+}
+
+// syncLanes lets any lane of the socket's caches take over any set.
+func (s *System) syncLanes() {
+	for _, c := range s.l1 {
+		c.SyncLanes()
+	}
+	s.llc.SyncLanes()
 }
 
 // L1 returns core's private L1 (for tests and occupancy inspection).

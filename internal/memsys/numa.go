@@ -73,6 +73,8 @@ type NUMASystem struct {
 	// lines, and the total penalty cycles those accesses paid.
 	remoteAccesses []uint64
 	remoteCycles   []uint64
+
+	rep replayer // batch state of Replay
 }
 
 // NewNUMA builds the host.
@@ -94,6 +96,7 @@ func NewNUMA(cfg NUMAConfig) (*NUMASystem, error) {
 		}
 		n.sockets[i] = sys
 	}
+	n.rep.init(n)
 	return n, nil
 }
 
@@ -170,58 +173,6 @@ func (n *NUMASystem) Access(core int, line uint64) uint64 {
 	}
 	return lat
 }
-
-// numaPass is NUMASystem's IntervalPass for hosts with a remote
-// penalty: each batch is split into maximal same-home runs, and a
-// remote run's penalty is recovered from the inner pass's miss count —
-// every miss in a remote run is a remote DRAM access by construction.
-type numaPass struct {
-	n      *NUMASystem
-	socket int
-	inner  corePass
-}
-
-// BeginInterval opens a fused access pass for a global core. With no
-// remote penalty (or one socket) no access can pay one, so the owning
-// socket's pass is returned directly.
-func (n *NUMASystem) BeginInterval(core int) IntervalPass {
-	s, local := n.SocketOf(core)
-	sys := n.sockets[s]
-	if n.cfg.RemotePenalty == 0 || len(n.sockets) == 1 {
-		return sys.BeginInterval(local)
-	}
-	return &numaPass{
-		n:      n,
-		socket: s,
-		inner:  corePass{sys: sys, core: local, l1: sys.l1[local], c16: uint16(local), lat: sys.cfg.Lat},
-	}
-}
-
-// AccessMany implements IntervalPass.
-func (p *numaPass) AccessMany(lines []uint64) uint64 {
-	var latSum uint64
-	for start := 0; start < len(lines); {
-		home := p.n.HomeOf(lines[start])
-		end := start + 1
-		for end < len(lines) && p.n.HomeOf(lines[end]) == home {
-			end++
-		}
-		run := lines[start:end]
-		ml := p.inner.llcMisses
-		latSum += p.inner.AccessMany(run)
-		if home != p.socket {
-			penalty := (p.inner.llcMisses - ml) * p.n.cfg.RemotePenalty
-			latSum += penalty
-			p.n.remoteAccesses[p.socket] += uint64(len(run))
-			p.n.remoteCycles[p.socket] += penalty
-		}
-		start = end
-	}
-	return latSum
-}
-
-// Close implements IntervalPass.
-func (p *numaPass) Close() { p.inner.Close() }
 
 // Retire accounts retired instructions and cycles to a global core.
 func (n *NUMASystem) Retire(core int, instructions, cycles uint64) {
