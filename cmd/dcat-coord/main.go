@@ -2,6 +2,10 @@
 // glass over a fleet of per-host dCat agents. Agents enroll over the
 // versioned HTTP/JSON protocol, report per-workload statistics every
 // controller period, and receive fleet-level allocation hints back.
+// Those reports are also the liveness signal: an agent that sends
+// nothing for -expiry is marked dead. With -placement the engine is
+// evaluated on every accepted report; the per-tenant time series keeps
+// 256 samples for each of at most 1024 (agent, workload) pairs.
 //
 //	dcat-coord -listen :9400 -expiry 10s
 //
@@ -40,8 +44,7 @@ import (
 func main() {
 	var (
 		listen      = flag.String("listen", ":9400", "address to serve the protocol and /cluster on")
-		expiry      = flag.Duration("expiry", 10*time.Second, "mark an agent dead after this long without a heartbeat")
-		reportEvery = flag.Int("report-every", 1, "report cadence (controller ticks) pushed to agents")
+		expiry      = flag.Duration("expiry", 10*time.Second, "mark an agent dead after this long without a report or other request")
 		quorum      = flag.Int("streaming-quorum", 2, "agents that must see a workload Streaming before capping its replicas")
 		recDir      = flag.String("recorder-dir", "", "fleet flight-recorder segment directory (empty = durable recording off)")
 		segBytes    = flag.Int64("segment-bytes", 4<<20, "rotate a recorder segment at this size")
@@ -50,12 +53,8 @@ func main() {
 		retainBytes = flag.Int64("retain-bytes", 0, "total recorder bytes kept before the oldest segments are pruned (0 = no byte budget)")
 
 		placementOn   = flag.Bool("placement", false, "run the fleet placement engine: issue cross-socket move directives over /v1/placement")
-		placeEvery    = flag.Int("placement-every", 1, "evaluate placement every N accepted reports")
 		placeCooldown = flag.Int("placement-cooldown", 5, "evaluations a moved workload sits out before it may move again")
 		placeVerify   = flag.Int("placement-verify", 5, "evaluations to wait for recorder evidence before rolling a move back")
-
-		metricsRing    = flag.Int("metrics-ring", 0, "per-tenant time-series samples kept at /fleet/metrics (0 = default 256, -1 disables)")
-		metricsTenants = flag.Int("metrics-tenants", 0, "max (agent, workload) pairs the time-series plane stores (0 = default 1024)")
 	)
 	ob := daemoncfg.ObsFlags(flag.CommandLine)
 	flag.Parse()
@@ -64,12 +63,8 @@ func main() {
 	defer stop()
 
 	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		HeartbeatExpiry:   *expiry,
-		ReportEvery:       *reportEvery,
-		StreamingQuorum:   *quorum,
-		PlacementEvery:    *placeEvery,
-		MetricsRingSize:   *metricsRing,
-		MetricsMaxTenants: *metricsTenants,
+		HeartbeatExpiry: *expiry,
+		StreamingQuorum: *quorum,
 	})
 	reg := telemetry.NewRegistry()
 	coord.RegisterMetrics(reg)

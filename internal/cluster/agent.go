@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -35,12 +34,6 @@ type AgentConfig struct {
 	// Client talks to the coordinator. Nil means standalone: the agent
 	// is just the local loop (the degraded mode, permanently).
 	Client *Client
-	// ReportEvery is the tick cadence of full reports (default 1; the
-	// coordinator's enrollment response overrides it).
-	ReportEvery int
-	// HeartbeatEvery is the tick cadence of liveness pings on ticks
-	// with no report due (default 1).
-	HeartbeatEvery int
 	// Streamer, when set, uploads the host's decision events to the
 	// fleet flight recorder after each tick's cluster duties. Wire its
 	// Emit into the controller's sink chain alongside EventSink.
@@ -66,9 +59,10 @@ type Mover interface {
 }
 
 // Agent wraps a host's local dCat loop with cluster duties: enroll,
-// report, heartbeat, and hint application. The local loop never waits
-// on the coordinator — a network failure is recorded and retried, and
-// local allocation continues unchanged (graceful degradation).
+// report every period, and hint application. The local loop never
+// waits on the coordinator — a network failure is recorded and
+// retried, and local allocation continues unchanged (graceful
+// degradation).
 type Agent struct {
 	cfg   AgentConfig
 	local Local
@@ -115,12 +109,6 @@ func NewAgent(cfg AgentConfig, local Local) (*Agent, error) {
 	}
 	if err := validName("agent", cfg.Name); err != nil {
 		return nil, err
-	}
-	if cfg.ReportEvery <= 0 {
-		cfg.ReportEvery = 1
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 1
 	}
 	if cfg.Trace == nil {
 		cfg.Trace = obs.NewIDGen(0)
@@ -209,7 +197,6 @@ func (a *Agent) clusterDuties(ctx context.Context, ticks int, snap []core.Status
 	a.mu.Lock()
 	enrolled := a.enrolled
 	id := a.id
-	reportEvery, heartbeatEvery := a.cfg.ReportEvery, a.cfg.HeartbeatEvery
 	a.mu.Unlock()
 
 	if !enrolled {
@@ -218,16 +205,12 @@ func (a *Agent) clusterDuties(ctx context.Context, ticks int, snap []core.Status
 		}
 		a.mu.Lock()
 		id = a.id
-		reportEvery = a.cfg.ReportEvery
 		a.mu.Unlock()
 	}
 
-	switch {
-	case ticks%reportEvery == 0:
-		a.report(ctx, id, ticks, snap)
-	case ticks%heartbeatEvery == 0:
-		a.heartbeat(ctx, id, ticks)
-	}
+	// One full report per period: it is also the coordinator's liveness
+	// signal.
+	a.report(ctx, id, ticks, snap)
 
 	if a.cfg.Mover != nil {
 		// Placement poll before the streamer flush, so an execution
@@ -340,9 +323,6 @@ func (a *Agent) enroll(ctx context.Context, snap []core.Status, totalWays int) b
 	a.enrolled = true
 	a.lastErr = nil
 	a.failures = 0
-	if resp.ReportEveryTicks > 0 {
-		a.cfg.ReportEvery = resp.ReportEveryTicks
-	}
 	return true
 }
 
@@ -382,21 +362,6 @@ func (a *Agent) report(ctx context.Context, id string, ticks int, snap []core.St
 	a.applyHintsLocked(resp.Hints)
 }
 
-// heartbeat sends a liveness ping.
-func (a *Agent) heartbeat(ctx context.Context, id string, ticks int) {
-	_, err := a.cfg.Client.Heartbeat(ctx, &HeartbeatRequest{
-		Version: ProtocolVersion, AgentID: id, Tick: ticks,
-	})
-	if err != nil {
-		a.noteFailure(err)
-		return
-	}
-	a.mu.Lock()
-	a.lastErr = nil
-	a.failures = 0
-	a.mu.Unlock()
-}
-
 // noteFailure records a coordinator error. ErrUnknownAgent drops the
 // enrollment so the next tick re-enrolls (the coordinator restarted);
 // anything else just counts — the existing registration may still be
@@ -431,24 +396,6 @@ func (a *Agent) applyHintsLocked(hints []AllocationHint) {
 	for name, ways := range desired {
 		if a.caps[name] != ways && a.local.SetWayCap(name, ways) {
 			a.caps[name] = ways
-		}
-	}
-}
-
-// Run drives the agent on a wall-clock period until ctx is canceled.
-// A local controller error stops the loop (it means the CAT backend
-// rejected an allocation); coordinator trouble does not.
-func (a *Agent) Run(ctx context.Context, period time.Duration) error {
-	ticker := time.NewTicker(period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			if err := a.Tick(ctx); err != nil {
-				return err
-			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -117,6 +118,56 @@ func TestAgentEnrollsAndReports(t *testing.T) {
 	}
 	if len(row.Workloads) != 1 || row.Workloads[0].Category != "Receiver" || row.Workloads[0].Ways != 5 {
 		t.Errorf("reported workloads: %+v", row.Workloads)
+	}
+}
+
+// TestAgentReportsEveryTickAgainstOldCoordinator: an enroll response
+// from a coordinator that still pushes a report cadence and a liveness
+// window decodes cleanly, and the agent ignores both — it reports on
+// every tick and sends nothing else.
+func TestAgentReportsEveryTickAgainstOldCoordinator(t *testing.T) {
+	var mu sync.Mutex
+	var reported []int
+	var other []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case PathEnroll:
+			fmt.Fprint(w, `{"version":1,"agent_id":"agent-1","report_every_ticks":5,"heartbeat_expiry_millis":10000}`)
+		case PathReport:
+			var req ReportRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			reported = append(reported, req.Tick)
+			mu.Unlock()
+			_ = json.NewEncoder(w).Encode(ReportResponse{Version: ProtocolVersion})
+		default:
+			mu.Lock()
+			other = append(other, r.URL.Path)
+			mu.Unlock()
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+
+	a := newTestAgent(t, "host-a", srv.URL, newFakeLocal(core.Status{Name: "web", Ways: 3, Baseline: 3}))
+	for i := 0; i < 6; i++ {
+		if err := a.Tick(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.ID() != "agent-1" || a.LastErr() != nil {
+		t.Fatalf("enrollment: id %q, last error %v", a.ID(), a.LastErr())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{1, 2, 3, 4, 5, 6}; fmt.Sprint(reported) != fmt.Sprint(want) {
+		t.Errorf("reported ticks %v, want %v", reported, want)
+	}
+	if len(other) != 0 {
+		t.Errorf("agent sent requests besides enroll and report: %v", other)
 	}
 }
 

@@ -185,15 +185,6 @@ func (c *Client) PlacementTraced(ctx context.Context, req *PlacementRequest, tra
 	return &resp, nil
 }
 
-// Heartbeat sends a liveness ping.
-func (c *Client) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
-	var resp HeartbeatResponse
-	if err := c.post(ctx, PathHeartbeat, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // post sends one JSON request with per-attempt timeouts and
 // exponential-backoff retries, counting terminal failures.
 func (c *Client) post(ctx context.Context, path string, req, resp any) error {

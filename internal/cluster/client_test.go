@@ -51,14 +51,12 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 			http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(HeartbeatResponse{Version: ProtocolVersion})
+		_ = json.NewEncoder(w).Encode(ReportResponse{Version: ProtocolVersion})
 	}))
 	defer srv.Close()
 	var delays []time.Duration
 	c := newTestClient(t, srv.URL, &delays)
-	_, err := c.Heartbeat(context.Background(), &HeartbeatRequest{
-		Version: ProtocolVersion, AgentID: "agent-1",
-	})
+	_, err := c.Report(context.Background(), validReport())
 	if err != nil {
 		t.Fatalf("request should succeed on the third attempt: %v", err)
 	}
@@ -113,7 +111,7 @@ func TestClientGivesUpAfterRetries(t *testing.T) {
 	defer srv.Close()
 	var delays []time.Duration
 	c := newTestClient(t, srv.URL, &delays)
-	_, err := c.Heartbeat(context.Background(), &HeartbeatRequest{Version: ProtocolVersion, AgentID: "a"})
+	_, err := c.Report(context.Background(), validReport())
 	if err == nil {
 		t.Fatal("permanently failing coordinator reported success")
 	}
@@ -128,7 +126,7 @@ func TestClientCoordinatorDown(t *testing.T) {
 	srv.Close() // nothing listening: every attempt is a transport error
 	var delays []time.Duration
 	c := newTestClient(t, url, &delays)
-	_, err := c.Heartbeat(context.Background(), &HeartbeatRequest{Version: ProtocolVersion, AgentID: "a"})
+	_, err := c.Report(context.Background(), validReport())
 	if err == nil {
 		t.Fatal("dead coordinator reported success")
 	}

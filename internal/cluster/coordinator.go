@@ -23,28 +23,13 @@ import (
 // production-shaped defaults.
 type CoordinatorConfig struct {
 	// HeartbeatExpiry is how long an agent may stay silent before the
-	// coordinator marks it dead (default 10s).
+	// coordinator marks it dead (default 10s). Every enroll, report,
+	// events upload and placement poll counts as a sign of life.
 	HeartbeatExpiry time.Duration
-	// ReportEvery is the report cadence (in controller ticks) pushed to
-	// agents at enrollment (default 1: report every tick).
-	ReportEvery int
 	// StreamingQuorum is the minimum number of alive agents that must
 	// classify a same-named workload Streaming before the coordinator
 	// hints the remaining replicas to cap at baseline (default 2).
 	StreamingQuorum int
-	// PlacementEvery is how many accepted reports pass between placement
-	// evaluations when an engine is attached (default 1: every report).
-	PlacementEvery int
-	// MetricsRingSize is how many samples the per-tenant time-series
-	// ring keeps per (agent, workload) pair (default 256; -1 disables
-	// the plane). Memory is strictly bounded by
-	// MetricsRingSize x MetricsMaxTenants samples.
-	MetricsRingSize int
-	// MetricsMaxTenants caps how many (agent, workload) pairs get a
-	// ring (default 1024). Pairs past the cap are counted as overflow
-	// instead of sampled, so a churning fleet cannot grow the plane
-	// without bound.
-	MetricsMaxTenants int
 	// Now supplies the clock; tests inject a manual one (default
 	// time.Now).
 	Now func() time.Time
@@ -54,20 +39,8 @@ func (c *CoordinatorConfig) fill() {
 	if c.HeartbeatExpiry <= 0 {
 		c.HeartbeatExpiry = 10 * time.Second
 	}
-	if c.ReportEvery <= 0 {
-		c.ReportEvery = 1
-	}
 	if c.StreamingQuorum <= 0 {
 		c.StreamingQuorum = 2
-	}
-	if c.PlacementEvery <= 0 {
-		c.PlacementEvery = 1
-	}
-	if c.MetricsRingSize == 0 {
-		c.MetricsRingSize = 256
-	}
-	if c.MetricsMaxTenants <= 0 {
-		c.MetricsMaxTenants = 1024
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -155,8 +128,8 @@ type coordSelf struct {
 // Separate from RegisterMetrics so existing fleet-metric consumers see
 // an unchanged exposition unless they opt in.
 func (c *Coordinator) RegisterSelfMetrics(reg *telemetry.Registry) {
-	self := &coordSelf{ingest: make(map[string]*telemetry.Histogram, 5)}
-	for _, ep := range []string{"enroll", "report", "heartbeat", "events", "placement"} {
+	self := &coordSelf{ingest: make(map[string]*telemetry.Histogram, 4)}
+	for _, ep := range []string{"enroll", "report", "events", "placement"} {
 		self.ingest[ep] = reg.Histogram("dcat_coord_ingest_seconds",
 			"Coordinator ingest latency per protocol endpoint.",
 			telemetry.DefLatencyBuckets, "endpoint", ep)
@@ -213,7 +186,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		agents:           make(map[string]*agentRecord),
 		byName:           make(map[string]string),
 		fleetTransitions: make(map[string]uint64),
-		tenants:          newTenantTable(cfg.MetricsRingSize, cfg.MetricsMaxTenants),
+		tenants:          newTenantTable(tenantRingSize, maxTenants),
 	}
 }
 
@@ -479,7 +452,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathEnroll, c.timed("enroll", c.handleEnroll))
 	mux.HandleFunc(PathReport, c.timed("report", c.handleReport))
-	mux.HandleFunc(PathHeartbeat, c.timed("heartbeat", c.handleHeartbeat))
 	mux.HandleFunc(PathEvents, c.timed("events", c.handleEvents))
 	mux.HandleFunc(PathPlacement, c.timed("placement", c.handlePlacement))
 	return mux
@@ -555,8 +527,6 @@ func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	c.agents[id] = rec
 	c.byName[req.Agent] = id
 	c.enrollments++
-	expiry := c.cfg.HeartbeatExpiry
-	every := c.cfg.ReportEvery
 	if c.sink != nil {
 		c.sink.Emit(obs.Event{
 			Tick:     c.reports,
@@ -567,12 +537,7 @@ func (c *Coordinator) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	unlock()
-	writeJSON(w, EnrollResponse{
-		Version:               ProtocolVersion,
-		AgentID:               id,
-		ReportEveryTicks:      every,
-		HeartbeatExpiryMillis: expiry.Milliseconds(),
-	})
+	writeJSON(w, EnrollResponse{Version: ProtocolVersion, AgentID: id})
 }
 
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -600,14 +565,12 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	if req.Events != nil {
 		c.absorbEventsLocked(rec, req.Events)
 	}
-	// Placement evaluation runs outside the registry lock — the engine
-	// reads the flight recorder (disk I/O) while scoring.
-	var (
-		engine *placement.Engine
-		views  []placement.AgentView
-	)
-	if c.engine != nil && c.reports%c.cfg.PlacementEvery == 0 {
-		engine = c.engine
+	// Placement is evaluated on every accepted report, outside the
+	// registry lock — the engine reads the flight recorder (disk I/O)
+	// while scoring.
+	engine := c.engine
+	var views []placement.AgentView
+	if engine != nil {
 		views = c.placementViewsLocked()
 	}
 	hints := c.hintsForLocked(rec)
@@ -711,29 +674,6 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, EventsResponse{Version: ProtocolVersion, NextSeq: next})
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	data := readBody(w, r)
-	if data == nil {
-		return
-	}
-	req, err := DecodeHeartbeatRequest(data)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	unlock := c.lockTimed()
-	rec, ok := c.agents[req.AgentID]
-	if !ok {
-		unlock()
-		writeError(w, http.StatusNotFound, ErrUnknownAgent)
-		return
-	}
-	rec.lastSeen = c.cfg.Now()
-	rec.lastTick = req.Tick
-	unlock()
-	writeJSON(w, HeartbeatResponse{Version: ProtocolVersion})
 }
 
 // absorbEventsLocked folds one report's event summary into the

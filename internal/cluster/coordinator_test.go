@@ -119,15 +119,15 @@ func TestCoordinatorLivenessExpiry(t *testing.T) {
 	if st := r.coord.ClusterState(); st.AgentsAlive != 0 {
 		t.Fatalf("agent alive past expiry: %+v", st)
 	}
-	// A heartbeat revives it.
-	if _, err := r.cli.Heartbeat(context.Background(), &HeartbeatRequest{
-		Version: ProtocolVersion, AgentID: id, Tick: 9,
-	}); err != nil {
+	// A report revives it.
+	rep := validReport()
+	rep.AgentID, rep.Tick = id, 9
+	if _, err := r.cli.Report(context.Background(), rep); err != nil {
 		t.Fatal(err)
 	}
 	st := r.coord.ClusterState()
 	if st.AgentsAlive != 1 || st.Agents[0].Tick != 9 {
-		t.Fatalf("heartbeat did not revive the agent: %+v", st)
+		t.Fatalf("report did not revive the agent: %+v", st)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // coordinator that samples IPC/MPKI/ways/socket/category from every
 // accepted report, so operators and experiments see tenant
 // trajectories instead of only event streams. Memory is strictly
-// bounded: at most MetricsMaxTenants rings of MetricsRingSize samples
-// each; tenants past the cap are counted, never stored. Served at
+// bounded: at most maxTenants rings of tenantRingSize samples each;
+// tenants past the cap are counted, never stored, so a churning fleet
+// cannot grow the plane without bound. Served at
 // /fleet/metrics (JSON), as the dcat_tenant_* gauges on the
 // coordinator's registry, and by `dcat-trace top`.
 
@@ -53,6 +54,13 @@ type TenantMetrics struct {
 	Overflow uint64         `json:"overflow,omitempty"`
 	Series   []TenantSeries `json:"series"`
 }
+
+// The plane's memory bound: samples kept per (agent, workload) pair,
+// and pairs that get a ring.
+const (
+	tenantRingSize = 256
+	maxTenants     = 1024
+)
 
 type tenantKey struct {
 	agent    string
@@ -107,12 +115,7 @@ func newTenantTable(ringSize, maxTenants int) tenantTable {
 	}
 }
 
-func (t *tenantTable) enabled() bool { return t.ringSize > 0 }
-
 func (t *tenantTable) sample(agent, workload string, s TenantSample) {
-	if !t.enabled() {
-		return
-	}
 	k := tenantKey{agent: agent, workload: workload}
 	r := t.rings[k]
 	if r == nil {
@@ -156,9 +159,6 @@ func (t *tenantTable) snapshotSorted() TenantMetrics {
 // sampleTenantsLocked feeds one accepted report into the time-series
 // plane. Caller holds c.mu.
 func (c *Coordinator) sampleTenantsLocked(rec *agentRecord, tick int) {
-	if !c.tenants.enabled() {
-		return
-	}
 	report := c.reports
 	unix := c.cfg.Now().Unix()
 	for _, wl := range rec.workloads {

@@ -6,12 +6,20 @@ import (
 	"testing"
 )
 
+// smallTenantRig is a coordinator rig whose time-series plane is a
+// small table, so a test reaches both memory bounds in a few reports.
+func smallTenantRig(t *testing.T, ringSize, tenants int) *coordRig {
+	r := newCoordRig(t, CoordinatorConfig{})
+	r.coord.tenants = newTenantTable(ringSize, tenants)
+	return r
+}
+
 // TestTenantMetricsRetention pins the time-series plane's documented
-// memory bound: each (agent, workload) ring holds exactly
-// MetricsRingSize samples — the newest, oldest-first — no matter how
-// many reports arrive.
+// memory bound: each (agent, workload) ring holds exactly its ring
+// size in samples — the newest, oldest-first — no matter how many
+// reports arrive.
 func TestTenantMetricsRetention(t *testing.T) {
-	r := newCoordRig(t, CoordinatorConfig{MetricsRingSize: 4, MetricsMaxTenants: 8})
+	r := smallTenantRig(t, 4, 8)
 	id := r.enroll(t, "host-a")
 	ctx := context.Background()
 
@@ -54,10 +62,10 @@ func TestTenantMetricsRetention(t *testing.T) {
 }
 
 // TestTenantMetricsTenantCap pins the other half of the bound: pairs
-// past MetricsMaxTenants are counted as overflow, never stored, so a
+// past the tenant cap are counted as overflow, never stored, so a
 // churning fleet cannot grow the plane.
 func TestTenantMetricsTenantCap(t *testing.T) {
-	r := newCoordRig(t, CoordinatorConfig{MetricsRingSize: 4, MetricsMaxTenants: 2})
+	r := smallTenantRig(t, 4, 2)
 	ctx := context.Background()
 
 	idA := r.enroll(t, "host-a")
@@ -95,21 +103,5 @@ func TestTenantMetricsTenantCap(t *testing.T) {
 	}
 	if m.Overflow != 3 {
 		t.Errorf("overflow %d, want 3 (one per host-b report)", m.Overflow)
-	}
-}
-
-// TestTenantMetricsDisabled: MetricsRingSize -1 switches the plane off
-// entirely — no rings, no overflow accounting.
-func TestTenantMetricsDisabled(t *testing.T) {
-	r := newCoordRig(t, CoordinatorConfig{MetricsRingSize: -1})
-	id := r.enroll(t, "host-a")
-	rep := validReport()
-	rep.AgentID = id
-	if _, err := r.cli.Report(context.Background(), rep); err != nil {
-		t.Fatal(err)
-	}
-	m := r.coord.TenantMetricsSnapshot()
-	if len(m.Series) != 0 || m.Overflow != 0 {
-		t.Fatalf("disabled plane still sampled: %+v", m)
 	}
 }

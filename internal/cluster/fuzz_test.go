@@ -66,11 +66,6 @@ func FuzzDecodeProtocol(f *testing.F) {
 				}
 			}
 		}
-		if req, err := DecodeHeartbeatRequest(data); err == nil {
-			if err := req.Validate(); err != nil {
-				t.Fatalf("decoded heartbeat fails revalidation: %v", err)
-			}
-		}
 		if req, err := DecodePlacementRequest(data); err == nil {
 			if err := req.Validate(); err != nil {
 				t.Fatalf("decoded placement poll fails revalidation: %v", err)

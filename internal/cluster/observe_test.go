@@ -165,10 +165,9 @@ func TestRPCMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = cli.Heartbeat(context.Background(),
-		&HeartbeatRequest{Version: ProtocolVersion, AgentID: "agent-1"})
+	_, err = cli.Report(context.Background(), validReport())
 	if err == nil {
-		t.Fatal("heartbeat against a 500 server succeeded")
+		t.Fatal("report against a 500 server succeeded")
 	}
 	if got := m.Latency.Count(); got != 3 {
 		t.Fatalf("latency observations = %d, want 3 (1 attempt + 2 retries)", got)

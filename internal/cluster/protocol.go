@@ -1,15 +1,16 @@
 // Package cluster is the fleet control plane above per-host dCat
 // controllers: a coordinator that enrolls many agents (each wrapping a
-// core.Controller over a real or simulated CAT backend), collects their
-// periodic statistics reports, tracks liveness through heartbeats, and
-// pushes fleet-level allocation hints back.
+// core.Controller over a real or simulated CAT backend), collects one
+// statistics report per controller period from each, tracks liveness
+// from those reports, and pushes fleet-level allocation hints back.
 //
 // The wire protocol is versioned HTTP/JSON. Agents POST to the
 // coordinator:
 //
 //	POST /v1/enroll     — register (or re-register) a host
 //	POST /v1/report     — per-workload stats; response carries hints
-//	POST /v1/heartbeat  — cheap liveness between reports
+//	POST /v1/events     — decision-trace upload to the flight recorder
+//	POST /v1/placement  — ack executed moves, poll for pending ones
 //
 // The protocol is strictly one-directional (agent dials coordinator),
 // so agents behind NAT or firewalls work, and a coordinator outage
@@ -38,7 +39,6 @@ const ProtocolVersion = 1
 const (
 	PathEnroll    = "/v1/enroll"
 	PathReport    = "/v1/report"
-	PathHeartbeat = "/v1/heartbeat"
 	PathEvents    = "/v1/events"
 	PathPlacement = "/v1/placement"
 )
@@ -98,16 +98,12 @@ type EnrollRequest struct {
 	Workloads  []WorkloadSpec `json:"workloads"`
 }
 
-// EnrollResponse acknowledges enrollment and pushes loop settings.
+// EnrollResponse acknowledges enrollment with the agent's id. Agents
+// report every controller period; the client decodes responses
+// leniently, so fields an older coordinator still sends are ignored.
 type EnrollResponse struct {
 	Version int    `json:"version"`
 	AgentID string `json:"agent_id"`
-	// ReportEveryTicks is how often (in controller ticks) the
-	// coordinator wants full reports; 0 means the agent's default.
-	ReportEveryTicks int `json:"report_every_ticks"`
-	// HeartbeatExpiryMillis is the liveness window the coordinator
-	// enforces; an agent silent for longer is marked dead.
-	HeartbeatExpiryMillis int64 `json:"heartbeat_expiry_millis"`
 }
 
 // WorkloadReport is one workload's per-interval statistics, the fleet
@@ -221,18 +217,6 @@ type PlacementRequest struct {
 type PlacementResponse struct {
 	Version    int                       `json:"version"`
 	Directives []placement.MoveDirective `json:"directives,omitempty"`
-}
-
-// HeartbeatRequest is the cheap liveness ping between reports.
-type HeartbeatRequest struct {
-	Version int    `json:"version"`
-	AgentID string `json:"agent_id"`
-	Tick    int    `json:"tick"`
-}
-
-// HeartbeatResponse acknowledges a heartbeat.
-type HeartbeatResponse struct {
-	Version int `json:"version"`
 }
 
 // errorBody is the JSON error envelope every endpoint returns on
@@ -449,20 +433,6 @@ func (r *PlacementRequest) Validate() error {
 	return nil
 }
 
-// Validate checks a heartbeat.
-func (r *HeartbeatRequest) Validate() error {
-	if err := validVersion(r.Version); err != nil {
-		return err
-	}
-	if err := validName("agent id", r.AgentID); err != nil {
-		return err
-	}
-	if r.Tick < 0 {
-		return fmt.Errorf("cluster: negative tick %d", r.Tick)
-	}
-	return nil
-}
-
 // decodeStrict unmarshals one JSON message, rejecting unknown fields
 // and trailing garbage. Malformed input returns an error — never a
 // panic — which the fuzz tests lock in.
@@ -518,18 +488,6 @@ func DecodeEventsRequest(data []byte) (*EventsRequest, error) {
 // DecodePlacementRequest parses and validates a placement-poll body.
 func DecodePlacementRequest(data []byte) (*PlacementRequest, error) {
 	var r PlacementRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return nil, err
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// DecodeHeartbeatRequest parses and validates a heartbeat body.
-func DecodeHeartbeatRequest(data []byte) (*HeartbeatRequest, error) {
-	var r HeartbeatRequest
 	if err := decodeStrict(data, &r); err != nil {
 		return nil, err
 	}

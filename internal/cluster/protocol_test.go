@@ -213,17 +213,3 @@ func TestDecodeRejectsMalformedFraming(t *testing.T) {
 		})
 	}
 }
-
-func TestDecodeHeartbeat(t *testing.T) {
-	hb := &HeartbeatRequest{Version: ProtocolVersion, AgentID: "agent-1", Tick: 3}
-	got, err := DecodeHeartbeatRequest(mustJSON(t, hb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AgentID != "agent-1" || got.Tick != 3 {
-		t.Errorf("roundtrip mangled the heartbeat: %+v", got)
-	}
-	if _, err := DecodeHeartbeatRequest([]byte(`{"version":1,"agent_id":""}`)); err == nil {
-		t.Error("empty agent id accepted")
-	}
-}

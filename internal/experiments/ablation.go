@@ -17,34 +17,6 @@ import (
 // beyond the paper's figures: they quantify why dCat's constants are
 // what they are.
 
-// modulated wraps a generator and modulates its reported accesses-per-
-// instruction by ±amplitude with the given period (in intervals) —
-// drift that is not a real phase change and should be ignored by a
-// well-tuned detector.
-type modulated struct {
-	base      workload.Generator
-	amplitude float64
-	period    int
-	tick      int
-}
-
-func (m *modulated) Name() string { return m.base.Name() + "-mod" }
-
-func (m *modulated) Params() workload.Params {
-	p := m.base.Params()
-	if (m.tick/m.period)%2 == 1 {
-		p.AccessesPerInstr *= 1 + m.amplitude
-	}
-	return p
-}
-
-func (m *modulated) NextLine() uint64 { return m.base.NextLine() }
-
-func (m *modulated) Tick() {
-	m.tick++
-	m.base.Tick()
-}
-
 // AblationPhaseThreshold sweeps the phase-change threshold against a
 // workload whose accesses-per-instruction drifts by 12% without any
 // real phase change. Thresholds below the drift trigger spurious
@@ -67,7 +39,14 @@ func AblationPhaseThreshold(opts Options) (*TableResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &modulated{base: mlr, amplitude: 0.12, period: 4}, nil
+				// ±12% drift on a 4-interval square wave: not a real
+				// phase change, so a well-tuned detector ignores it.
+				return workload.NewModulated(mlr, func(tick int) float64 {
+					if (tick/4)%2 == 1 {
+						return 1.12
+					}
+					return 1
+				})
 			},
 		}
 		specs := append([]vmSpec{target}, lookbusySpecs(5, 3)...)
@@ -96,36 +75,6 @@ func AblationPhaseThreshold(opts Options) (*TableResult, error) {
 		Tab:   tab,
 		Notes: []string{"thresholds at or below the drift amplitude reset the allocation repeatedly; the paper's 10% sits below typical noise but above it here by design"},
 	}, nil
-}
-
-// ramped wraps a generator and ramps its accesses-per-instruction by
-// rate each interval up to cap — gradual drift, not a phase change.
-type ramped struct {
-	base   workload.Generator
-	rate   float64
-	cap    float64
-	factor float64
-}
-
-func newRamped(base workload.Generator, rate, cap float64) *ramped {
-	return &ramped{base: base, rate: rate, cap: cap, factor: 1}
-}
-
-func (r *ramped) Name() string { return r.base.Name() + "-ramp" }
-
-func (r *ramped) Params() workload.Params {
-	p := r.base.Params()
-	p.AccessesPerInstr *= r.factor
-	return p
-}
-
-func (r *ramped) NextLine() uint64 { return r.base.NextLine() }
-
-func (r *ramped) Tick() {
-	r.base.Tick()
-	if r.factor*(1+r.rate) <= r.cap {
-		r.factor *= 1 + r.rate
-	}
 }
 
 // AblationDetector compares the pluggable phase detectors (§3.3) on a
@@ -161,7 +110,15 @@ func AblationDetector(opts Options) (*TableResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				return newRamped(mlr, 0.03, 2.0), nil
+				// +3% per interval, compounded, up to 2x: gradual drift,
+				// not a phase change.
+				factor := 1.0
+				return workload.NewModulated(mlr, func(tick int) float64 {
+					if tick > 0 && factor*1.03 <= 2.0 {
+						factor *= 1.03
+					}
+					return factor
+				})
 			},
 		}
 		specs := append([]vmSpec{target}, lookbusySpecs(5, 3)...)

@@ -60,28 +60,28 @@ type Options struct {
 	SteadyIntervals int
 	// Seed drives frame placement and workload randomness.
 	Seed int64
-	// Jobs bounds intra-experiment parallelism for sweep-style
-	// experiments (the SPEC sweep runs 60 independent simulations) when
-	// the experiment is run directly; <=1 means serial. Under RunAll
-	// the engine's shared worker budget takes over instead — see
-	// Options.sweep. Each sweep point builds its own host from Seed,
-	// and results are collected in sweep order, so rendered output is
-	// independent of parallelism either way.
-	Jobs int
 
 	// pool, when set by RunAll, is the engine-wide worker budget that
-	// sweeps draw from instead of Jobs.
+	// sweeps draw from.
 	pool *workerPool
 }
 
-// sweep runs fn(0..n-1) for a sweep-style experiment: bounded by the
-// engine's shared worker budget when one is attached (the experiment's
-// own slot plus any idle slots), by Jobs otherwise.
+// sweep runs fn(0..n-1) for a sweep-style experiment (the SPEC sweep
+// runs 60 independent simulations): on the engine's shared worker
+// budget when RunAll attached one (the experiment's own slot plus any
+// idle slots), serially otherwise, stopping at the first error. Each
+// sweep point builds its own host from Seed and results are collected
+// in sweep order, so rendered output is independent of parallelism.
 func (o Options) sweep(n int, fn func(i int) error) error {
 	if o.pool != nil {
 		return o.pool.sweep(n, fn)
 	}
-	return sweepParallel(o.Jobs, n, fn)
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Default returns full-fidelity settings (dcat-bench).

@@ -137,8 +137,8 @@ func (p *workerPool) tryAcquire() bool {
 // sweep runs fn(0..n-1) on the caller's own token plus however many
 // extra tokens are free, re-checking before every point so the sweep
 // widens as sibling experiments finish. Every index runs regardless of
-// failures; the error reported is the lowest-index one, matching
-// sweepParallel.
+// failures; the error reported is the lowest-index one, so a sweep
+// fails deterministically no matter how its points interleave.
 func (p *workerPool) sweep(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	idx := make(chan int)
@@ -161,50 +161,6 @@ func (p *workerPool) sweep(n int, fn func(i int) error) error {
 			}()
 		}
 		errs[i] = fn(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sweepParallel runs fn(0..n-1) on min(jobs, n) workers and waits for
-// all of them. Every index runs regardless of failures; the error
-// reported is the lowest-index one, so a sweep fails deterministically
-// no matter how its points interleave. jobs <= 1 degenerates to a
-// plain serial loop.
-func sweepParallel(jobs, n int, fn func(i int) error) error {
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-	}()
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
-			}
-		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

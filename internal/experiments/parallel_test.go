@@ -116,40 +116,9 @@ func TestRunAllFailFast(t *testing.T) {
 	}
 }
 
-// TestSweepParallel checks every index runs exactly once for any job
-// count and that the reported error is the lowest-index failure.
-func TestSweepParallel(t *testing.T) {
-	for _, jobs := range []int{0, 1, 3, 8, 100} {
-		var ran [37]atomic.Int32
-		if err := sweepParallel(jobs, len(ran), func(i int) error {
-			ran[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		for i := range ran {
-			if got := ran[i].Load(); got != 1 {
-				t.Fatalf("jobs=%d: index %d ran %d times", jobs, i, got)
-			}
-		}
-	}
-	boom5, boom9 := errors.New("boom5"), errors.New("boom9")
-	err := sweepParallel(4, 12, func(i int) error {
-		switch i {
-		case 5:
-			return boom5
-		case 9:
-			return boom9
-		}
-		return nil
-	})
-	if !errors.Is(err, boom5) {
-		t.Fatalf("got %v, want lowest-index error boom5", err)
-	}
-}
-
 // TestFig17ParallelMatchesSerial guards the SPEC sweep's inner
-// parallelism: Jobs must not change the rendered table.
+// parallelism: the engine's worker budget must not change the rendered
+// table.
 func TestFig17ParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -159,16 +128,16 @@ func TestFig17ParallelMatchesSerial(t *testing.T) {
 	// sweeps, so fidelity is irrelevant — only equality matters.
 	opts.Cycles = 1_000_000
 	opts.SteadyIntervals = 5
+	fig17, err := ByID("fig17")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(jobs int) string {
-		o := opts
-		o.Jobs = jobs
-		res, err := Fig17SPEC(o)
-		if err != nil {
-			t.Fatal(err)
+		res := RunAll(context.Background(), []Runner{fig17}, opts, EngineConfig{Jobs: jobs})[0]
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		var sb strings.Builder
-		res.Render(&sb)
-		return sb.String()
+		return res.Output
 	}
 	if serial, parallel := run(1), run(4); serial != parallel {
 		t.Fatalf("fig17 diverges with Jobs=4:\nserial:\n%s\nparallel:\n%s", serial, parallel)
@@ -259,9 +228,8 @@ func TestSweepWidensOntoIdleBudget(t *testing.T) {
 	}
 }
 
-// TestPoolSweepSemantics: the pooled sweep keeps sweepParallel's
-// contract — every index runs exactly once and the reported error is
-// the lowest-index one.
+// TestPoolSweepSemantics: the pooled sweep's contract — every index
+// runs exactly once and the reported error is the lowest-index one.
 func TestPoolSweepSemantics(t *testing.T) {
 	pool := newWorkerPool(4)
 	var ran [37]atomic.Int32

@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/host"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -110,18 +109,12 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 		if eng == nil {
 			return
 		}
-		views := []placement.AgentView{fleetView("host", ctl)}
-		eng.Evaluate(views)
-		for _, d := range eng.Directives("host") {
-			ack := placement.DirectiveAck{ID: d.ID, OK: true}
-			if err := s.host.MigrateManaged(ctl, d.Workload, d.ToSocket); err != nil {
-				ack.OK = false
-				ack.Detail = err.Error()
-			} else {
-				res.moves++
-				lastMover = d.Workload
-			}
-			eng.Ack("host", []placement.DirectiveAck{ack}, obs.TraceContext{})
+		moved := eng.RunLocal("host", ctl, func(name string, to int) error {
+			return s.host.MigrateManaged(ctl, name, to)
+		})
+		if len(moved) > 0 {
+			res.moves += len(moved)
+			lastMover = moved[len(moved)-1]
 		}
 	}
 	ctl, err := s.run(ModeDCat, core.DefaultConfig(), intervals, onTick)
@@ -150,21 +143,4 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 	res.remote = s.host.NUMA().RemoteAccesses(1)
 	res.penalty = s.host.NUMA().Config().RemotePenalty
 	return res, nil
-}
-
-// fleetView builds the placement view the coordinator would assemble
-// from this host's report: every workload's category, allocation, and
-// contracted baseline, plus the per-socket LLC associativity.
-func fleetView(agent string, m *core.MultiController) placement.AgentView {
-	v := placement.AgentView{Agent: agent, TotalWays: m.TotalWays()}
-	for _, st := range m.Snapshot() {
-		v.Workloads = append(v.Workloads, placement.WorkloadView{
-			Name:     st.Name,
-			Socket:   st.Socket,
-			Category: st.State.String(),
-			Ways:     st.Ways,
-			Baseline: st.Baseline,
-		})
-	}
-	return v
 }

@@ -62,8 +62,8 @@ func specRun(opts Options, profile workload.SpecProfile, mode Mode) (ipc float64
 //
 // The sweep's 60 simulations (20 profiles x 3 modes) are independent —
 // each builds its own scenario from opts.Seed — so profiles run on
-// whatever the shared worker budget allows (opts.Jobs when run
-// directly), with rows assembled in profile order afterwards. This
+// whatever the shared worker budget allows (serially when run outside
+// RunAll), with rows assembled in profile order afterwards. This
 // experiment is the evaluation's long pole; without the inner sweep
 // going wide, experiment-level parallelism alone cannot beat its wall
 // time.

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/study"
-	"repro/internal/telemetry"
 )
 
 // studyID is the runner ID dcat-bench registers for -study.
@@ -60,17 +59,4 @@ func runStudy(opts Options, path, outDir string) (*TableResult, error) {
 		Tab:   res.Table(),
 		Notes: notes,
 	}, nil
-}
-
-// StudyTable runs a loaded study file directly (no engine) and returns
-// its cross-study table — the hook tests use to assert determinism
-// without spinning up the full runner machinery.
-func StudyTable(f *study.File, jobs int) (*telemetry.Table, error) {
-	res, err := study.Run(f, study.RunOptions{
-		Sweep: func(n int, fn func(i int) error) error { return sweepParallel(jobs, n, fn) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Table(), nil
 }

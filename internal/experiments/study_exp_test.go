@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/study"
 )
 
 // TestStudyTableParallelismInvariant is the study determinism guard:
@@ -19,18 +20,18 @@ func TestStudyTableParallelismInvariant(t *testing.T) {
 			{"name":"s","fleet":[1,2],"sockets":[1],"mixes":["mlr"],"arrivals":["steady","bursty"]},
 			{"name":"c","fleet":[2],"sockets":[2],"mixes":["mixed"],"arrivals":["poisson"],
 				"churn":{"arrivals_every":2,"lifetime":3,"max_live":2}}]}`
-	f, err := study.Parse([]byte(file))
-	if err != nil {
+	// The study runner reads its file from disk, like dcat-bench -study.
+	path := filepath.Join(t.TempDir(), "par.json")
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	runner := StudyRunner(path, "")
 	render := func(jobs int) string {
-		tab, err := StudyTable(f, jobs)
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
+		res := RunAll(context.Background(), []Runner{runner}, Quick(), EngineConfig{Jobs: jobs})[0]
+		if res.Err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, res.Err)
 		}
-		var sb strings.Builder
-		tab.Render(&sb)
-		return sb.String()
+		return res.Output
 	}
 	serial := render(1)
 	parallel := render(8)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/flightrec"
 	"repro/internal/obs"
 )
@@ -474,6 +475,38 @@ func (e *Engine) Ack(agent string, acks []DirectiveAck, trace obs.TraceContext) 
 			break
 		}
 	}
+}
+
+// RunLocal drives one placement round for a host in this process,
+// exactly as the coordinator and an agent drive it over the protocol,
+// minus the HTTP leg: m's snapshot becomes the agent's view, the
+// engine evaluates it, each pending directive runs through migrate,
+// and every outcome is acked. It returns the workloads that moved, in
+// directive order.
+func (e *Engine) RunLocal(agent string, m *core.MultiController, migrate func(workload string, toSocket int) error) []string {
+	view := AgentView{Agent: agent, TotalWays: m.TotalWays()}
+	for _, st := range m.Snapshot() {
+		view.Workloads = append(view.Workloads, WorkloadView{
+			Name:     st.Name,
+			Socket:   st.Socket,
+			Category: st.State.String(),
+			Ways:     st.Ways,
+			Baseline: st.Baseline,
+		})
+	}
+	e.Evaluate([]AgentView{view})
+	var moved []string
+	for _, d := range e.Directives(agent) {
+		ack := DirectiveAck{ID: d.ID, OK: true}
+		if err := migrate(d.Workload, d.ToSocket); err != nil {
+			ack.OK = false
+			ack.Detail = err.Error()
+		} else {
+			moved = append(moved, d.Workload)
+		}
+		e.Ack(agent, []DirectiveAck{ack}, obs.TraceContext{})
+	}
+	return moved
 }
 
 // State reports the engine's counters, inflight directives, and active

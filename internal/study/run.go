@@ -127,7 +127,9 @@ func runScenario(sc Scenario) (*ScenarioResult, error) {
 		}
 		churn.step(interval, h, multi, sc, res)
 		if eng != nil {
-			runPlacement(eng, h, multi, res)
+			res.Moves += len(eng.RunLocal("host", multi, func(name string, to int) error {
+				return h.MigrateManaged(multi, name, to)
+			}))
 		}
 		checkGrace(multi, res)
 		var ipc float64
@@ -282,33 +284,6 @@ func checkGrace(multi *core.MultiController, res *ScenarioResult) {
 		if st.Graced && st.State == core.StateStreaming {
 			res.GraceViolations++
 		}
-	}
-}
-
-// runPlacement drives the placement engine one round, exactly as the
-// fleet coordinator does: views from the controller snapshot,
-// directives executed as live migrations, acks returned.
-func runPlacement(eng *placement.Engine, h *host.Host, multi *core.MultiController, res *ScenarioResult) {
-	view := placement.AgentView{Agent: "host", TotalWays: multi.TotalWays()}
-	for _, st := range multi.Snapshot() {
-		view.Workloads = append(view.Workloads, placement.WorkloadView{
-			Name:     st.Name,
-			Socket:   st.Socket,
-			Category: st.State.String(),
-			Ways:     st.Ways,
-			Baseline: st.Baseline,
-		})
-	}
-	eng.Evaluate([]placement.AgentView{view})
-	for _, d := range eng.Directives("host") {
-		ack := placement.DirectiveAck{ID: d.ID, OK: true}
-		if err := h.MigrateManaged(multi, d.Workload, d.ToSocket); err != nil {
-			ack.OK = false
-			ack.Detail = err.Error()
-		} else {
-			res.Moves++
-		}
-		eng.Ack("host", []placement.DirectiveAck{ack}, obs.TraceContext{})
 	}
 }
 
