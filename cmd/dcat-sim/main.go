@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"strings"
 
@@ -228,13 +227,9 @@ func run(w io.Writer, o options) error {
 		if err := ctl.Tick(); err != nil {
 			return err
 		}
-		// Each loop's CMT view of its socket's LLC; the simulated
+		// The loops' CMT views of their sockets' LLCs; the simulated
 		// backend always monitors.
-		occ := map[string]uint64{}
-		for _, s := range ctl.Sockets() {
-			m, _ := ctl.Controller(s).Occupancy()
-			maps.Copy(occ, m)
-		}
+		occ, _ := ctl.Occupancy()
 		for _, st := range ctl.Snapshot() {
 			if st.Name == "target" || strings.HasPrefix(st.Name, "noisy") {
 				fmt.Fprintf(w, "%-4d %-10s %-10s %-5d %-8.4f %-9.2f %-10.2f\n",

@@ -116,13 +116,13 @@ func defaultName() string {
 	return "dcatd"
 }
 
-// node is the host the loop drives: the controller set and, in -demo,
+// node is the host the loop drives: the controller and, in -demo,
 // the simulated host that has to run an interval before each tick. It
 // is the agent's cluster.Local, the status server's httpstatus.Source
 // and, on a multi-socket demo, the cluster.Mover that turns coordinator
 // placement directives into live migrations.
 type node struct {
-	*core.MultiController
+	*core.Controller
 	h *host.Host // nil on hardware
 }
 
@@ -130,20 +130,20 @@ func (n node) Tick() error {
 	if n.h != nil {
 		n.h.RunInterval()
 	}
-	return n.MultiController.Tick()
+	return n.Controller.Tick()
 }
 
-// Occupancy reports the hardware loop's CMT readings; the simulated
+// Occupancy reports the hardware loops' CMT readings; the simulated
 // host exports none.
 func (n node) Occupancy() (map[string]uint64, bool) {
 	if n.h != nil {
 		return nil, false
 	}
-	return n.Controller(0).Occupancy()
+	return n.Controller.Occupancy()
 }
 
 func (n node) MigrateVM(name string, toSocket int) error {
-	return n.h.MigrateManaged(n.MultiController, name, toSocket)
+	return n.h.MigrateManaged(n.Controller, name, toSocket)
 }
 
 // openDemo builds the simulated host: MLR + MLOAD + lookbusy tenants on
@@ -212,7 +212,7 @@ func openDemo(cfg core.Config, sockets int) (node, error) {
 	if err != nil {
 		return node{}, err
 	}
-	return node{MultiController: ctl, h: h}, nil
+	return node{Controller: ctl, h: h}, nil
 }
 
 // open builds the host the options select.
@@ -228,7 +228,7 @@ func open(o options) (node, error) {
 		return node{}, fmt.Errorf("no -group flags; nothing to manage (did you mean -demo?)")
 	}
 	ctl, err := o.file.OpenHardware()
-	return node{MultiController: ctl}, err
+	return node{Controller: ctl}, err
 }
 
 // run is the daemon: it opens the host, wraps its loop in a cluster

@@ -64,7 +64,7 @@ func (m *mirror) FlushWays(mask bits.CBM) error {
 
 // mirroredLoop puts every VM on h under one dCat loop whose CAT writes
 // go to the resctrl tree at dir and to h's socket-0 LLC.
-func mirroredLoop(h *host.Host, dir string, baseline int) (*core.MultiController, error) {
+func mirroredLoop(h *host.Host, dir string, baseline int) (*core.Controller, error) {
 	rc, err := resctrl.NewBackend(dir)
 	if err != nil {
 		return nil, err

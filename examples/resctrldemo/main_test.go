@@ -80,7 +80,7 @@ func TestMirrorBackendDrivesBoth(t *testing.T) {
 	if ways := ctl.Ways("t"); ways <= 3 || bits.OnesCount64(mask) != ways {
 		t.Errorf("tenant at %d ways, schemata %q; the controller should grow it through the tree", ways, schemata)
 	}
-	if occ, ok := ctl.Controller(0).Occupancy(); ok {
+	if occ, ok := ctl.Occupancy(); ok {
 		// The mirror has no monitoring, so the manager reports false —
 		// verify we don't invent numbers.
 		t.Errorf("mirror without CMT should not report occupancy, got %v", occ)

@@ -91,6 +91,7 @@ type host struct {
 	t         *testing.T
 	file      *perf.File
 	ctl       *core.Controller
+	caps      map[string]int // the advisory caps the agent installed
 	agent     *cluster.Agent
 	order     []string
 	behaviors map[string]behavior
@@ -117,11 +118,27 @@ func newHost(t *testing.T, name, coordURL string, names []string, behaviors map[
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := cluster.NewAgent(cluster.AgentConfig{Name: name, Client: cli}, ctl)
+	caps := map[string]int{}
+	agent, err := cluster.NewAgent(cluster.AgentConfig{Name: name, Client: cli}, capRecorder{ctl, caps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &host{t: t, file: file, ctl: ctl, agent: agent, order: names, behaviors: behaviors}
+	return &host{t: t, file: file, ctl: ctl, caps: caps, agent: agent, order: names, behaviors: behaviors}
+}
+
+// capRecorder is the agent's view of a host's controller: it records
+// every advisory cap the agent installs.
+type capRecorder struct {
+	*core.Controller
+	caps map[string]int
+}
+
+func (r capRecorder) SetWayCap(name string, ways int) bool {
+	ok := r.Controller.SetWayCap(name, ways)
+	if ok {
+		r.caps[name] = ways
+	}
+	return ok
 }
 
 // tick feeds one interval of counters and runs the agent (local
@@ -225,7 +242,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	// Both hosts classify batch Streaming, so the quorum hint caps it
 	// at baseline on both.
-	if gotA, gotB := hostA.ctl.WayCap("batch"), hostB.ctl.WayCap("batch"); gotA != 3 || gotB != 3 {
+	if gotA, gotB := hostA.caps["batch"], hostB.caps["batch"]; gotA != 3 || gotB != 3 {
 		t.Errorf("streaming quorum caps: host-a %d, host-b %d, want 3/3", gotA, gotB)
 	}
 

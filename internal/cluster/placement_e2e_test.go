@@ -1,10 +1,10 @@
 // End-to-end exercise of the fleet placement plane: a coordinator with
 // the placement engine and a flight recorder attached, and one agent
-// wrapping a real two-socket core.MultiController over scripted
-// counters, wired through a real HTTP server. Socket 0's pool is
+// wrapping a real two-socket core.Controller over scripted counters,
+// wired through a real HTTP server. Socket 0's pool is
 // deliberately exhausted by two cache-hungry tenants; the engine must
 // notice the pressure from ordinary reports, issue a move directive,
-// see the agent execute it live (core.MultiController.Migrate), find
+// see the agent execute it live (core.Controller.Migrate), find
 // the execution evidence in the recorder, and settle — and the moved
 // tenant must re-grow to its full allocation on the destination.
 package cluster_test
@@ -55,12 +55,22 @@ func hungryBehavior(knee int) behavior {
 // migration keeps the workload's counter bank and only re-homes its
 // decision-loop state — the piece the placement story is about.
 type e2eMover struct {
-	multi *core.MultiController
+	multi *core.Controller
 	cores map[string][]int
 }
 
 func (m *e2eMover) MigrateVM(name string, toSocket int) error {
 	return m.multi.Migrate(name, toSocket, m.cores[name])
+}
+
+// socketOf reports which socket's loop manages a workload.
+func socketOf(ctl *core.Controller, name string) (int, bool) {
+	for _, st := range ctl.Snapshot() {
+		if st.Name == name {
+			return st.Socket, true
+		}
+	}
+	return 0, false
 }
 
 // numaHost is one simulated two-socket machine: scripted counters, a
@@ -69,7 +79,7 @@ func (m *e2eMover) MigrateVM(name string, toSocket int) error {
 type numaHost struct {
 	t         *testing.T
 	file      *perf.File
-	multi     *core.MultiController
+	multi     *core.Controller
 	agent     *cluster.Agent
 	order     []string
 	coreOf    map[string]int
@@ -193,7 +203,7 @@ func TestPlacementEndToEnd(t *testing.T) {
 		h.tick(ctx)
 		if mover == "" {
 			for _, n := range []string{"web", "bulk"} {
-				if s, ok := h.multi.SocketOf(n); ok && s == 1 {
+				if s, ok := socketOf(h.multi, n); ok && s == 1 {
 					mover, wmove = n, prevWays[n]
 				}
 			}
@@ -226,7 +236,7 @@ func TestPlacementEndToEnd(t *testing.T) {
 	if len(st.Inflight) != 0 {
 		t.Errorf("directives still inflight after settle: %+v", st.Inflight)
 	}
-	if s, ok := h.multi.SocketOf(mover); !ok || s != 1 {
+	if s, ok := socketOf(h.multi, mover); !ok || s != 1 {
 		t.Errorf("mover %q on socket %d, want 1", mover, s)
 	}
 	if got := h.multi.Ways(mover); got < wmove {

@@ -10,8 +10,8 @@ func TestSetWayCapLimitsGrowth(t *testing.T) {
 	if !r.ctl.SetWayCap("grower", 6) {
 		t.Fatal("SetWayCap rejected a known workload")
 	}
-	if got := r.ctl.WayCap("grower"); got != 6 {
-		t.Fatalf("WayCap = %d, want 6", got)
+	if got := r.ctl.ws["grower"].capWays; got != 6 {
+		t.Fatalf("cap = %d, want 6", got)
 	}
 	r.run(20)
 	if got := r.ctl.Ways("grower"); got > 6 {
@@ -47,8 +47,8 @@ func TestSetWayCapUnknownWorkload(t *testing.T) {
 	if r.ctl.SetWayCap("nope", 3) {
 		t.Error("SetWayCap accepted an unknown workload")
 	}
-	if got := r.ctl.WayCap("nope"); got != 0 {
-		t.Errorf("WayCap for unknown workload = %d, want 0", got)
+	if _, ok := r.ctl.ws["nope"]; ok {
+		t.Error("SetWayCap registered an unknown workload")
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/cat"
@@ -22,6 +24,7 @@ type Target struct {
 
 // wstate is the controller's per-workload record.
 type wstate struct {
+	l        *loop // the CAT domain's loop that manages the workload
 	name     string
 	cores    []int
 	baseline int
@@ -65,16 +68,42 @@ type wstate struct {
 	desire int // this round's requested ways
 }
 
-// Controller is the dCat daemon loop.
+// SocketSpec wires one CAT domain's decision loop: the socket ID, a
+// CAT manager over that socket's backend, and the workloads placed
+// there.
+type SocketSpec struct {
+	Socket  int
+	Mgr     *cat.Manager
+	Targets []Target
+}
+
+// Controller is the dCat daemon. CAT domains are per-LLC, so a host
+// runs one full decision loop per socket — each with its own
+// cat.Manager, counter sampler and allocation policy over the
+// workloads placed there — while the loops share the configuration,
+// one by-name workload index, the tick count and the journal. The
+// loops add no cross-socket policy, matching real deployments where
+// sockets are independent CAT domains; a one-socket host is a set of
+// one loop.
 type Controller struct {
-	cfg     Config
+	cfg   Config
+	ws    map[string]*wstate // every managed workload, by name
+	loops []*loop            // ascending socket order, the tick order
+	ticks int
+	// sink is the decision-trace sink (nil by default, see observe.go);
+	// each loop stamps its socket on the events it emits.
+	sink obs.Sink
+}
+
+// loop is one CAT domain's decision loop.
+type loop struct {
+	c       *Controller
+	socket  int
 	mgr     *cat.Manager
 	sampler *perf.Sampler
-	// ws indexes the workloads by name for the by-name API; order is the
-	// tick's stable target order, and samples and alloc its reused
-	// buffers: one interval's observations (indexed like order) and the
-	// counts handed to the CAT manager.
-	ws      map[string]*wstate
+	// order is the tick's stable target order, and samples and alloc
+	// its reused buffers: one interval's observations (indexed like
+	// order) and the counts handed to the CAT manager.
 	order   []*wstate
 	samples []observation
 	alloc   map[string]int
@@ -82,7 +111,6 @@ type Controller struct {
 	// with no free ways — part of the Streaming decision (§3.4: "all
 	// the available cache size is used").
 	poolEmpty bool
-	ticks     int
 
 	// policy is the step-5 allocation engine (Config.NewPolicy;
 	// default the paper's reactive §3.5 allocator). view and grants
@@ -91,19 +119,56 @@ type Controller struct {
 	view   policy.View
 	grants policy.Grants
 
-	// Observability hooks; both nil by default (see observe.go).
-	sink    obs.Sink
+	// metrics is nil until RegisterMetrics (see observe.go).
 	metrics *coreMetrics
 }
 
-// New wires a controller to a CAT manager and a counter source, and
-// installs every target's baseline allocation.
+// New builds a one-socket controller: NewMulti with a single spec on
+// socket 0.
 func New(cfg Config, mgr *cat.Manager, counters perf.Reader, targets []Target) (*Controller, error) {
+	return NewMulti(cfg, counters, []SocketSpec{{Mgr: mgr, Targets: targets}})
+}
+
+// NewMulti builds a decision loop per socket spec and installs every
+// target's baseline allocation. Sockets must be unique and workload
+// names unique across the whole host, so name-keyed queries (Ways,
+// StateOf) stay unambiguous.
+func NewMulti(cfg Config, counters perf.Reader, specs []SocketSpec) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if mgr == nil || counters == nil {
-		return nil, fmt.Errorf("core: nil manager or counter source")
+	if counters == nil {
+		return nil, fmt.Errorf("core: nil counter source")
+	}
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("core: no socket specs")
+	}
+	c := &Controller{cfg: cfg, ws: make(map[string]*wstate)}
+	for _, spec := range specs {
+		if c.loopOn(spec.Socket) != nil {
+			return nil, fmt.Errorf("core: socket %d specified twice", spec.Socket)
+		}
+		for _, t := range spec.Targets {
+			if w, dup := c.ws[t.Name]; dup {
+				return nil, fmt.Errorf("core: workload %q on sockets %d and %d", t.Name, w.l.socket, spec.Socket)
+			}
+		}
+		l, err := c.newLoop(spec, counters)
+		if err != nil {
+			return nil, fmt.Errorf("core: socket %d: %w", spec.Socket, err)
+		}
+		c.loops = append(c.loops, l)
+	}
+	sort.Slice(c.loops, func(i, j int) bool { return c.loops[i].socket < c.loops[j].socket })
+	return c, nil
+}
+
+// newLoop validates one socket's spec, creates its CLOS groups and
+// installs the baselines.
+func (c *Controller) newLoop(spec SocketSpec, counters perf.Reader) (*loop, error) {
+	mgr, targets := spec.Mgr, spec.Targets
+	if mgr == nil {
+		return nil, fmt.Errorf("core: nil manager")
 	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("core: no targets")
@@ -120,45 +185,63 @@ func New(cfg Config, mgr *cat.Manager, counters perf.Reader, targets []Target) (
 		return nil, fmt.Errorf("core: baselines total %d ways, socket has %d",
 			sumBase, mgr.TotalWays())
 	}
-	c := &Controller{
-		cfg:     cfg,
+	l := &loop{
+		c:       c,
+		socket:  spec.Socket,
 		mgr:     mgr,
 		sampler: perf.NewSampler(counters),
-		ws:      make(map[string]*wstate),
 		alloc:   make(map[string]int, len(targets)),
-		policy:  cfg.policy(),
+		policy:  c.cfg.policy(),
 	}
 	for _, t := range targets {
 		if _, err := mgr.CreateGroup(t.Name, t.Cores); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		w := &wstate{
-			name:     t.Name,
-			cores:    append([]int(nil), t.Cores...),
-			baseline: t.BaselineWays,
-			state:    StateKeeper,
-			ways:     t.BaselineWays,
-			prevWays: t.BaselineWays,
-			table:    make(PerfTable),
-			history:  make(map[phaseKey]PerfTable),
-			histIPC:  make(map[phaseKey]float64),
-			det:      cfg.detector(),
-		}
+		w := l.newWorkload(t)
 		c.ws[t.Name] = w
-		c.order = append(c.order, w)
-		c.alloc[t.Name] = t.BaselineWays
+		l.order = append(l.order, w)
+		l.alloc[t.Name] = t.BaselineWays
 	}
-	if err := mgr.SetAllocation(c.alloc); err != nil {
+	if err := mgr.SetAllocation(l.alloc); err != nil {
 		return nil, fmt.Errorf("core: installing baselines: %w", err)
 	}
-	return c, nil
+	return l, nil
+}
+
+// newWorkload returns a fresh record for a target at its baseline.
+func (l *loop) newWorkload(t Target) *wstate {
+	return &wstate{
+		l:        l,
+		name:     t.Name,
+		cores:    append([]int(nil), t.Cores...),
+		baseline: t.BaselineWays,
+		state:    StateKeeper,
+		ways:     t.BaselineWays,
+		prevWays: t.BaselineWays,
+		table:    make(PerfTable),
+		history:  make(map[phaseKey]PerfTable),
+		histIPC:  make(map[phaseKey]float64),
+		det:      l.c.cfg.detector(),
+	}
+}
+
+// loopOn returns the socket's loop (nil if the socket has none).
+func (c *Controller) loopOn(socket int) *loop {
+	for _, l := range c.loops {
+		if l.socket == socket {
+			return l
+		}
+	}
+	return nil
 }
 
 // Ticks returns how many controller periods have run.
 func (c *Controller) Ticks() int { return c.ticks }
 
-// TotalWays returns the managed socket's LLC associativity.
-func (c *Controller) TotalWays() int { return c.mgr.TotalWays() }
+// TotalWays returns one socket's LLC associativity. The modeled hosts
+// have identical per-socket CAT domains, and the fleet protocol
+// reports per-socket capacity.
+func (c *Controller) TotalWays() int { return c.loops[0].mgr.TotalWays() }
 
 // SetWayCap installs an advisory upper bound on a workload's
 // allocation; ways <= 0 clears it. The cap constrains how far the
@@ -172,19 +255,79 @@ func (c *Controller) SetWayCap(name string, ways int) bool {
 	if !ok {
 		return false
 	}
-	if ways < 0 {
-		ways = 0
-	}
-	w.capWays = ways
+	w.capWays = max(ways, 0)
 	return true
 }
 
-// WayCap returns a workload's advisory cap (0 = none).
-func (c *Controller) WayCap(name string) int {
+// Ways returns a workload's current allocation (0 if unknown).
+func (c *Controller) Ways(name string) int {
 	if w, ok := c.ws[name]; ok {
-		return w.capWays
+		return w.ways
 	}
 	return 0
+}
+
+// StateOf returns a workload's current category.
+func (c *Controller) StateOf(name string) (State, bool) {
+	w, ok := c.ws[name]
+	if !ok {
+		return 0, false
+	}
+	return w.state, true
+}
+
+// Table returns a copy of a workload's live performance table.
+func (c *Controller) Table(name string) (PerfTable, bool) {
+	w, ok := c.ws[name]
+	if !ok {
+		return nil, false
+	}
+	return w.table.Clone(), true
+}
+
+// Snapshot reports every workload's state as of the most recent tick,
+// loop by loop in socket order, each in its loop's target order.
+func (c *Controller) Snapshot() []Status {
+	out := make([]Status, 0, len(c.ws))
+	for _, l := range c.loops {
+		pol := l.policy.Name()
+		for _, w := range l.order {
+			norm := 0.0
+			if w.baselineIPC > 0 {
+				norm = w.lastIPC / w.baselineIPC
+			}
+			out = append(out, Status{
+				Name:     w.name,
+				State:    w.state,
+				Ways:     w.ways,
+				Baseline: w.baseline,
+				IPC:      w.lastIPC,
+				NormIPC:  norm,
+				MissRate: w.lastMiss,
+				MAPI:     w.phaseMAPI,
+				LLCRef:   w.lastLLCRef,
+				Graced:   w.graceLeft > 0,
+				Policy:   pol,
+				Socket:   l.socket,
+			})
+		}
+	}
+	return out
+}
+
+// Occupancy reports each workload's measured LLC footprint in bytes,
+// merged over the sockets, when every CAT backend supports CMT-style
+// monitoring (ok=false otherwise).
+func (c *Controller) Occupancy() (map[string]uint64, bool) {
+	out := make(map[string]uint64, len(c.ws))
+	for _, l := range c.loops {
+		m, ok := l.mgr.Occupancy()
+		if !ok {
+			return nil, false
+		}
+		maps.Copy(out, m)
+	}
+	return out, true
 }
 
 // observation is one interval's derived statistics for a workload.
@@ -195,20 +338,33 @@ type observation struct {
 	mapi   float64
 }
 
-// Tick runs one controller period: Collect Statistics → Detect Phase
-// Change → Categorize Workloads → Allocate Cache (paper Fig 4; Get
-// Baseline happens implicitly at each phase start).
+// Tick runs every socket's decision loop once, in ascending socket
+// order (deterministic for the experiment engine). The first error
+// aborts the round.
 func (c *Controller) Tick() error {
+	for _, l := range c.loops {
+		if err := l.tick(); err != nil {
+			return fmt.Errorf("socket %d: %w", l.socket, err)
+		}
+	}
+	c.ticks++
+	return nil
+}
+
+// tick runs one controller period on this domain: Collect Statistics
+// → Detect Phase Change → Categorize Workloads → Allocate Cache (paper
+// Fig 4; Get Baseline happens implicitly at each phase start).
+func (l *loop) tick() error {
 	var start time.Time
-	if c.metrics != nil {
+	if l.metrics != nil {
 		start = time.Now()
 	}
-	if cap(c.samples) < len(c.order) {
-		c.samples = make([]observation, len(c.order))
+	if cap(l.samples) < len(l.order) {
+		l.samples = make([]observation, len(l.order))
 	}
-	samples := c.samples[:len(c.order)]
-	for i, w := range c.order {
-		s := c.sampler.SampleCores(w.cores)
+	samples := l.samples[:len(l.order)]
+	for i, w := range l.order {
+		s := l.sampler.SampleCores(w.cores)
 		samples[i] = observation{
 			sample: s,
 			ipc:    s.IPC(),
@@ -217,27 +373,27 @@ func (c *Controller) Tick() error {
 		}
 	}
 
-	for i, w := range c.order {
-		c.observePhase(w, samples[i])
+	for i, w := range l.order {
+		l.observePhase(w, samples[i])
 	}
 
-	for i, w := range c.order {
+	for i, w := range l.order {
 		if w.state == StateReclaim {
 			w.desire = w.baseline
 			continue
 		}
-		c.categorize(w, samples[i])
+		l.categorize(w, samples[i])
 	}
 
-	ways := c.allocate(samples)
-	for i, w := range c.order {
-		c.alloc[w.name] = ways[i]
+	ways := l.allocate(samples)
+	for i, w := range l.order {
+		l.alloc[w.name] = ways[i]
 	}
-	if err := c.mgr.SetAllocation(c.alloc); err != nil {
-		return fmt.Errorf("core: tick %d: %w", c.ticks, err)
+	if err := l.mgr.SetAllocation(l.alloc); err != nil {
+		return fmt.Errorf("core: tick %d: %w", l.c.ticks, err)
 	}
 	allocSum, churn := 0, 0
-	for i, w := range c.order {
+	for i, w := range l.order {
 		w.lastIPC = samples[i].ipc
 		w.lastMiss = samples[i].miss
 		w.lastLLCRef = samples[i].sample.LLCRef
@@ -248,14 +404,13 @@ func (c *Controller) Tick() error {
 			} else {
 				churn -= d
 			}
-			c.emitWayChange(w, n)
+			l.emitWayChange(w, n)
 			w.ways = n
 		}
 		allocSum += w.ways
 	}
-	c.ticks++
-	if m := c.metrics; m != nil {
-		m.poolFree.Set(float64(c.mgr.TotalWays() - allocSum))
+	if m := l.metrics; m != nil {
+		m.poolFree.Set(float64(l.mgr.TotalWays() - allocSum))
 		if churn > 0 {
 			m.churn.Add(uint64(churn))
 		}
@@ -266,7 +421,7 @@ func (c *Controller) Tick() error {
 
 // observePhase handles phase bookkeeping for one workload: Get
 // Baseline, Detect Phase Change, and performance-table recording.
-func (c *Controller) observePhase(w *wstate, o observation) {
+func (l *loop) observePhase(w *wstate, o observation) {
 	mapi := sanitizeMAPI(o.mapi)
 	switch {
 	case !w.phaseInit:
@@ -278,19 +433,19 @@ func (c *Controller) observePhase(w *wstate, o observation) {
 		w.det.Reset(mapi)
 		w.baselineIPC = o.ipc
 		w.table.Set(w.baseline, 1)
-		c.emitBaseline(w, o.ipc)
+		l.emitBaseline(w, o.ipc)
 
 	case w.det.Observe(mapi):
 		// Phase change: snapshot the table, enter Reclaim (§3.4 —
 		// highest priority, returns to baseline so the guarantee can
 		// be re-established), and stage any known table for reuse.
-		c.saveTable(w)
-		c.emitPhaseChange(w, w.phaseMAPI, mapi)
+		l.saveTable(w)
+		l.emitPhaseChange(w, w.phaseMAPI, mapi)
 		w.phase = phaseKeyOf(mapi)
 		w.phaseMAPI = mapi
 		w.det.Reset(mapi)
 		w.baselineIPC = 0
-		c.setState(w, StateReclaim, reasonPhaseChange)
+		l.setState(w, StateReclaim, reasonPhaseChange)
 		w.settled = false
 		w.sustained = false
 		w.jumpTo = 0
@@ -321,12 +476,12 @@ func (c *Controller) observePhase(w *wstate, o observation) {
 		}
 		if ipc, ok := w.histIPC[w.phase]; ok && ipc > 0 {
 			w.baselineIPC = ipc
-			c.setState(w, StateKeeper, reasonPolicyAdopt)
+			l.setState(w, StateKeeper, reasonPolicyAdopt)
 			w.settled = true
-			c.emitAdopt(w, ipc)
-			if pref, ok := w.table.Preferred(c.cfg.IPCImpThr / 2); ok && pref > w.ways {
+			l.emitAdopt(w, ipc)
+			if pref, ok := w.table.Preferred(l.c.cfg.IPCImpThr / 2); ok && pref > w.ways {
 				w.jumpTo = pref
-				c.emitTableHit(w, pref)
+				l.emitTableHit(w, pref)
 			}
 		}
 
@@ -346,15 +501,15 @@ func (c *Controller) observePhase(w *wstate, o observation) {
 		}
 		w.baselineIPC = o.ipc
 		w.table.Set(w.baseline, 1)
-		c.setState(w, StateKeeper, reasonBaselineMeasured)
-		c.emitBaseline(w, o.ipc)
+		l.setState(w, StateKeeper, reasonBaselineMeasured)
+		l.emitBaseline(w, o.ipc)
 		// Performance-table reuse (§3.5, Fig 12): if this phase was
 		// seen before, jump straight to its preferred allocation
 		// instead of rediscovering one way per round.
-		if pref, ok := w.table.Preferred(c.cfg.IPCImpThr / 2); ok && pref > w.baseline {
+		if pref, ok := w.table.Preferred(l.c.cfg.IPCImpThr / 2); ok && pref > w.baseline {
 			w.jumpTo = pref
 			w.settled = true
-			c.emitTableHit(w, pref)
+			l.emitTableHit(w, pref)
 		}
 
 	case w.baselineIPC > 0:
@@ -365,7 +520,7 @@ func (c *Controller) observePhase(w *wstate, o observation) {
 
 // saveTable merges the live table into the phase history, remembering
 // the phase's measured baseline IPC alongside it.
-func (c *Controller) saveTable(w *wstate) {
+func (l *loop) saveTable(w *wstate) {
 	if !w.phaseInit || len(w.table) == 0 {
 		return
 	}
@@ -384,7 +539,7 @@ func (c *Controller) saveTable(w *wstate) {
 
 // categorize implements the §3.4 state machine for one workload and
 // sets its desired way count for this round.
-func (c *Controller) categorize(w *wstate, o observation) {
+func (l *loop) categorize(w *wstate, o observation) {
 	grew := w.ways > w.prevWays
 	imp := 0.0
 	if w.lastIPC > 0 {
@@ -402,10 +557,10 @@ func (c *Controller) categorize(w *wstate, o observation) {
 	}
 
 	switch {
-	case o.sample.L1Ref <= c.cfg.L1RefThr || o.sample.LLCRef <= c.cfg.LLCRefThr:
+	case o.sample.L1Ref <= l.c.cfg.L1RefThr || o.sample.LLCRef <= l.c.cfg.LLCRefThr:
 		// Idle (l1_ref_thr: the VM is barely executing) or not using
 		// the LLC (llc_ref_thr): Donor at the minimum allocation.
-		c.setState(w, StateDonor, reasonIdle)
+		l.setState(w, StateDonor, reasonIdle)
 		w.settled = true
 		w.desire = 1
 
@@ -414,40 +569,40 @@ func (c *Controller) categorize(w *wstate, o observation) {
 		w.desire = 1
 
 	case w.baselineIPC > 0 && w.ways < w.baseline &&
-		o.ipc < w.baselineIPC*(1-c.cfg.IPCImpThr):
+		o.ipc < w.baselineIPC*(1-l.c.cfg.IPCImpThr):
 		// The baseline guarantee itself: donating ways looked safe by
 		// miss rate, but the workload now runs measurably below the
 		// performance it had at its contracted allocation (reduced
 		// associativity raises conflict misses before the miss-rate
 		// threshold notices — the §2.1 pathology). Take the donation
 		// back and hold.
-		c.setState(w, StateKeeper, reasonGuarantee)
+		l.setState(w, StateKeeper, reasonGuarantee)
 		w.settled = true
 		w.desire = w.baseline
 
-	case o.miss < c.cfg.LLCMissRateThr:
+	case o.miss < l.c.cfg.LLCMissRateThr:
 		switch {
 		case w.settled:
 			// A Keeper that already proved it suffers with less (or a
 			// reused-table jump target): hold.
-			c.setState(w, StateKeeper, reasonSettledHold)
-			w.desire = c.holdOrJump(w)
+			l.setState(w, StateKeeper, reasonSettledHold)
+			w.desire = l.holdOrJump(w)
 		case w.state == StateReceiver || w.state == StateUnknown:
 			// Growth drove the miss rate below threshold: the working
 			// set fits — the preferred state (§3.4: Receiver → Keeper
 			// when llc_miss_rate < llc_miss_rate_thr).
-			c.setState(w, StateKeeper, reasonFits)
+			l.setState(w, StateKeeper, reasonFits)
 			w.settled = true
 			w.desire = w.ways
 		case w.ways <= 1:
-			c.setState(w, StateDonor, reasonMinimalDonor)
+			l.setState(w, StateDonor, reasonMinimalDonor)
 			w.settled = true
 			w.desire = 1
 		default:
 			// Phase-start Keeper or shrinking Donor that is not
 			// missing: give back one way per round until misses
 			// become non-trivial.
-			c.setState(w, StateDonor, reasonShrinking)
+			l.setState(w, StateDonor, reasonShrinking)
 			w.desire = w.ways - 1
 		}
 
@@ -455,46 +610,46 @@ func (c *Controller) categorize(w *wstate, o observation) {
 		switch w.state {
 		case StateDonor:
 			// Shrinking uncovered the working set: settle here.
-			c.setState(w, StateKeeper, reasonUncovered)
+			l.setState(w, StateKeeper, reasonUncovered)
 			w.settled = true
 			w.desire = w.ways
 		case StateKeeper:
 			if w.settled {
-				w.desire = c.holdOrJump(w)
+				w.desire = l.holdOrJump(w)
 				return
 			}
 			// Might benefit from more cache: probe.
-			c.setState(w, StateUnknown, reasonProbe)
-			w.desire = w.ways + c.cfg.GrowthStep
+			l.setState(w, StateUnknown, reasonProbe)
+			w.desire = w.ways + l.c.cfg.GrowthStep
 		case StateUnknown:
 			switch {
-			case grew && imp >= c.cfg.IPCImpThr:
-				c.setState(w, StateReceiver, reasonImproved)
-				w.desire = w.ways + c.cfg.GrowthStep
-			case grew && !graced && (w.ways >= c.cfg.StreamingMult*w.baseline || c.poolEmpty):
+			case grew && imp >= l.c.cfg.IPCImpThr:
+				l.setState(w, StateReceiver, reasonImproved)
+				w.desire = w.ways + l.c.cfg.GrowthStep
+			case grew && !graced && (w.ways >= l.c.cfg.StreamingMult*w.baseline || l.poolEmpty):
 				// Probed to the streaming threshold (or drained the
 				// pool) with nothing to show: cyclic access pattern.
 				// (A freshly arrived tenant inside its grace keeps
 				// probing instead — the refill storm is not evidence.)
-				c.setState(w, StateStreaming, reasonStreamingProbe)
+				l.setState(w, StateStreaming, reasonStreamingProbe)
 				w.settled = true
 				w.desire = 1
-			case !grew && !graced && w.denied && w.ways >= c.cfg.StreamingMult*w.baseline:
-				c.setState(w, StateStreaming, reasonStreamingDenied)
+			case !grew && !graced && w.denied && w.ways >= l.c.cfg.StreamingMult*w.baseline:
+				l.setState(w, StateStreaming, reasonStreamingDenied)
 				w.settled = true
 				w.desire = 1
 			default:
-				w.desire = w.ways + c.cfg.GrowthStep
+				w.desire = w.ways + l.c.cfg.GrowthStep
 			}
 		case StateReceiver:
-			if grew && imp < c.cfg.IPCImpThr {
+			if grew && imp < l.c.cfg.IPCImpThr {
 				// The last way added nothing: preferred state reached.
-				c.setState(w, StateKeeper, reasonNoGain)
+				l.setState(w, StateKeeper, reasonNoGain)
 				w.settled = true
 				w.desire = w.ways
 				return
 			}
-			w.desire = w.ways + c.cfg.GrowthStep
+			w.desire = w.ways + l.c.cfg.GrowthStep
 		default:
 			w.desire = w.ways
 		}
@@ -503,7 +658,7 @@ func (c *Controller) categorize(w *wstate, o observation) {
 
 // holdOrJump returns a settled workload's desire: its current ways, or
 // its reuse target while one is pending.
-func (c *Controller) holdOrJump(w *wstate) int {
+func (l *loop) holdOrJump(w *wstate) int {
 	if w.jumpTo > w.ways {
 		return w.jumpTo
 	}

@@ -81,7 +81,7 @@ func TestArrivalGraceAvoidsRefillMisclassification(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			tick(false)
 		}
-		if err := ctl.AddTarget(Target{Name: "mig", Cores: []int{1}, BaselineWays: 2}, nil); err != nil {
+		if err := ctl.AddTarget(0, Target{Name: "mig", Cores: []int{1}, BaselineWays: 2}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < refillTicks+6; i++ {
@@ -138,7 +138,7 @@ func TestArrivalGraceEndsEarlyOnStableMissRate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ctl.AddTarget(Target{Name: "mig", Cores: []int{1}, BaselineWays: 2}, nil); err != nil {
+	if err := ctl.AddTarget(0, Target{Name: "mig", Cores: []int{1}, BaselineWays: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {

@@ -10,13 +10,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// multiRig builds a 2-socket MultiController over fake backends: one
+// multiRig builds a 2-socket Controller over fake backends: one
 // workload per socket, scripted via a shared 4-core counter file
 // (cores 0-1 on socket 0, cores 2-3 on socket 1).
 type multiRig struct {
 	t         *testing.T
 	file      *perf.File
-	multi     *MultiController
+	multi     *Controller
 	coreOf    map[string]int
 	behaviors map[string]behavior
 }
@@ -46,6 +46,15 @@ func newMultiRig(t *testing.T, behaviors map[string]behavior) *multiRig {
 		coreOf:    map[string]int{"w0": 0, "w1": 2},
 		behaviors: behaviors,
 	}
+}
+
+// socketOf reports which socket's loop manages a workload.
+func socketOf(c *Controller, name string) (int, bool) {
+	w, ok := c.ws[name]
+	if !ok {
+		return 0, false
+	}
+	return w.l.socket, true
 }
 
 func (r *multiRig) tick() {
@@ -91,12 +100,12 @@ func TestNewMultiValidation(t *testing.T) {
 	}
 }
 
-// TestMultiControllersAreIndependent runs a cache-hungry workload on
+// TestSocketLoopsAreIndependent runs a cache-hungry workload on
 // socket 0 beside a streaming one on socket 1 and checks each socket's
 // loop categorizes its own tenant from its own counters — socket 0
 // grows its receiver while socket 1 demotes its streamer, with no
 // cross-talk through the shared perf file.
-func TestMultiControllersAreIndependent(t *testing.T) {
+func TestSocketLoopsAreIndependent(t *testing.T) {
 	r := newMultiRig(t, map[string]behavior{
 		"w0": mlrBehavior(9),
 		"w1": streamBehavior(),
@@ -104,11 +113,11 @@ func TestMultiControllersAreIndependent(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		r.tick()
 	}
-	if s, ok := r.multi.SocketOf("w0"); !ok || s != 0 {
-		t.Errorf("SocketOf(w0)=(%d,%v) want (0,true)", s, ok)
+	if s, ok := socketOf(r.multi, "w0"); !ok || s != 0 {
+		t.Errorf("socketOf(w0)=(%d,%v) want (0,true)", s, ok)
 	}
-	if s, ok := r.multi.SocketOf("w1"); !ok || s != 1 {
-		t.Errorf("SocketOf(w1)=(%d,%v) want (1,true)", s, ok)
+	if s, ok := socketOf(r.multi, "w1"); !ok || s != 1 {
+		t.Errorf("socketOf(w1)=(%d,%v) want (1,true)", s, ok)
 	}
 	if got := r.multi.Ways("w0"); got <= 3 {
 		t.Errorf("socket-0 receiver stuck at %d ways; want growth above baseline", got)
@@ -138,8 +147,8 @@ func TestMultiSnapshotTickOrder(t *testing.T) {
 	if len(snap) != 2 || snap[0].Name != "w0" || snap[1].Name != "w1" {
 		t.Fatalf("snapshot not in ascending socket order: %+v", snap)
 	}
-	if got := r.multi.Sockets(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Sockets()=%v want [0 1]", got)
+	if l := r.multi.loops; len(l) != 2 || l[0].socket != 0 || l[1].socket != 1 {
+		t.Errorf("loops not in ascending socket order")
 	}
 }
 
@@ -163,7 +172,7 @@ func TestMultiSinkStampsSocket(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, ev := range sink.events {
-		want, ok := r.multi.SocketOf(ev.Workload)
+		want, ok := socketOf(r.multi, ev.Workload)
 		if !ok {
 			continue
 		}

@@ -86,10 +86,11 @@ type coreMetrics struct {
 
 // SetSink installs the decision-trace sink (nil disables tracing).
 // Install it before the first Tick; the controller emits events
-// synchronously from its loop goroutine.
+// synchronously from its loop goroutine, each stamped with the socket
+// of the loop that decided it.
 func (c *Controller) SetSink(s obs.Sink) { c.sink = s }
 
-// RegisterMetrics registers the controller's metrics on reg and keeps
+// RegisterMetrics registers every loop's metrics on reg and keeps
 // them updated from every subsequent Tick:
 //
 //	dcat_tick_seconds                  histogram — full tick latency
@@ -98,22 +99,23 @@ func (c *Controller) SetSink(s obs.Sink) { c.sink = s }
 //	dcat_pool_free_ways                gauge — unallocated ways
 //	dcat_allocation_churn_ways_total   counter — |Δways| summed
 //
+// On a multi-socket host every family carries a socket="N" constant
+// label, so the loops of every LLC sit side by side on one registry; a
+// set of one loop has nothing to tell apart and exports unlabelled.
 // Call it once per controller per registry (metric names collide on a
 // second registration, by design).
 func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
-	c.metrics = newCoreMetrics(reg, nil)
+	for _, l := range c.loops {
+		var constLabels []string
+		if len(c.loops) > 1 {
+			constLabels = []string{"socket", strconv.Itoa(l.socket)}
+		}
+		l.metrics = newCoreMetrics(reg, constLabels)
+	}
 }
 
-// RegisterMetricsSocket is RegisterMetrics with a socket="N" constant
-// label on every family, so one registry can carry the controllers of
-// every LLC on a NUMA host side by side.
-func (c *Controller) RegisterMetricsSocket(reg *telemetry.Registry, socket int) {
-	c.metrics = newCoreMetrics(reg, []string{"socket", strconv.Itoa(socket)})
-}
-
-// newCoreMetrics registers the metric families, optionally under a set
-// of constant labels. With constLabels nil the exposition is identical
-// to what RegisterMetrics always produced.
+// newCoreMetrics registers one loop's metric families, optionally under
+// a set of constant labels.
 func newCoreMetrics(reg *telemetry.Registry, constLabels []string) *coreMetrics {
 	return &coreMetrics{
 		tickSeconds: reg.Histogram("dcat_tick_seconds",
@@ -131,13 +133,14 @@ func newCoreMetrics(reg *telemetry.Registry, constLabels []string) *coreMetrics 
 
 // setState performs a category transition, emitting a trace event and
 // counting it; same-state calls are no-ops.
-func (c *Controller) setState(w *wstate, s State, reason string) {
+func (l *loop) setState(w *wstate, s State, reason string) {
 	if w.state == s {
 		return
 	}
-	if c.sink != nil {
-		c.sink.Emit(obs.Event{
-			Tick:     c.ticks,
+	if l.c.sink != nil {
+		l.c.sink.Emit(obs.Event{
+			Tick:     l.c.ticks,
+			Socket:   l.socket,
 			Kind:     obs.KindStateTransition,
 			Workload: w.name,
 			From:     w.state.String(),
@@ -147,7 +150,7 @@ func (c *Controller) setState(w *wstate, s State, reason string) {
 			Reason:   reason,
 		})
 	}
-	if m := c.metrics; m != nil {
+	if m := l.metrics; m != nil {
 		ctr := m.transitions[w.state][s]
 		if ctr == nil {
 			ctr = m.transVec.With(w.state.String(), s.String())
@@ -161,15 +164,16 @@ func (c *Controller) setState(w *wstate, s State, reason string) {
 // emitPhaseChange records a detected phase change: the old and new
 // MAPI land in OldVal/NewVal, the allocation held when it hit in
 // OldWays.
-func (c *Controller) emitPhaseChange(w *wstate, oldMAPI, newMAPI float64) {
-	if m := c.metrics; m != nil {
+func (l *loop) emitPhaseChange(w *wstate, oldMAPI, newMAPI float64) {
+	if m := l.metrics; m != nil {
 		m.phaseChanges.Inc()
 	}
-	if c.sink == nil {
+	if l.c.sink == nil {
 		return
 	}
-	c.sink.Emit(obs.Event{
-		Tick:     c.ticks,
+	l.c.sink.Emit(obs.Event{
+		Tick:     l.c.ticks,
+		Socket:   l.socket,
 		Kind:     obs.KindPhaseChange,
 		Workload: w.name,
 		OldWays:  w.ways,
@@ -181,12 +185,13 @@ func (c *Controller) emitPhaseChange(w *wstate, oldMAPI, newMAPI float64) {
 
 // emitBaseline records a (re-)measured phase baseline: the contracted
 // ways in NewWays, the measured IPC in NewVal.
-func (c *Controller) emitBaseline(w *wstate, ipc float64) {
-	if c.sink == nil {
+func (l *loop) emitBaseline(w *wstate, ipc float64) {
+	if l.c.sink == nil {
 		return
 	}
-	c.sink.Emit(obs.Event{
-		Tick:     c.ticks,
+	l.c.sink.Emit(obs.Event{
+		Tick:     l.c.ticks,
+		Socket:   l.socket,
 		Kind:     obs.KindBaselineSet,
 		Workload: w.name,
 		NewWays:  w.baseline,
@@ -197,12 +202,13 @@ func (c *Controller) emitBaseline(w *wstate, ipc float64) {
 
 // emitTableHit records a performance-table reuse jump (§3.5): the
 // remembered preferred allocation in NewWays.
-func (c *Controller) emitTableHit(w *wstate, target int) {
-	if c.sink == nil {
+func (l *loop) emitTableHit(w *wstate, target int) {
+	if l.c.sink == nil {
 		return
 	}
-	c.sink.Emit(obs.Event{
-		Tick:     c.ticks,
+	l.c.sink.Emit(obs.Event{
+		Tick:     l.c.ticks,
+		Socket:   l.socket,
 		Kind:     obs.KindTableHit,
 		Workload: w.name,
 		OldWays:  w.ways,
@@ -214,55 +220,57 @@ func (c *Controller) emitTableHit(w *wstate, target int) {
 // emitWayChange records the allocator's verdict for one workload when
 // it differs from the current allocation. From carries the category
 // that earned the change, Policy the engine that decided it.
-func (c *Controller) emitWayChange(w *wstate, newWays int) {
-	if c.sink == nil || newWays == w.ways {
+func (l *loop) emitWayChange(w *wstate, newWays int) {
+	if l.c.sink == nil || newWays == w.ways {
 		return
 	}
 	kind, reason := obs.KindWayGrant, reasonWayGrant
 	if newWays < w.ways {
 		kind, reason = obs.KindWayReclaim, reasonWayReclaim
 	}
-	c.sink.Emit(obs.Event{
-		Tick:     c.ticks,
+	l.c.sink.Emit(obs.Event{
+		Tick:     l.c.ticks,
+		Socket:   l.socket,
 		Kind:     kind,
 		Workload: w.name,
 		From:     w.state.String(),
 		OldWays:  w.ways,
 		NewWays:  newWays,
 		Reason:   reason,
-		Policy:   c.policy.Name(),
+		Policy:   l.policy.Name(),
 	})
 }
 
 // emitAdopt records a sustain-and-adopt: a phase change whose baseline
 // was adopted from history instead of re-measured (NewVal carries the
 // adopted IPC).
-func (c *Controller) emitAdopt(w *wstate, ipc float64) {
-	if c.sink == nil {
+func (l *loop) emitAdopt(w *wstate, ipc float64) {
+	if l.c.sink == nil {
 		return
 	}
-	c.sink.Emit(obs.Event{
-		Tick:     c.ticks,
+	l.c.sink.Emit(obs.Event{
+		Tick:     l.c.ticks,
+		Socket:   l.socket,
 		Kind:     obs.KindPolicyAdopt,
 		Workload: w.name,
 		NewWays:  w.ways,
 		NewVal:   ipc,
 		Reason:   reasonPolicyAdopt,
-		Policy:   c.policy.Name(),
+		Policy:   l.policy.Name(),
 	})
 }
 
 // emitNotes translates the policy's side-decisions for this round into
 // decision-trace events.
-func (c *Controller) emitNotes() {
-	if c.sink == nil || len(c.grants.Notes) == 0 {
+func (l *loop) emitNotes() {
+	if l.c.sink == nil || len(l.grants.Notes) == 0 {
 		return
 	}
-	for _, n := range c.grants.Notes {
-		if n.Workload < 0 || n.Workload >= len(c.order) {
+	for _, n := range l.grants.Notes {
+		if n.Workload < 0 || n.Workload >= len(l.order) {
 			continue
 		}
-		w := c.order[n.Workload]
+		w := l.order[n.Workload]
 		var kind obs.Kind
 		var reason string
 		switch n.Kind {
@@ -277,8 +285,9 @@ func (c *Controller) emitNotes() {
 		default:
 			continue
 		}
-		c.sink.Emit(obs.Event{
-			Tick:     c.ticks,
+		l.c.sink.Emit(obs.Event{
+			Tick:     l.c.ticks,
+			Socket:   l.socket,
 			Kind:     kind,
 			Workload: w.name,
 			To:       n.Label,
@@ -286,7 +295,7 @@ func (c *Controller) emitNotes() {
 			NewWays:  n.Ways,
 			NewVal:   n.Value,
 			Reason:   reason,
-			Policy:   c.policy.Name(),
+			Policy:   l.policy.Name(),
 		})
 	}
 }

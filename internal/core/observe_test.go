@@ -166,7 +166,7 @@ func TestDecisionTrace(t *testing.T) {
 		}
 	}
 	var counted uint64
-	for _, v := range r.ctl.metrics.transVec.Values() {
+	for _, v := range r.ctl.loops[0].metrics.transVec.Values() {
 		counted += v
 	}
 	if counted != uint64(len(transitions)) {

@@ -110,8 +110,8 @@ type Status struct {
 	// State==StateStreaming && Graced can never hold; the study harness
 	// audits it on every churn arrival.
 	Graced bool
-	// Socket is the LLC domain the workload runs on (0 on single-socket
-	// hosts; stamped by MultiController on NUMA hosts).
+	// Socket is the LLC domain the workload runs on: the socket of the
+	// loop that manages it.
 	Socket int
 	// Policy is the allocation policy making the way decisions on this
 	// workload's controller ("reactive", "predictive", "lfoc", ...).

@@ -13,9 +13,8 @@ import (
 // losing that on a cross-socket move would force the destination loop
 // to re-learn from scratch, exactly the dip the §3.5 performance tables
 // exist to avoid. RemoveTarget exports the learned state, AddTarget
-// imports it, and MultiController.Migrate composes the two so a
-// workload steps from one socket's loop to another's carrying its
-// history along.
+// imports it, and Migrate composes the two so a workload steps from
+// one socket's loop to another's carrying its history along.
 
 // WorkloadState is one workload's portable controller state, exported
 // by RemoveTarget and consumed by AddTarget on the destination loop.
@@ -48,22 +47,35 @@ type WorkloadState struct {
 	phaseInit bool
 	history   map[phaseKey]PerfTable
 	histIPC   map[phaseKey]float64
+	// capWays is the advisory cap (SetWayCap) in force at export. It
+	// travels regardless of settledness: the authority that pushed it
+	// caches what it pushed and does not re-send it after a move.
+	capWays int
 }
 
-// RemoveTarget stops managing a workload: its learned state is exported
-// and returned, its CLOS group is removed, and its ways return to the
-// free pool (flushed by the manager). The controller must keep at least
-// one target. Host-side teardown (cores, the interval loop) is the
+// RemoveTarget stops managing a workload wherever it lives — tenant
+// churn's departure path. Its learned state is exported and returned
+// (callers that re-admit the tenant later can carry it back in), its
+// CLOS group is removed, and its ways return to its socket's free pool
+// (flushed by the manager). Each socket's loop must keep at least one
+// target. Host-side teardown (cores, the interval loop) is the
 // caller's: see host.RemoveVM.
 func (c *Controller) RemoveTarget(name string) (WorkloadState, error) {
 	w, ok := c.ws[name]
 	if !ok {
-		return WorkloadState{}, fmt.Errorf("core: no target %q", name)
+		return WorkloadState{}, fmt.Errorf("core: no workload %q", name)
 	}
-	if len(c.order) == 1 {
+	return w.l.remove(w)
+}
+
+// remove exports w's state and drops it from this loop and from the
+// controller's name index.
+func (l *loop) remove(w *wstate) (WorkloadState, error) {
+	name := w.name
+	if len(l.order) == 1 {
 		return WorkloadState{}, fmt.Errorf("core: cannot remove the last target %q", name)
 	}
-	c.saveTable(w)
+	l.saveTable(w)
 	hist := make(map[phaseKey]PerfTable, len(w.history))
 	for k, t := range w.history {
 		hist[k] = t.Clone()
@@ -85,81 +97,85 @@ func (c *Controller) RemoveTarget(name string) (WorkloadState, error) {
 		phaseInit:    w.phaseInit,
 		history:      hist,
 		histIPC:      histIPC,
+		capWays:      w.capWays,
 	}
-	if sp, ok := c.policy.(policy.Stateful); ok {
+	if sp, ok := l.policy.(policy.Stateful); ok {
 		st.PolicyModel = sp.ExportModel(name)
 		sp.DropModel(name)
 	}
-	if err := c.mgr.RemoveGroup(name); err != nil {
+	if err := l.mgr.RemoveGroup(name); err != nil {
 		return WorkloadState{}, fmt.Errorf("core: %w", err)
 	}
-	delete(c.ws, name)
-	delete(c.alloc, name)
-	for i, ww := range c.order {
+	delete(l.c.ws, name)
+	delete(l.alloc, name)
+	for i, ww := range l.order {
 		if ww == w {
-			c.order = append(c.order[:i], c.order[i+1:]...)
+			l.order = append(l.order[:i], l.order[i+1:]...)
 			break
 		}
 	}
-	for _, ww := range c.order {
-		c.alloc[ww.name] = ww.ways
+	for _, ww := range l.order {
+		l.alloc[ww.name] = ww.ways
 	}
-	if err := c.mgr.SetAllocation(c.alloc); err != nil {
+	if err := l.mgr.SetAllocation(l.alloc); err != nil {
 		return WorkloadState{}, fmt.Errorf("core: removing %q: %w", name, err)
 	}
 	return st, nil
 }
 
-// AddTarget starts managing a new workload mid-run, optionally seeded
-// with state exported from another controller. The workload arrives at
-// its contracted baseline (reclaimed from the largest above-baseline
-// holders if the pool is short — the same priority the allocator uses),
-// its cores are primed so the first sample covers only its own history,
-// and, when the carried table already knows this phase's preferred
-// allocation, the loop jumps straight to it on the next tick instead of
-// re-growing one way per round (§3.5 table reuse, across sockets).
-func (c *Controller) AddTarget(t Target, st *WorkloadState) error {
-	if _, dup := c.ws[t.Name]; dup {
-		return fmt.Errorf("core: target %q already exists", t.Name)
+// AddTarget starts managing a new workload on the given socket's loop
+// mid-run — tenant churn's hot-plug path — optionally seeded with state
+// exported by RemoveTarget. The workload arrives at its contracted
+// baseline (reclaimed from the largest above-baseline holders if the
+// pool is short — the same priority the allocator uses), its cores are
+// primed so the first sample covers only its own history, and, when the
+// carried table already knows this phase's preferred allocation, the
+// loop jumps straight to it on the next tick instead of re-growing one
+// way per round (§3.5 table reuse, across sockets). The arrival grace
+// (Config.ArrivalGraceTicks) arms for every arrival, since a hot-plugged
+// tenant refills a cold LLC just like a migrated one.
+func (c *Controller) AddTarget(socket int, t Target, st *WorkloadState) error {
+	l := c.loopOn(socket)
+	if l == nil {
+		return fmt.Errorf("core: no controller on socket %d", socket)
 	}
+	if w, dup := c.ws[t.Name]; dup {
+		return fmt.Errorf("core: workload %q already managed on socket %d", t.Name, w.l.socket)
+	}
+	return l.add(t, st)
+}
+
+// add installs t on this loop and in the controller's name index.
+func (l *loop) add(t Target, st *WorkloadState) error {
 	if t.BaselineWays < 1 {
 		return fmt.Errorf("core: target %q baseline %d below the 1-way minimum",
 			t.Name, t.BaselineWays)
 	}
 	sumBase := t.BaselineWays
-	for _, ww := range c.order {
+	for _, ww := range l.order {
 		sumBase += ww.baseline
 	}
-	if sumBase > c.mgr.TotalWays() {
+	if sumBase > l.mgr.TotalWays() {
 		return fmt.Errorf("core: baselines would total %d ways, socket has %d",
-			sumBase, c.mgr.TotalWays())
+			sumBase, l.mgr.TotalWays())
 	}
-	if _, err := c.mgr.CreateGroup(t.Name, t.Cores); err != nil {
+	if _, err := l.mgr.CreateGroup(t.Name, t.Cores); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	// The new cores' counters carry their whole past (a previous tenant,
 	// or nothing the sampler has seen): prime them so the first sample
 	// is a clean delta.
-	c.sampler.Prime(t.Cores)
-	w := &wstate{
-		name:     t.Name,
-		cores:    append([]int(nil), t.Cores...),
-		baseline: t.BaselineWays,
-		state:    StateKeeper,
-		ways:     t.BaselineWays,
-		prevWays: t.BaselineWays,
-		table:    make(PerfTable),
-		history:  make(map[phaseKey]PerfTable),
-		histIPC:  make(map[phaseKey]float64),
-		det:      c.cfg.detector(),
-		// The arrival refills a cold LLC; suspend Streaming verdicts
-		// until the refill storm passes (Config.ArrivalGraceTicks).
-		graceLeft: c.cfg.ArrivalGraceTicks,
-	}
-	// The policy's learned model travels regardless of settledness:
-	// phase-transition history is socket-independent.
-	if st != nil && st.PolicyModel != nil {
-		if sp, ok := c.policy.(policy.Stateful); ok {
+	l.sampler.Prime(t.Cores)
+	w := l.newWorkload(t)
+	// The arrival refills a cold LLC; suspend Streaming verdicts until
+	// the refill storm passes (Config.ArrivalGraceTicks).
+	w.graceLeft = l.c.cfg.ArrivalGraceTicks
+	if st != nil {
+		// The advisory cap and the policy's learned model travel
+		// regardless of settledness: the cap's authority will not
+		// re-send it, and phase-transition history is socket-independent.
+		w.capWays = st.capWays
+		if sp, ok := l.policy.(policy.Stateful); ok && st.PolicyModel != nil {
 			sp.ImportModel(t.Name, st.PolicyModel)
 		}
 	}
@@ -196,31 +212,31 @@ func (c *Controller) AddTarget(t Target, st *WorkloadState) error {
 		// and Streamings keep their terminal categories — neither wants
 		// the pool.
 		if w.state != StateDonor && w.state != StateStreaming {
-			if pref, ok := w.table.Preferred(c.cfg.IPCImpThr / 2); ok && pref > w.baseline {
+			if pref, ok := w.table.Preferred(l.c.cfg.IPCImpThr / 2); ok && pref > w.baseline {
 				w.state = StateKeeper
 				w.settled = true
 				w.jumpTo = pref
-				c.emitTableHit(w, pref)
+				l.emitTableHit(w, pref)
 			}
 		}
 	}
-	c.ws[t.Name] = w
-	c.order = append(c.order, w)
+	l.c.ws[t.Name] = w
+	l.order = append(l.order, w)
 
 	// Install the arrival allocation: everyone keeps their ways, the
 	// newcomer gets its baseline. If the pool cannot cover it, reclaim
 	// one way at a time from the largest above-baseline holder (the
 	// allocator's own over-commit priority); the baseline-sum check
 	// above guarantees this terminates with every group >= 1 way.
-	alloc := c.alloc
+	alloc := l.alloc
 	allocated := 0
-	for _, ww := range c.order {
+	for _, ww := range l.order {
 		alloc[ww.name] = ww.ways
 		allocated += ww.ways
 	}
-	for allocated > c.mgr.TotalWays() {
+	for allocated > l.mgr.TotalWays() {
 		best, bestSurplus := "", 0
-		for _, ww := range c.order {
+		for _, ww := range l.order {
 			if ww == w {
 				continue
 			}
@@ -229,7 +245,7 @@ func (c *Controller) AddTarget(t Target, st *WorkloadState) error {
 			}
 		}
 		if best == "" {
-			for _, ww := range c.order {
+			for _, ww := range l.order {
 				if ww != w && alloc[ww.name] > 1 {
 					best = ww.name
 					break
@@ -242,14 +258,49 @@ func (c *Controller) AddTarget(t Target, st *WorkloadState) error {
 		alloc[best]--
 		allocated--
 	}
-	if err := c.mgr.SetAllocation(alloc); err != nil {
+	if err := l.mgr.SetAllocation(alloc); err != nil {
 		return fmt.Errorf("core: adding %q: %w", t.Name, err)
 	}
-	for _, ww := range c.order {
+	for _, ww := range l.order {
 		if nw := alloc[ww.name]; nw != ww.ways {
-			c.emitWayChange(ww, nw)
+			l.emitWayChange(ww, nw)
 			ww.ways = nw
 		}
+	}
+	return nil
+}
+
+// Migrate moves a workload's decision-loop state from its current
+// socket's loop to another's: the source exports and drops it, the
+// destination imports it on the given cores (the ones the host
+// assigned there — see host.MigrateVM) at its contracted baseline, with
+// the learned phase baseline, performance tables and advisory cap
+// carried over so the destination loop resumes instead of re-learning.
+// If the destination rejects the workload it is restored on the source,
+// so it is never left unmanaged.
+func (c *Controller) Migrate(name string, toSocket int, cores []int) error {
+	w, ok := c.ws[name]
+	if !ok {
+		return fmt.Errorf("core: no workload %q", name)
+	}
+	from := w.l.socket
+	if from == toSocket {
+		return fmt.Errorf("core: workload %q is already on socket %d", name, toSocket)
+	}
+	if c.loopOn(toSocket) == nil {
+		return fmt.Errorf("core: no controller on socket %d", toSocket)
+	}
+	st, err := c.RemoveTarget(name)
+	if err != nil {
+		return err
+	}
+	if err := c.AddTarget(toSocket, Target{Name: name, Cores: cores, BaselineWays: st.BaselineWays}, &st); err != nil {
+		restoreErr := c.AddTarget(from, Target{Name: name, Cores: st.Cores, BaselineWays: st.BaselineWays}, &st)
+		if restoreErr != nil {
+			return fmt.Errorf("core: migrate %q to socket %d: %v (restore on socket %d failed: %v)",
+				name, toSocket, err, from, restoreErr)
+		}
+		return fmt.Errorf("core: migrate %q to socket %d: %w", name, toSocket, err)
 	}
 	return nil
 }

@@ -127,17 +127,17 @@ func TestAddTargetFresh(t *testing.T) {
 			"late": idleBehavior(),
 		})
 	r.run(3)
-	if err := r.ctl.AddTarget(Target{Name: "late", Cores: []int{5}, BaselineWays: 4}, nil); err != nil {
+	if err := r.ctl.AddTarget(0, Target{Name: "late", Cores: []int{5}, BaselineWays: 4}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.coreOf["late"] = 5
 	if got := r.ctl.Ways("late"); got != 4 {
 		t.Errorf("arrival allocation %d, want the baseline 4", got)
 	}
-	if err := r.ctl.AddTarget(Target{Name: "late", Cores: []int{6}, BaselineWays: 1}, nil); err == nil {
+	if err := r.ctl.AddTarget(0, Target{Name: "late", Cores: []int{6}, BaselineWays: 1}, nil); err == nil {
 		t.Error("duplicate target should fail")
 	}
-	if err := r.ctl.AddTarget(Target{Name: "huge", Cores: []int{7}, BaselineWays: 15}, nil); err == nil {
+	if err := r.ctl.AddTarget(0, Target{Name: "huge", Cores: []int{7}, BaselineWays: 15}, nil); err == nil {
 		t.Error("baseline overflow should fail")
 	}
 	r.run(2) // the adopted loop must tick cleanly
@@ -165,7 +165,7 @@ func TestAddTargetReclaimsFromSurplus(t *testing.T) {
 		t.Fatalf("precondition: pool should be nearly drained, %d free", free)
 	}
 	surplusBefore := r.ctl.Ways("a")
-	if err := r.ctl.AddTarget(Target{Name: "late", Cores: []int{5}, BaselineWays: 3}, nil); err != nil {
+	if err := r.ctl.AddTarget(0, Target{Name: "late", Cores: []int{5}, BaselineWays: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.ctl.Ways("late"); got != 3 {
@@ -241,21 +241,27 @@ func TestMigrateCarriesState(t *testing.T) {
 	if err := multi.Migrate("filler", 0, []int{3}); err == nil {
 		t.Fatal("migrating a socket's last workload should fail")
 	}
-	if s, ok := multi.SocketOf("filler"); !ok || s != 1 {
+	if s, ok := socketOf(multi, "filler"); !ok || s != 1 {
 		t.Fatalf("failed migration lost track of filler: socket %d ok=%v", s, ok)
 	}
 
+	// A coordinator cap pushed before the move must survive it: the
+	// agent caches what it pushed and never re-sends an unchanged hint.
+	multi.SetWayCap("mover", 15)
 	if err := multi.Migrate("mover", 1, []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	coreOf["mover"] = 3
-	if s, _ := multi.SocketOf("mover"); s != 1 {
+	if s, _ := socketOf(multi, "mover"); s != 1 {
 		t.Fatalf("mover still homed on socket %d", s)
+	}
+	if got := multi.ws["mover"].capWays; got != 15 {
+		t.Fatalf("way cap %d after migration, want the pushed 15", got)
 	}
 	if got := multi.Ways("mover"); got != 3 {
 		t.Fatalf("arrival allocation %d, want the baseline 3", got)
 	}
-	tb, ok := multi.Controller(1).Table("mover")
+	tb, ok := multi.Table("mover")
 	if !ok || len(tb) < 3 {
 		t.Fatalf("performance table not carried: %v", tb)
 	}
@@ -410,7 +416,7 @@ func TestArrivalGraceBlocksPredictivePreGrants(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tick(false)
 	}
-	if err := ctl.AddTarget(Target{Name: "mig", Cores: []int{1}, BaselineWays: 3}, nil); err != nil {
+	if err := ctl.AddTarget(0, Target{Name: "mig", Cores: []int{1}, BaselineWays: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// One graced tick so the policy records mig's current phase key

@@ -210,8 +210,8 @@ func TestFlagsMatchFile(t *testing.T) {
 }
 
 // TestOpenHardware opens the production loop on a mock resctrl tree and
-// a fake /dev/cpu: a set of one loop that programs the tree and exports
-// exactly a bare controller's (unlabelled) metrics.
+// a fake /dev/cpu: a controller of one loop that programs the tree and
+// exports unlabelled metrics.
 func TestOpenHardware(t *testing.T) {
 	dir := t.TempDir()
 	tree, dev := filepath.Join(dir, "resctrl"), filepath.Join(dir, "cpu")
@@ -235,8 +235,10 @@ func TestOpenHardware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.Sockets(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("sockets %v, want one loop on socket 0", got)
+	for _, st := range ctl.Snapshot() {
+		if st.Socket != 0 {
+			t.Fatalf("%s on socket %d, want one loop on socket 0", st.Name, st.Socket)
+		}
 	}
 	if ctl.Ways("web") != 4 || ctl.Ways("batch") != 2 || ctl.TotalWays() != 20 {
 		t.Errorf("ways web=%d batch=%d of %d", ctl.Ways("web"), ctl.Ways("batch"), ctl.TotalWays())
@@ -249,7 +251,7 @@ func TestOpenHardware(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if occ, ok := ctl.Controller(0).Occupancy(); !ok || occ["web"] != 4<<20 || occ["batch"] != 1<<20 {
+	if occ, ok := ctl.Occupancy(); !ok || occ["web"] != 4<<20 || occ["batch"] != 1<<20 {
 		t.Errorf("occupancy %v %t", occ, ok)
 	}
 	reg := telemetry.NewRegistry()

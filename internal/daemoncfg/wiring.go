@@ -88,9 +88,9 @@ func (gs *Groups) Set(v string) error {
 // OpenHardware assembles the production control loop: the resctrl
 // filesystem as the CAT backend, MSR counters programmed on every
 // managed CPU, and the groups' baselines installed. It is a controller
-// set of one loop — the type every simulated host runs under — because
+// of one loop — the type every simulated host runs under — because
 // resctrl.Backend steers one CAT domain.
-func (f *File) OpenHardware() (*core.MultiController, error) {
+func (f *File) OpenHardware() (*core.Controller, error) {
 	cfg, err := f.ControllerConfig()
 	if err != nil {
 		return nil, err

@@ -57,7 +57,7 @@ func AblationPhaseThreshold(opts Options) (*TableResult, error) {
 		reclaims := 0
 		waysSum := 0
 		n := opts.TimelineIntervals
-		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.MultiController) {
+		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.Controller) {
 			st, _ := ctl.StateOf("target")
 			if st == core.StateReclaim {
 				reclaims++
@@ -129,7 +129,7 @@ func AblationDetector(opts Options) (*TableResult, error) {
 		reclaims, waysSum := 0, 0
 		normSum := 0.0
 		n := opts.TimelineIntervals
-		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.MultiController) {
+		if _, err := s.run(ModeDCat, cfg, n, func(_ int, ctl *core.Controller) {
 			snap := ctl.Snapshot()
 			if st, _ := ctl.StateOf("target"); st == core.StateReclaim {
 				reclaims++
@@ -169,7 +169,7 @@ func AblationGrowthStep(opts Options) (*TableResult, error) {
 		}
 		settled, lastWays := 0, 0
 		ctl, err := s.run(ModeDCat, cfg, opts.TimelineIntervals,
-			func(interval int, c *core.MultiController) {
+			func(interval int, c *core.Controller) {
 				if w := c.Ways("target"); w != lastWays {
 					lastWays = w
 					settled = interval
@@ -207,7 +207,7 @@ func AblationStreamingMult(opts Options) (*TableResult, error) {
 		}
 		peak, demoted := 0, 0
 		if _, err := s.run(ModeDCat, cfg, opts.TimelineIntervals,
-			func(interval int, c *core.MultiController) {
+			func(interval int, c *core.Controller) {
 				if w := c.Ways("target"); w > peak {
 					peak = w
 				}

@@ -182,7 +182,7 @@ func recoveryIntervals(opts Options, useDCat bool) (int, error) {
 	}
 	recovered := 0
 	_, err = s.run(ModeDCat, cfg, wake+opts.SteadyIntervals,
-		func(interval int, ctl *core.MultiController) {
+		func(interval int, ctl *core.Controller) {
 			if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
 				recovered = interval - wake
 			}

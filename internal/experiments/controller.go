@@ -25,13 +25,13 @@ func mlrSpec(name string, ws uint64, baseline int, seed int64) vmSpec {
 // runTimeline executes specs under dCat, recording ways and normalized
 // IPC series for the named targets each interval.
 func runTimeline(opts Options, cfg core.Config, specs []vmSpec, targets []string,
-	intervals int) (*telemetry.Recorder, *core.MultiController, *scenario, error) {
+	intervals int) (*telemetry.Recorder, *core.Controller, *scenario, error) {
 	s, err := newScenario(opts, specs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	rec := telemetry.NewRecorder()
-	ctl, err := s.run(ModeDCat, cfg, intervals, func(interval int, ctl *core.MultiController) {
+	ctl, err := s.run(ModeDCat, cfg, intervals, func(interval int, ctl *core.Controller) {
 		snap := ctl.Snapshot()
 		byName := map[string]core.Status{}
 		for _, st := range snap {
@@ -62,7 +62,7 @@ func Table1PerformanceTable(opts Options) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, ok := ctl.Controller(0).Table("target")
+	table, ok := ctl.Table("target")
 	if !ok {
 		return nil, fmt.Errorf("experiments: target table missing")
 	}

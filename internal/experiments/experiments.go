@@ -186,11 +186,11 @@ func newScenario(opts Options, specs []vmSpec) (*scenario, error) {
 }
 
 // run executes the scenario for n intervals under the given mode,
-// invoking onTick after every interval. The returned controller set —
+// invoking onTick after every interval. The returned controller —
 // one loop per populated socket — is nil in ModeShared; in ModeStatic it
 // only holds the baselines it installed.
-func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.MultiController)) (*core.MultiController, error) {
-	var ctl *core.MultiController
+func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.Controller)) (*core.Controller, error) {
+	var ctl *core.Controller
 	switch mode {
 	case ModeShared:
 		// Leave default full masks.

@@ -19,7 +19,7 @@ import (
 // the starved tenant stuck; with the engine driven from the same
 // per-socket views the coordinator would build from reports, the
 // pressure triggers a move directive, the migration carries the
-// learned controller state across (core.MultiController.Migrate), and
+// learned controller state across (core.Controller.Migrate), and
 // the fleet's aggregate IPC rises even though the mover's frames stay
 // homed on socket 0 (remote DRAM penalty on every miss).
 func FleetPlacement(opts Options) (*TableResult, error) {
@@ -105,7 +105,7 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 
 	var res fleetResult
 	lastMover := ""
-	onTick := func(_ int, ctl *core.MultiController) {
+	onTick := func(_ int, ctl *core.Controller) {
 		if eng == nil {
 			return
 		}

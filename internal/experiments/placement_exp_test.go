@@ -76,7 +76,7 @@ func TestPlacementSingleSocketInert(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		onTick := func(_ int, ctl *core.MultiController) {
+		onTick := func(_ int, ctl *core.Controller) {
 			if eng == nil {
 				return
 			}

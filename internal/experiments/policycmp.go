@@ -99,7 +99,7 @@ func PolicyComparison(opts Options) (*TableResult, error) {
 			nipcTicks int
 		)
 		o.dip = int(^uint(0) >> 1)
-		ctl, err := s.run(ModeDCat, cfg, total, func(interval int, ctl *core.MultiController) {
+		ctl, err := s.run(ModeDCat, cfg, total, func(interval int, ctl *core.Controller) {
 			if interval <= wake {
 				return
 			}

@@ -37,7 +37,7 @@ func specRun(opts Options, profile workload.SpecProfile, mode Mode) (ipc float64
 	}
 	maxWays := 0
 	ctl, err := s.run(mode, core.DefaultConfig(), opts.SteadyIntervals,
-		func(_ int, ctl *core.MultiController) {
+		func(_ int, ctl *core.Controller) {
 			if ctl != nil {
 				if w := ctl.Ways("target"); w > maxWays {
 					maxWays = w

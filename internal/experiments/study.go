@@ -23,7 +23,7 @@ const studyID = "study"
 // seed, machine, and memory); only the parallelism budget comes from
 // the engine, so -quick and -sockets do not change study results.
 func StudyRunner(path, outDir string) Runner {
-	return tabRunner(studyID, "Scenario studies: "+filepath.Base(path),
+	return newRunner(studyID, "Scenario studies: "+filepath.Base(path),
 		func(o Options) (*TableResult, error) { return runStudy(o, path, outDir) })
 }
 

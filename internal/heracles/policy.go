@@ -87,24 +87,12 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 	if p.lcWays < p.cfg.MinLC {
 		p.lcWays = p.cfg.MinLC
 	}
-	g.Ways[lc] = p.lcWays
-	// Spread the best-effort partition evenly, earlier targets first.
-	be := total - p.lcWays
+	// Spread the best-effort partition evenly, earlier targets first:
+	// split it over the first n grants, then shift the tail past the
+	// latency-critical slot.
 	n := len(v.Workloads) - 1
-	each, extra := be/n, be%n
-	for i := range v.Workloads {
-		if i == lc {
-			continue
-		}
-		w := each
-		if extra > 0 {
-			w++
-			extra--
-		}
-		if w < 1 {
-			w = 1
-		}
-		g.Ways[i] = w
-	}
+	policy.EvenSplit(g.Ways[:n], total-p.lcWays)
+	copy(g.Ways[lc+1:], g.Ways[lc:n])
+	g.Ways[lc] = p.lcWays
 	g.PoolEmpty = true
 }

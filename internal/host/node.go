@@ -9,10 +9,10 @@ import (
 
 // This file is the one place a simulated host is put under dCat: a CAT
 // domain per socket, one decision loop per populated socket, and live
-// migration that keeps the host's and the controllers' views of a VM
+// migration that keeps the host's and the controller's views of a VM
 // in step. The experiments, the study runner, dcat-sim, dcatd -demo
 // and the examples all assemble their nodes here; each period is
-// RunInterval followed by the controller set's Tick.
+// RunInterval followed by the controller's Tick.
 
 // CATBackend returns the CAT domain of one socket: the backend that
 // masks that socket's LLC ways, addressed by the host's global core IDs.
@@ -34,8 +34,8 @@ func (h *Host) CATManager(socket int) (*cat.Manager, error) {
 // VMs placed there (in creation order), and every VM's contracted
 // baseline — baselines must name them all — is installed before the
 // call returns. CAT domains are per-LLC, so a one-socket host is simply
-// a set of one loop.
-func (h *Host) Controllers(cfg core.Config, baselines map[string]int) (*core.MultiController, error) {
+// a controller of one loop.
+func (h *Host) Controllers(cfg core.Config, baselines map[string]int) (*core.Controller, error) {
 	targets := make([][]core.Target, h.cfg.Sockets)
 	for _, vm := range h.vms {
 		b, ok := baselines[vm.Name]
@@ -63,9 +63,9 @@ func (h *Host) Controllers(cfg core.Config, baselines map[string]int) (*core.Mul
 // reassigns its cores on the destination socket (MigrateVM), then the
 // destination's loop adopts the workload with its learned state. If
 // that loop rejects the adoption — e.g. its pool cannot honor the
-// baseline — the host cores are put back, so host and controllers never
+// baseline — the host cores are put back, so host and controller never
 // disagree about where a VM runs.
-func (h *Host) MigrateManaged(ctl *core.MultiController, name string, toSocket int) error {
+func (h *Host) MigrateManaged(ctl *core.Controller, name string, toSocket int) error {
 	vm, ok := h.VM(name)
 	if !ok {
 		return fmt.Errorf("host: no VM %q", name)

@@ -12,7 +12,7 @@ import (
 // with VMs "a" and "keep" on socket 0 and "b" on socket 1, under dCat
 // at the given baselines ("keep" contracts one way; it stays behind so
 // migrating "a" away never orphans socket 0's loop).
-func twoSocketNode(t *testing.T, baseA, baseB int) (*Host, *core.MultiController) {
+func twoSocketNode(t *testing.T, baseA, baseB int) (*Host, *core.Controller) {
 	t.Helper()
 	h := MustNew(numaConfig(2, 0))
 	if _, err := h.AddVMOn(0, "a", 2, workload.Idle{}); err != nil {
@@ -31,9 +31,31 @@ func twoSocketNode(t *testing.T, baseA, baseB int) (*Host, *core.MultiController
 	return h, ctl
 }
 
+// loopSockets lists the sockets the controller's snapshot reports, in
+// snapshot (tick) order, each once.
+func loopSockets(ctl *core.Controller) []int {
+	var out []int
+	for _, st := range ctl.Snapshot() {
+		if len(out) == 0 || out[len(out)-1] != st.Socket {
+			out = append(out, st.Socket)
+		}
+	}
+	return out
+}
+
+// socketOf reports which socket's loop manages a workload.
+func socketOf(ctl *core.Controller, name string) (int, bool) {
+	for _, st := range ctl.Snapshot() {
+		if st.Name == name {
+			return st.Socket, true
+		}
+	}
+	return 0, false
+}
+
 func TestControllersOneLoopPerPopulatedSocket(t *testing.T) {
 	_, ctl := twoSocketNode(t, 2, 3)
-	if got := ctl.Sockets(); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := loopSockets(ctl); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("loops on sockets %v, want [0 1]", got)
 	}
 	if ctl.Ways("a") != 2 || ctl.Ways("b") != 3 {
@@ -52,7 +74,7 @@ func TestControllersOneLoopPerPopulatedSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.Sockets(); !reflect.DeepEqual(got, []int{1}) {
+	if got := loopSockets(ctl); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("loops on sockets %v, want [1]", got)
 	}
 }
@@ -70,8 +92,8 @@ func TestMigrateManagedRollsBackOnReject(t *testing.T) {
 	if vm.Socket != 0 || !reflect.DeepEqual(vm.Cores, before) {
 		t.Errorf("host not rolled back: socket=%d cores=%v, want socket 0 cores %v", vm.Socket, vm.Cores, before)
 	}
-	if s, ok := ctl.SocketOf("a"); !ok || s != 0 {
-		t.Errorf("controller set has a on socket %d (managed=%v), want 0", s, ok)
+	if s, ok := socketOf(ctl, "a"); !ok || s != 0 {
+		t.Errorf("controller has a on socket %d (managed=%v), want 0", s, ok)
 	}
 	if h.FreeCores(1) != 2 {
 		t.Errorf("socket 1 has %d free cores, want the 2 the rollback returned", h.FreeCores(1))
@@ -83,7 +105,7 @@ func TestMigrateManagedRollsBackOnReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm, _ = h.VM("a")
-	if s, _ := ctl.SocketOf("a"); vm.Socket != 1 || s != 1 {
+	if s, _ := socketOf(ctl, "a"); vm.Socket != 1 || s != 1 {
 		t.Errorf("after migration host says socket %d, controllers say %d", vm.Socket, s)
 	}
 	if err := h.MigrateManaged(ctl, "ghost", 0); err == nil {

@@ -60,11 +60,10 @@ func TestDebugEndpointsLiveController(t *testing.T) {
 	if _, err := h.AddVM("lazy", 2, workload.Idle{}); err != nil {
 		t.Fatal(err)
 	}
-	multi, err := h.Controllers(core.DefaultConfig(), map[string]int{"web": 3, "lazy": 3})
+	ctl, err := h.Controllers(core.DefaultConfig(), map[string]int{"web": 3, "lazy": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := multi.Controller(0)
 	journal := obs.NewJournal(obs.DefaultJournalSize)
 	reg := telemetry.NewRegistry()
 	ctl.SetSink(journal)
@@ -85,7 +84,7 @@ func TestDebugEndpointsLiveController(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			mu.Lock()
 			h.RunInterval()
-			err := multi.Tick()
+			err := ctl.Tick()
 			mu.Unlock()
 			if err != nil {
 				done <- err

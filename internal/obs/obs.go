@@ -168,8 +168,8 @@ type Event struct {
 	Tick     int    `json:"tick"`
 	Kind     Kind   `json:"kind"`
 	Workload string `json:"workload,omitempty"`
-	// Socket is the LLC domain the deciding controller owns (0 on a
-	// single-socket host; stamped by TagSocket on NUMA hosts).
+	// Socket is the LLC domain whose decision loop emitted the event
+	// (0 on a single-socket host).
 	Socket  int     `json:"socket,omitempty"`
 	From    string  `json:"from,omitempty"`
 	To      string  `json:"to,omitempty"`
@@ -209,29 +209,6 @@ func (m multiSink) Emit(ev Event) {
 	for _, s := range m {
 		s.Emit(ev)
 	}
-}
-
-// socketSink stamps a socket ID onto every event before forwarding.
-type socketSink struct {
-	next   Sink
-	socket int
-}
-
-func (s socketSink) Emit(ev Event) {
-	ev.Socket = s.socket
-	s.next.Emit(ev)
-}
-
-// TagSocket wraps a sink so every event it sees carries the given
-// socket ID — how per-socket controllers share one journal without
-// their traces blurring together. Events are value structs, so the
-// stamp is a field write on the stack: no allocation on the emit path.
-// A nil sink stays nil.
-func TagSocket(next Sink, socket int) Sink {
-	if next == nil {
-		return nil
-	}
-	return socketSink{next: next, socket: socket}
 }
 
 // Multi combines sinks into one; nil sinks are skipped. It returns nil

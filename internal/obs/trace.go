@@ -109,7 +109,7 @@ func (s traceSink) Emit(ev Event) {
 // root span of a fresh trace (TraceID == SpanID) — how a controller
 // rule firing starts a causality chain without the controller knowing
 // about tracing. Events that already carry a TraceID pass through
-// untouched, preserving chains built upstream. Like TagSocket the
+// untouched, preserving chains built upstream. The
 // stamp is a field write on a value struct: no allocation on the emit
 // path. A nil sink or generator disables the wrapper.
 func Trace(next Sink, gen *IDGen) Sink {

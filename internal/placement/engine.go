@@ -483,7 +483,7 @@ func (e *Engine) Ack(agent string, acks []DirectiveAck, trace obs.TraceContext) 
 // engine evaluates it, each pending directive runs through migrate,
 // and every outcome is acked. It returns the workloads that moved, in
 // directive order.
-func (e *Engine) RunLocal(agent string, m *core.MultiController, migrate func(workload string, toSocket int) error) []string {
+func (e *Engine) RunLocal(agent string, m *core.Controller, migrate func(workload string, toSocket int) error) []string {
 	view := AgentView{Agent: agent, TotalWays: m.TotalWays()}
 	for _, st := range m.Snapshot() {
 		view.Workloads = append(view.Workloads, WorkloadView{

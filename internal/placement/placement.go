@@ -10,7 +10,7 @@
 // sibling has headroom, it issues a versioned move directive for the
 // hungriest movable workload. Agents poll directives over
 // /v1/placement, execute them with a live cross-socket migration
-// (host.MigrateVM + core.MultiController.Migrate, which carries the
+// (host.MigrateVM + core.Controller.Migrate, which carries the
 // learned controller state along), emit a PlacementExecuted decision
 // event, and ack. The engine treats the ack as a claim, not a fact: a
 // move settles only once the execution event shows up in the flight

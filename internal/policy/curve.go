@@ -69,20 +69,40 @@ func (t Curve) Clone() Curve {
 	return c
 }
 
-// OptimizeSplit maximizes the summed normalized IPC across workloads by
-// dynamic programming — the §3.5 max-performance policy:
-//
-//	Max Σ norm_IPC_i  subject to  Σ ways_i ≤ budget,  min_i ≤ ways_i ≤ max_i.
-//
-// Each candidate supplies its curve, its bounds (Min ≥ 0), and its
-// current ways; value at a way count falls back to the nearest lower
-// entry. Returns the chosen ways per candidate (len(cands)), or ok=false
-// when the bounds cannot fit the budget.
+// SplitCand is one workload's entry in OptimizeSplit: its curve and
+// its way bounds (Min ≥ 0).
 type SplitCand struct {
 	Table    Curve
 	Min, Max int
 }
 
+// splitCand bounds workload i, granted ways this round, for the split:
+// at most one growth step past its curve's measured edge (within the
+// socket and the advisory cap, never below baseline), at least its
+// baseline. A still-exploring workload keeps what it was just granted:
+// its curve has no data beyond that, so the optimizer would otherwise
+// strip every probe before it can be measured.
+func (v *View) splitCand(i, granted int) SplitCand {
+	w := &v.Workloads[i]
+	hi := min(w.Curve.Max()+v.GrowthStep, v.TotalWays)
+	if w.CapWays > 0 {
+		hi = min(hi, max(w.CapWays, w.Baseline))
+	}
+	lo := w.Baseline
+	if !w.Settled {
+		lo = granted
+	}
+	return SplitCand{Table: w.Curve, Min: lo, Max: max(hi, w.Baseline, lo)}
+}
+
+// OptimizeSplit maximizes the summed normalized IPC across workloads by
+// dynamic programming — the §3.5 max-performance policy:
+//
+//	Max Σ norm_IPC_i  subject to  Σ ways_i ≤ budget,  min_i ≤ ways_i ≤ max_i.
+//
+// A candidate's value at a way count falls back to the nearest lower
+// curve entry. Returns the chosen ways per candidate (len(cands)), or
+// ok=false when the bounds cannot fit the budget.
 func OptimizeSplit(cands []SplitCand, budget int) ([]int, bool) {
 	var s splitScratch
 	return s.optimize(cands, budget)

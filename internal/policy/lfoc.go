@@ -106,32 +106,8 @@ func (l *LFOC) Propose(v *View, g *Grants) {
 		}
 		cands := l.cands[:len(l.idx)]
 		for k, i := range l.idx {
-			w := &v.Workloads[i]
 			budget += g.Ways[i]
-			max := w.Curve.Max() + v.GrowthStep
-			if max > v.TotalWays {
-				max = v.TotalWays
-			}
-			if w.CapWays > 0 {
-				limit := w.CapWays
-				if limit < w.Baseline {
-					limit = w.Baseline
-				}
-				if max > limit {
-					max = limit
-				}
-			}
-			if max < w.Baseline {
-				max = w.Baseline
-			}
-			min := w.Baseline
-			if !w.Settled {
-				min = g.Ways[i]
-			}
-			if max < min {
-				max = min
-			}
-			cands[k] = SplitCand{Table: w.Curve, Min: min, Max: max}
+			cands[k] = v.splitCand(i, g.Ways[i])
 		}
 		if res, ok := l.split.optimize(cands, budget); ok {
 			used := 0

@@ -138,7 +138,7 @@ func (r *Reactive) Propose(v *View, g *Grants) {
 	// choose the split of the cache-sensitive workloads' capacity that
 	// maximizes summed normalized IPC.
 	if v.MaxPerformance {
-		r.optimize(v, g, &pool, total)
+		r.optimize(v, g, &pool)
 	}
 
 	g.PoolEmpty = pool == 0
@@ -146,7 +146,7 @@ func (r *Reactive) Propose(v *View, g *Grants) {
 
 // optimize reassigns ways among workloads with informative performance
 // tables, keeping everyone else fixed.
-func (r *Reactive) optimize(v *View, g *Grants, pool *int, total int) {
+func (r *Reactive) optimize(v *View, g *Grants, pool *int) {
 	r.optIdx = r.optIdx[:0]
 	for i := range v.Workloads {
 		w := &v.Workloads[i]
@@ -169,36 +169,8 @@ func (r *Reactive) optimize(v *View, g *Grants, pool *int, total int) {
 	}
 	cands := r.cands[:len(r.optIdx)]
 	for k, i := range r.optIdx {
-		w := &v.Workloads[i]
 		budget += g.Ways[i]
-		max := w.Curve.Max() + v.GrowthStep
-		if max > total {
-			max = total
-		}
-		if w.CapWays > 0 {
-			limit := w.CapWays
-			if limit < w.Baseline {
-				limit = w.Baseline
-			}
-			if max > limit {
-				max = limit
-			}
-		}
-		if max < w.Baseline {
-			max = w.Baseline
-		}
-		// A still-exploring Receiver keeps what it was just granted:
-		// the curve has no data beyond its current allocation, so the
-		// optimizer would otherwise strip every probe before it can be
-		// measured. Settled workloads can be trimmed down to baseline.
-		min := w.Baseline
-		if !w.Settled {
-			min = g.Ways[i]
-		}
-		if max < min {
-			max = min
-		}
-		cands[k] = SplitCand{Table: w.Curve, Min: min, Max: max}
+		cands[k] = v.splitCand(i, g.Ways[i])
 	}
 	res, ok := r.split.optimize(cands, budget)
 	if !ok {

@@ -186,7 +186,7 @@ func newChurnState(sc Scenario) *churnState {
 
 // step runs one interval of churn: departures first (freeing capacity),
 // then curve-driven arrivals, then any scheduled migration.
-func (cs *churnState) step(interval int, h *host.Host, multi *core.MultiController, sc Scenario, res *ScenarioResult) {
+func (cs *churnState) step(interval int, h *host.Host, multi *core.Controller, sc Scenario, res *ScenarioResult) {
 	if !sc.Churn.Enabled() {
 		return
 	}
@@ -236,7 +236,7 @@ func (cs *churnState) step(interval int, h *host.Host, multi *core.MultiControll
 // arrive admits one churned tenant on the emptiest socket. A rejection
 // at any stage (no cores, no memory, controller over contract) undoes
 // the partial admission and counts Rejected.
-func (cs *churnState) arrive(interval int, h *host.Host, multi *core.MultiController, sc Scenario, res *ScenarioResult) {
+func (cs *churnState) arrive(interval int, h *host.Host, multi *core.Controller, sc Scenario, res *ScenarioResult) {
 	socket, best := 0, -1
 	for s := 0; s < sc.Sockets; s++ {
 		if free := h.FreeCores(s); free > best {
@@ -279,7 +279,7 @@ func (cs *churnState) arrive(interval int, h *host.Host, multi *core.MultiContro
 // like streaming; the early exit disarms it once the miss curve
 // flattens, after which a Streaming verdict is legitimate). Any
 // violation is a controller regression, so studies count them.
-func checkGrace(multi *core.MultiController, res *ScenarioResult) {
+func checkGrace(multi *core.Controller, res *ScenarioResult) {
 	for _, st := range multi.Snapshot() {
 		if st.Graced && st.State == core.StateStreaming {
 			res.GraceViolations++
@@ -304,7 +304,7 @@ func fleetMPKI(ctrs perf.Reader, cores int) float64 {
 // detailReport renders the per-scenario file kept in the study's
 // result directory: the summary metrics plus every VM's final state,
 // in deterministic (admission) order.
-func detailReport(sc Scenario, h *host.Host, multi *core.MultiController, res *ScenarioResult) string {
+func detailReport(sc Scenario, h *host.Host, multi *core.Controller, res *ScenarioResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "scenario %s/%s (seed %d)\n", sc.Study, sc.ID, sc.Seed)
 	fmt.Fprintf(&sb, "fleet=%d sockets=%d mix=%s arrival=%s intervals=%d machine=%s\n",

@@ -70,9 +70,6 @@ func (m *Modulated) Tick() {
 	m.cur = clampLevel(m.level(m.tick))
 }
 
-// Level returns the load level in effect for the coming interval.
-func (m *Modulated) Level() float64 { return m.cur }
-
 // WorkingSetBytes implements Sized when the base does.
 func (m *Modulated) WorkingSetBytes() uint64 {
 	if s, ok := m.base.(Sized); ok {

@@ -8,7 +8,6 @@ package dcat
 
 import (
 	"bytes"
-	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,7 +33,7 @@ func newTestHost(t *testing.T, hc host.Config) *host.Host {
 }
 
 // run advances the node n controller periods.
-func run(t *testing.T, h *host.Host, ctl *core.MultiController, n int) {
+func run(t *testing.T, h *host.Host, ctl *core.Controller, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		h.RunInterval()
@@ -44,14 +43,14 @@ func run(t *testing.T, h *host.Host, ctl *core.MultiController, n int) {
 	}
 }
 
-// occupancy merges every loop's CMT view of its socket's LLC.
-func occupancy(ctl *core.MultiController) map[string]uint64 {
-	out := map[string]uint64{}
-	for _, s := range ctl.Sockets() {
-		m, _ := ctl.Controller(s).Occupancy()
-		maps.Copy(out, m)
+// socketOf reports which socket's loop manages a workload.
+func socketOf(ctl *core.Controller, name string) (int, bool) {
+	for _, st := range ctl.Snapshot() {
+		if st.Name == name {
+			return st.Socket, true
+		}
 	}
-	return out
+	return 0, false
 }
 
 func TestSimulationLifecycle(t *testing.T) {
@@ -236,7 +235,7 @@ func TestSimulationOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, h, ctl, 5)
-	occ := occupancy(ctl)
+	occ, _ := ctl.Occupancy()
 	if occ["hungry"] < 1<<20 {
 		t.Errorf("hungry tenant occupancy %d; want >1MB", occ["hungry"])
 	}
@@ -321,20 +320,17 @@ func TestSimulationNUMALifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Sockets(); len(got) != 2 {
-		t.Fatalf("controller set covers sockets %v, want one loop per populated socket", got)
-	}
 	run(t, h, m, 8)
-	if s, ok := m.SocketOf("target"); !ok || s != 0 {
+	if s, ok := socketOf(m, "target"); !ok || s != 0 {
 		t.Errorf("target on socket %d, want 0", s)
 	}
-	if s, ok := m.SocketOf("lb1"); !ok || s != 1 {
+	if s, ok := socketOf(m, "lb1"); !ok || s != 1 {
 		t.Errorf("lb1 on socket %d, want 1", s)
 	}
 	if len(m.Snapshot()) != 3 {
 		t.Errorf("snapshot has %d entries, want 3", len(m.Snapshot()))
 	}
-	if occupancy(m)["target"] == 0 {
+	if occ, _ := m.Occupancy(); occ["target"] == 0 {
 		t.Error("target shows no LLC occupancy")
 	}
 	if got := h.NUMA().RemoteAccesses(0); got == 0 {
