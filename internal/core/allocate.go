@@ -16,8 +16,6 @@ import "repro/internal/policy"
 // delegating to the configured allocation policy. The result is indexed
 // like l.order and valid until the next round.
 func (l *loop) allocate(samples []observation) []int {
-	total := l.mgr.TotalWays()
-
 	// Advisory caps (SetWayCap): clamp desires before any policy sees
 	// them — caps bound what a workload may ask for, not what one
 	// particular policy grants. Reclaims are exempt — restoring the
@@ -34,7 +32,7 @@ func (l *loop) allocate(samples []observation) []int {
 
 	l.buildView(samples)
 	l.policy.Propose(&l.view, &l.grants)
-	l.applyGuards(total)
+	l.applyGuards()
 	l.emitNotes()
 
 	for i, w := range l.order {
@@ -81,13 +79,12 @@ func (l *loop) buildView(samples []observation) {
 // grants. For the built-in policies every guard is a no-op by
 // construction; they exist so a buggy or independent policy can never
 // starve a workload or over-commit the socket.
-func (l *loop) applyGuards(total int) {
+func (l *loop) applyGuards() {
 	g := &l.grants
 	independent := false
 	if ind, ok := l.policy.(policy.Independent); ok && ind.IndependentAllocator() {
 		independent = true
 	}
-	sum := 0
 	for i, w := range l.order {
 		if g.Ways[i] < 1 {
 			g.Ways[i] = 1
@@ -98,27 +95,40 @@ func (l *loop) applyGuards(total int) {
 		if !independent && w.state == StateReclaim && !g.Sustain[i] {
 			g.Ways[i] = w.baseline
 		}
-		sum += g.Ways[i]
 	}
-	for sum > total {
+	// A false return cannot happen (every workload at its baseline
+	// fits); were it to, SetAllocation rejects the sum.
+	l.shave(g.Ways, -1)
+}
+
+// shave takes ways back one at a time until ways (indexed like l.order)
+// fits the socket: from the largest above-baseline holder, else from
+// the first holder with more than one way. The exempt index (-1 for
+// none) is never shaved. It reports whether the sum fits.
+func (l *loop) shave(ways []int, exempt int) bool {
+	sum := 0
+	for _, n := range ways {
+		sum += n
+	}
+	for total := l.mgr.TotalWays(); sum > total; sum-- {
 		victim, surplus := -1, 0
 		for i, w := range l.order {
-			if s := g.Ways[i] - w.baseline; s > surplus && g.Ways[i] > 1 {
+			if s := ways[i] - w.baseline; i != exempt && s > surplus {
 				surplus, victim = s, i
 			}
 		}
 		if victim < 0 {
 			for i := range l.order {
-				if g.Ways[i] > 1 {
+				if i != exempt && ways[i] > 1 {
 					victim = i
 					break
 				}
 			}
 			if victim < 0 {
-				break // cannot happen: every workload at 1 way fits
+				return false // cannot happen: every workload at 1 way fits
 			}
 		}
-		g.Ways[victim]--
-		sum--
+		ways[victim]--
 	}
+	return true
 }

@@ -41,12 +41,12 @@ func (p Policy) String() string {
 // Config holds the controller thresholds (§3.2, §5.1). The zero value
 // is not usable; start from DefaultConfig.
 type Config struct {
-	// LLCRefThr is the per-interval LLC reference count below which a
-	// workload is considered unable to benefit from the LLC at all
-	// (llc_ref_thr): it becomes a Donor at the minimum allocation.
+	// LLCRefThr is the per-interval LLC reference count at or below
+	// which a workload is considered unable to benefit from the LLC at
+	// all (llc_ref_thr): it becomes a Donor at the minimum allocation.
 	LLCRefThr uint64
-	// L1RefThr is the per-interval L1 reference count below which a
-	// workload is considered idle (l1_ref_thr).
+	// L1RefThr is the per-interval L1 reference count at or below which
+	// a workload is considered idle (l1_ref_thr).
 	L1RefThr uint64
 	// LLCMissRateThr (llc_miss_rate_thr) separates "working set fits"
 	// from "suffering misses". The paper chooses 3% (§5.1, Fig 8).
@@ -67,15 +67,16 @@ type Config struct {
 	GrowthStep int
 	// ArrivalGraceTicks exempts a freshly arrived workload (AddTarget —
 	// a live migration or hot-plug) from the two Streaming verdicts for
-	// this many controller ticks, or until its miss-rate curve
-	// stabilizes (consecutive intervals within 10% of each other),
-	// whichever comes first. A migrated tenant refills its working set
-	// from a cold LLC, and the refill storm is indistinguishable from a
-	// streaming access pattern (high miss rate, little IPC gain from
-	// added ways) — without the grace the destination loop can durably
-	// misclassify it, since Streaming is terminal for the phase.
-	// 0 disables the grace. Controllers built with New are unaffected:
-	// only AddTarget arms it.
+	// this many controller ticks outside Reclaim, or until its miss-rate
+	// curve stabilizes (consecutive intervals within 10% of each other),
+	// whichever comes first. The countdown pauses while the workload is
+	// in Reclaim, which holds its baseline and makes no verdict. A
+	// migrated tenant refills its working set from a cold LLC, and the
+	// refill storm is indistinguishable from a streaming access pattern
+	// (high miss rate, little IPC gain from added ways) — without the
+	// grace the destination loop can durably misclassify it, since
+	// Streaming is terminal for the phase. 0 disables the grace.
+	// Controllers built with New are unaffected: only AddTarget arms it.
 	ArrivalGraceTicks int
 	// Policy selects the §3.5 allocation policy.
 	Policy Policy

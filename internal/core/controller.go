@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math"
 	"sort"
 	"time"
 
@@ -24,42 +23,27 @@ type Target struct {
 
 // wstate is the controller's per-workload record.
 type wstate struct {
-	l        *loop // the CAT domain's loop that manages the workload
-	name     string
-	cores    []int
-	baseline int
+	l     *loop // the CAT domain's loop that manages the workload
+	name  string
+	cores []int
 
-	state   State
-	settled bool // terminal for this phase; only a phase change resets it
+	catState // the fields the §3.4 transition reads (categorize.go)
 	// sustained marks a Reclaim whose allocation the policy held
 	// through the phase change (predictive sustain): the next clean
 	// interval adopts the remembered baseline instead of re-measuring.
 	sustained bool
 
-	ways     int // allocation active during the just-measured interval
-	prevWays int // allocation during the interval before that
-
-	phaseInit   bool
-	phase       phaseKey
-	phaseMAPI   float64
-	det         PhaseDetector
-	baselineIPC float64
-	table       PerfTable
-	history     map[phaseKey]PerfTable
+	phaseInit bool
+	phase     phaseKey
+	phaseMAPI float64
+	det       PhaseDetector
+	table     PerfTable
+	history   map[phaseKey]PerfTable
 	// histIPC remembers the measured baseline IPC per phase (alongside
 	// history's tables) so a sustained phase change can adopt it.
 	histIPC map[phaseKey]float64
 
-	lastIPC    float64
-	lastMiss   float64
 	lastLLCRef uint64
-	denied     bool // allocator could not grant last round's growth
-	jumpTo     int  // >0: performance-table reuse target (Fig 12)
-	// graceLeft counts down the post-arrival classification grace
-	// (Config.ArrivalGraceTicks): while positive, the Streaming verdicts
-	// are suspended because the cold-cache refill of a freshly migrated
-	// tenant mimics a streaming pattern. Armed only by AddTarget.
-	graceLeft int
 	// capWays, when >0, is an advisory upper bound on this workload's
 	// allocation pushed by an external authority (the cluster control
 	// plane). It never cuts into the contracted baseline.
@@ -211,17 +195,19 @@ func (c *Controller) newLoop(spec SocketSpec, counters perf.Reader) (*loop, erro
 // newWorkload returns a fresh record for a target at its baseline.
 func (l *loop) newWorkload(t Target) *wstate {
 	return &wstate{
-		l:        l,
-		name:     t.Name,
-		cores:    append([]int(nil), t.Cores...),
-		baseline: t.BaselineWays,
-		state:    StateKeeper,
-		ways:     t.BaselineWays,
-		prevWays: t.BaselineWays,
-		table:    make(PerfTable),
-		history:  make(map[phaseKey]PerfTable),
-		histIPC:  make(map[phaseKey]float64),
-		det:      l.c.cfg.detector(),
+		l:     l,
+		name:  t.Name,
+		cores: append([]int(nil), t.Cores...),
+		catState: catState{
+			baseline: t.BaselineWays,
+			state:    StateKeeper,
+			ways:     t.BaselineWays,
+			prevWays: t.BaselineWays,
+		},
+		table:   make(PerfTable),
+		history: make(map[phaseKey]PerfTable),
+		histIPC: make(map[phaseKey]float64),
+		det:     l.c.cfg.detector(),
 	}
 }
 
@@ -378,10 +364,6 @@ func (l *loop) tick() error {
 	}
 
 	for i, w := range l.order {
-		if w.state == StateReclaim {
-			w.desire = w.baseline
-			continue
-		}
 		l.categorize(w, samples[i])
 	}
 
@@ -428,33 +410,31 @@ func (l *loop) observePhase(w *wstate, o observation) {
 		// First interval ever: it ran at the baseline allocation, so
 		// its IPC is the baseline performance of the initial phase.
 		w.phaseInit = true
-		w.phase = phaseKeyOf(mapi)
-		w.phaseMAPI = mapi
-		w.det.Reset(mapi)
-		w.baselineIPC = o.ipc
-		w.table.Set(w.baseline, 1)
-		l.emitBaseline(w, o.ipc)
+		w.rekey(mapi, false)
+		l.measureBaseline(w, o.ipc)
 
 	case w.det.Observe(mapi):
 		// Phase change: snapshot the table, enter Reclaim (§3.4 —
 		// highest priority, returns to baseline so the guarantee can
 		// be re-established), and stage any known table for reuse.
 		l.saveTable(w)
-		l.emitPhaseChange(w, w.phaseMAPI, mapi)
-		w.phase = phaseKeyOf(mapi)
-		w.phaseMAPI = mapi
-		w.det.Reset(mapi)
+		if m := l.metrics; m != nil {
+			m.phaseChanges.Inc()
+		}
+		l.emit(w, obs.Event{
+			Kind:    obs.KindPhaseChange,
+			OldWays: w.ways,
+			OldVal:  w.phaseMAPI,
+			NewVal:  mapi,
+			Reason:  reasonPhaseChange,
+		})
+		w.rekey(mapi, true)
 		w.baselineIPC = 0
 		l.setState(w, StateReclaim, reasonPhaseChange)
 		w.settled = false
 		w.sustained = false
 		w.jumpTo = 0
 		w.denied = false
-		if prev, ok := w.history[w.phase]; ok {
-			w.table = prev.Clone()
-		} else {
-			w.table = make(PerfTable)
-		}
 
 	case w.state == StateReclaim && w.sustained:
 		// Sustain-and-adopt (predictive policy): the phase change
@@ -464,58 +444,86 @@ func (l *loop) observePhase(w *wstate, o observation) {
 		// performance frame rather than re-measuring it; if nothing is
 		// remembered after all, fall back to the normal reclaim path.
 		w.sustained = false
-		w.phaseMAPI = mapi
-		w.det.Reset(mapi)
-		if key := phaseKeyOf(mapi); key != w.phase {
-			w.phase = key
-			if prev, ok := w.history[key]; ok {
-				w.table = prev.Clone()
-			} else {
-				w.table = make(PerfTable)
-			}
-		}
+		w.rekey(mapi, false)
 		if ipc, ok := w.histIPC[w.phase]; ok && ipc > 0 {
 			w.baselineIPC = ipc
 			l.setState(w, StateKeeper, reasonPolicyAdopt)
 			w.settled = true
-			l.emitAdopt(w, ipc)
-			if pref, ok := w.table.Preferred(l.c.cfg.IPCImpThr / 2); ok && pref > w.ways {
-				w.jumpTo = pref
-				l.emitTableHit(w, pref)
-			}
+			l.emit(w, obs.Event{
+				Kind:    obs.KindPolicyAdopt,
+				NewWays: w.ways,
+				NewVal:  ipc,
+				Reason:  reasonPolicyAdopt,
+				Policy:  l.policy.Name(),
+			})
+			l.reuseTable(w, w.ways)
 		}
 
 	case w.state == StateReclaim && w.ways == w.baseline:
 		// One clean interval at the baseline: measure it. The phase
 		// was keyed off a sample that straddled the transition, so
 		// refresh it with this clean interval's value.
-		w.phaseMAPI = mapi
-		w.det.Reset(mapi)
-		if key := phaseKeyOf(mapi); key != w.phase {
-			w.phase = key
-			if prev, ok := w.history[key]; ok {
-				w.table = prev.Clone()
-			} else {
-				w.table = make(PerfTable)
-			}
-		}
-		w.baselineIPC = o.ipc
-		w.table.Set(w.baseline, 1)
+		w.rekey(mapi, false)
 		l.setState(w, StateKeeper, reasonBaselineMeasured)
-		l.emitBaseline(w, o.ipc)
+		l.measureBaseline(w, o.ipc)
 		// Performance-table reuse (§3.5, Fig 12): if this phase was
 		// seen before, jump straight to its preferred allocation
 		// instead of rediscovering one way per round.
-		if pref, ok := w.table.Preferred(l.c.cfg.IPCImpThr / 2); ok && pref > w.baseline {
-			w.jumpTo = pref
+		if l.reuseTable(w, w.baseline) {
 			w.settled = true
-			l.emitTableHit(w, pref)
 		}
 
 	case w.baselineIPC > 0:
 		// Steady phase: record the measurement at the current ways.
 		w.table.Set(w.ways, o.ipc/w.baselineIPC)
 	}
+}
+
+// rekey moves w's phase frame to mapi. When the phase key changes, or
+// reload asks for it, the phase's table is loaded from history (empty
+// for a phase never seen).
+func (w *wstate) rekey(mapi float64, reload bool) {
+	w.phaseMAPI = mapi
+	w.det.Reset(mapi)
+	if key := phaseKeyOf(mapi); reload || key != w.phase {
+		w.phase = key
+		if prev, ok := w.history[key]; ok {
+			w.table = prev.Clone()
+		} else {
+			w.table = make(PerfTable)
+		}
+	}
+}
+
+// measureBaseline records ipc as the phase's baseline performance: the
+// contracted allocation's normalized IPC is 1 by definition.
+func (l *loop) measureBaseline(w *wstate, ipc float64) {
+	w.baselineIPC = ipc
+	w.table.Set(w.baseline, 1)
+	l.emit(w, obs.Event{
+		Kind:    obs.KindBaselineSet,
+		NewWays: w.baseline,
+		NewVal:  ipc,
+		Reason:  reasonBaselineMeasured,
+	})
+}
+
+// reuseTable stages a jump to the phase table's preferred allocation
+// (§3.5 table reuse, Fig 12) when that lies above floor, and reports
+// whether it did.
+func (l *loop) reuseTable(w *wstate, floor int) bool {
+	pref, ok := w.table.Preferred(l.c.cfg.IPCImpThr / 2)
+	if !ok || pref <= floor {
+		return false
+	}
+	w.jumpTo = pref
+	l.emit(w, obs.Event{
+		Kind:    obs.KindTableHit,
+		OldWays: w.ways,
+		NewWays: pref,
+		Reason:  reasonTableHit,
+	})
+	return true
 }
 
 // saveTable merges the live table into the phase history, remembering
@@ -535,133 +543,4 @@ func (l *loop) saveTable(w *wstate) {
 	if w.baselineIPC > 0 {
 		w.histIPC[w.phase] = w.baselineIPC
 	}
-}
-
-// categorize implements the §3.4 state machine for one workload and
-// sets its desired way count for this round.
-func (l *loop) categorize(w *wstate, o observation) {
-	grew := w.ways > w.prevWays
-	imp := 0.0
-	if w.lastIPC > 0 {
-		imp = (o.ipc - w.lastIPC) / w.lastIPC
-	}
-	// Post-arrival grace: burn one tick, and end it early once the
-	// miss-rate curve flattens — the refill is over, so verdicts made
-	// from here on observe the tenant's real access pattern.
-	graced := w.graceLeft > 0
-	if graced {
-		w.graceLeft--
-		if w.lastMiss > 0 && math.Abs(o.miss-w.lastMiss) <= 0.1*w.lastMiss {
-			w.graceLeft = 0
-		}
-	}
-
-	switch {
-	case o.sample.L1Ref <= l.c.cfg.L1RefThr || o.sample.LLCRef <= l.c.cfg.LLCRefThr:
-		// Idle (l1_ref_thr: the VM is barely executing) or not using
-		// the LLC (llc_ref_thr): Donor at the minimum allocation.
-		l.setState(w, StateDonor, reasonIdle)
-		w.settled = true
-		w.desire = 1
-
-	case w.state == StateStreaming:
-		// Streaming is a terminal Donor for this phase.
-		w.desire = 1
-
-	case w.baselineIPC > 0 && w.ways < w.baseline &&
-		o.ipc < w.baselineIPC*(1-l.c.cfg.IPCImpThr):
-		// The baseline guarantee itself: donating ways looked safe by
-		// miss rate, but the workload now runs measurably below the
-		// performance it had at its contracted allocation (reduced
-		// associativity raises conflict misses before the miss-rate
-		// threshold notices — the §2.1 pathology). Take the donation
-		// back and hold.
-		l.setState(w, StateKeeper, reasonGuarantee)
-		w.settled = true
-		w.desire = w.baseline
-
-	case o.miss < l.c.cfg.LLCMissRateThr:
-		switch {
-		case w.settled:
-			// A Keeper that already proved it suffers with less (or a
-			// reused-table jump target): hold.
-			l.setState(w, StateKeeper, reasonSettledHold)
-			w.desire = l.holdOrJump(w)
-		case w.state == StateReceiver || w.state == StateUnknown:
-			// Growth drove the miss rate below threshold: the working
-			// set fits — the preferred state (§3.4: Receiver → Keeper
-			// when llc_miss_rate < llc_miss_rate_thr).
-			l.setState(w, StateKeeper, reasonFits)
-			w.settled = true
-			w.desire = w.ways
-		case w.ways <= 1:
-			l.setState(w, StateDonor, reasonMinimalDonor)
-			w.settled = true
-			w.desire = 1
-		default:
-			// Phase-start Keeper or shrinking Donor that is not
-			// missing: give back one way per round until misses
-			// become non-trivial.
-			l.setState(w, StateDonor, reasonShrinking)
-			w.desire = w.ways - 1
-		}
-
-	default: // significant LLC references and a non-trivial miss rate
-		switch w.state {
-		case StateDonor:
-			// Shrinking uncovered the working set: settle here.
-			l.setState(w, StateKeeper, reasonUncovered)
-			w.settled = true
-			w.desire = w.ways
-		case StateKeeper:
-			if w.settled {
-				w.desire = l.holdOrJump(w)
-				return
-			}
-			// Might benefit from more cache: probe.
-			l.setState(w, StateUnknown, reasonProbe)
-			w.desire = w.ways + l.c.cfg.GrowthStep
-		case StateUnknown:
-			switch {
-			case grew && imp >= l.c.cfg.IPCImpThr:
-				l.setState(w, StateReceiver, reasonImproved)
-				w.desire = w.ways + l.c.cfg.GrowthStep
-			case grew && !graced && (w.ways >= l.c.cfg.StreamingMult*w.baseline || l.poolEmpty):
-				// Probed to the streaming threshold (or drained the
-				// pool) with nothing to show: cyclic access pattern.
-				// (A freshly arrived tenant inside its grace keeps
-				// probing instead — the refill storm is not evidence.)
-				l.setState(w, StateStreaming, reasonStreamingProbe)
-				w.settled = true
-				w.desire = 1
-			case !grew && !graced && w.denied && w.ways >= l.c.cfg.StreamingMult*w.baseline:
-				l.setState(w, StateStreaming, reasonStreamingDenied)
-				w.settled = true
-				w.desire = 1
-			default:
-				w.desire = w.ways + l.c.cfg.GrowthStep
-			}
-		case StateReceiver:
-			if grew && imp < l.c.cfg.IPCImpThr {
-				// The last way added nothing: preferred state reached.
-				l.setState(w, StateKeeper, reasonNoGain)
-				w.settled = true
-				w.desire = w.ways
-				return
-			}
-			w.desire = w.ways + l.c.cfg.GrowthStep
-		default:
-			w.desire = w.ways
-		}
-	}
-}
-
-// holdOrJump returns a settled workload's desire: its current ways, or
-// its reuse target while one is pending.
-func (l *loop) holdOrJump(w *wstate) int {
-	if w.jumpTo > w.ways {
-		return w.jumpTo
-	}
-	w.jumpTo = 0
-	return w.ways
 }

@@ -69,16 +69,13 @@ const (
 	reasonPolicyCluster = "curve-shape clustering reassigned the workload's cluster"
 )
 
-// numStates sizes the transition matrix.
-const numStates = int(StateReclaim) + 1
-
 // coreMetrics holds the controller's registered metrics. Transition
 // counters are resolved per from/to pair on first use and cached in
 // the matrix, so steady-state updates touch only an atomic.
 type coreMetrics struct {
 	tickSeconds  *telemetry.Histogram
 	transVec     *telemetry.LabeledCounter
-	transitions  [numStates][numStates]*telemetry.Counter
+	transitions  [NumStates][NumStates]*telemetry.Counter
 	phaseChanges *telemetry.Counter
 	poolFree     *telemetry.Gauge
 	churn        *telemetry.Counter
@@ -131,25 +128,30 @@ func newCoreMetrics(reg *telemetry.Registry, constLabels []string) *coreMetrics 
 	}
 }
 
+// emit stamps an event with the tick, this loop's socket and the
+// workload, and hands it to the sink; without a sink it does nothing.
+func (l *loop) emit(w *wstate, e obs.Event) {
+	if l.c.sink == nil {
+		return
+	}
+	e.Tick, e.Socket, e.Workload = l.c.ticks, l.socket, w.name
+	l.c.sink.Emit(e)
+}
+
 // setState performs a category transition, emitting a trace event and
 // counting it; same-state calls are no-ops.
 func (l *loop) setState(w *wstate, s State, reason string) {
 	if w.state == s {
 		return
 	}
-	if l.c.sink != nil {
-		l.c.sink.Emit(obs.Event{
-			Tick:     l.c.ticks,
-			Socket:   l.socket,
-			Kind:     obs.KindStateTransition,
-			Workload: w.name,
-			From:     w.state.String(),
-			To:       s.String(),
-			OldWays:  w.ways,
-			NewWays:  w.ways,
-			Reason:   reason,
-		})
-	}
+	l.emit(w, obs.Event{
+		Kind:    obs.KindStateTransition,
+		From:    w.state.String(),
+		To:      s.String(),
+		OldWays: w.ways,
+		NewWays: w.ways,
+		Reason:  reason,
+	})
 	if m := l.metrics; m != nil {
 		ctr := m.transitions[w.state][s]
 		if ctr == nil {
@@ -161,111 +163,30 @@ func (l *loop) setState(w *wstate, s State, reason string) {
 	w.state = s
 }
 
-// emitPhaseChange records a detected phase change: the old and new
-// MAPI land in OldVal/NewVal, the allocation held when it hit in
-// OldWays.
-func (l *loop) emitPhaseChange(w *wstate, oldMAPI, newMAPI float64) {
-	if m := l.metrics; m != nil {
-		m.phaseChanges.Inc()
-	}
-	if l.c.sink == nil {
-		return
-	}
-	l.c.sink.Emit(obs.Event{
-		Tick:     l.c.ticks,
-		Socket:   l.socket,
-		Kind:     obs.KindPhaseChange,
-		Workload: w.name,
-		OldWays:  w.ways,
-		OldVal:   oldMAPI,
-		NewVal:   newMAPI,
-		Reason:   reasonPhaseChange,
-	})
-}
-
-// emitBaseline records a (re-)measured phase baseline: the contracted
-// ways in NewWays, the measured IPC in NewVal.
-func (l *loop) emitBaseline(w *wstate, ipc float64) {
-	if l.c.sink == nil {
-		return
-	}
-	l.c.sink.Emit(obs.Event{
-		Tick:     l.c.ticks,
-		Socket:   l.socket,
-		Kind:     obs.KindBaselineSet,
-		Workload: w.name,
-		NewWays:  w.baseline,
-		NewVal:   ipc,
-		Reason:   reasonBaselineMeasured,
-	})
-}
-
-// emitTableHit records a performance-table reuse jump (§3.5): the
-// remembered preferred allocation in NewWays.
-func (l *loop) emitTableHit(w *wstate, target int) {
-	if l.c.sink == nil {
-		return
-	}
-	l.c.sink.Emit(obs.Event{
-		Tick:     l.c.ticks,
-		Socket:   l.socket,
-		Kind:     obs.KindTableHit,
-		Workload: w.name,
-		OldWays:  w.ways,
-		NewWays:  target,
-		Reason:   reasonTableHit,
-	})
-}
-
 // emitWayChange records the allocator's verdict for one workload when
 // it differs from the current allocation. From carries the category
 // that earned the change, Policy the engine that decided it.
 func (l *loop) emitWayChange(w *wstate, newWays int) {
-	if l.c.sink == nil || newWays == w.ways {
+	if newWays == w.ways {
 		return
 	}
 	kind, reason := obs.KindWayGrant, reasonWayGrant
 	if newWays < w.ways {
 		kind, reason = obs.KindWayReclaim, reasonWayReclaim
 	}
-	l.c.sink.Emit(obs.Event{
-		Tick:     l.c.ticks,
-		Socket:   l.socket,
-		Kind:     kind,
-		Workload: w.name,
-		From:     w.state.String(),
-		OldWays:  w.ways,
-		NewWays:  newWays,
-		Reason:   reason,
-		Policy:   l.policy.Name(),
-	})
-}
-
-// emitAdopt records a sustain-and-adopt: a phase change whose baseline
-// was adopted from history instead of re-measured (NewVal carries the
-// adopted IPC).
-func (l *loop) emitAdopt(w *wstate, ipc float64) {
-	if l.c.sink == nil {
-		return
-	}
-	l.c.sink.Emit(obs.Event{
-		Tick:     l.c.ticks,
-		Socket:   l.socket,
-		Kind:     obs.KindPolicyAdopt,
-		Workload: w.name,
-		NewWays:  w.ways,
-		NewVal:   ipc,
-		Reason:   reasonPolicyAdopt,
-		Policy:   l.policy.Name(),
+	l.emit(w, obs.Event{
+		Kind:    kind,
+		From:    w.state.String(),
+		OldWays: w.ways,
+		NewWays: newWays,
+		Reason:  reason,
+		Policy:  l.policy.Name(),
 	})
 }
 
 // emitNotes translates the policy's side-decisions for this round into
 // decision-trace events.
 func (l *loop) emitNotes() {
-	if l.c.sink == nil || len(l.grants.Notes) == 0 {
-		return
-	}
 	for _, n := range l.grants.Notes {
 		if n.Workload < 0 || n.Workload >= len(l.order) {
 			continue
@@ -285,17 +206,14 @@ func (l *loop) emitNotes() {
 		default:
 			continue
 		}
-		l.c.sink.Emit(obs.Event{
-			Tick:     l.c.ticks,
-			Socket:   l.socket,
-			Kind:     kind,
-			Workload: w.name,
-			To:       n.Label,
-			OldWays:  w.ways,
-			NewWays:  n.Ways,
-			NewVal:   n.Value,
-			Reason:   reason,
-			Policy:   l.policy.Name(),
+		l.emit(w, obs.Event{
+			Kind:    kind,
+			To:      n.Label,
+			OldWays: w.ways,
+			NewWays: n.Ways,
+			NewVal:  n.Value,
+			Reason:  reason,
+			Policy:  l.policy.Name(),
 		})
 	}
 }

@@ -211,58 +211,34 @@ func (l *loop) add(t Target, st *WorkloadState) error {
 		// allocation as a settled Keeper instead of re-learning. Donors
 		// and Streamings keep their terminal categories — neither wants
 		// the pool.
-		if w.state != StateDonor && w.state != StateStreaming {
-			if pref, ok := w.table.Preferred(l.c.cfg.IPCImpThr / 2); ok && pref > w.baseline {
-				w.state = StateKeeper
-				w.settled = true
-				w.jumpTo = pref
-				l.emitTableHit(w, pref)
-			}
+		if w.state != StateDonor && w.state != StateStreaming && l.reuseTable(w, w.baseline) {
+			w.state = StateKeeper
+			w.settled = true
 		}
 	}
 	l.c.ws[t.Name] = w
 	l.order = append(l.order, w)
 
 	// Install the arrival allocation: everyone keeps their ways, the
-	// newcomer gets its baseline. If the pool cannot cover it, reclaim
-	// one way at a time from the largest above-baseline holder (the
-	// allocator's own over-commit priority); the baseline-sum check
-	// above guarantees this terminates with every group >= 1 way.
-	alloc := l.alloc
-	allocated := 0
-	for _, ww := range l.order {
-		alloc[ww.name] = ww.ways
-		allocated += ww.ways
+	// newcomer gets its baseline. If the pool cannot cover it, shave the
+	// others with the allocator's own over-commit priority; the
+	// baseline-sum check above guarantees this succeeds with every
+	// group >= 1 way.
+	ways := make([]int, len(l.order))
+	for i, ww := range l.order {
+		ways[i] = ww.ways
 	}
-	for allocated > l.mgr.TotalWays() {
-		best, bestSurplus := "", 0
-		for _, ww := range l.order {
-			if ww == w {
-				continue
-			}
-			if s := alloc[ww.name] - ww.baseline; s > bestSurplus {
-				best, bestSurplus = ww.name, s
-			}
-		}
-		if best == "" {
-			for _, ww := range l.order {
-				if ww != w && alloc[ww.name] > 1 {
-					best = ww.name
-					break
-				}
-			}
-		}
-		if best == "" {
-			return fmt.Errorf("core: no ways reclaimable for arriving target %q", t.Name)
-		}
-		alloc[best]--
-		allocated--
+	if !l.shave(ways, len(l.order)-1) {
+		return fmt.Errorf("core: no ways reclaimable for arriving target %q", t.Name)
 	}
-	if err := l.mgr.SetAllocation(alloc); err != nil {
+	for i, ww := range l.order {
+		l.alloc[ww.name] = ways[i]
+	}
+	if err := l.mgr.SetAllocation(l.alloc); err != nil {
 		return fmt.Errorf("core: adding %q: %w", t.Name, err)
 	}
-	for _, ww := range l.order {
-		if nw := alloc[ww.name]; nw != ww.ways {
+	for i, ww := range l.order {
+		if nw := ways[i]; nw != ww.ways {
 			l.emitWayChange(ww, nw)
 			ww.ways = nw
 		}
