@@ -57,21 +57,20 @@ func (l *loop) buildView(samples []observation) {
 	}
 	v.Workloads = v.Workloads[:len(l.order)]
 	for i, w := range l.order {
-		v.Workloads[i] = policy.WorkloadView{
-			Name:        w.name,
-			Category:    policy.Category(w.state),
-			Ways:        w.ways,
-			Baseline:    w.baseline,
-			Desire:      w.desire,
-			CapWays:     w.capWays,
-			Settled:     w.settled,
-			JumpTo:      w.jumpTo,
-			Graced:      w.graceLeft > 0,
-			BaselineIPC: w.baselineIPC,
-			IPC:         samples[i].ipc,
-			PhaseKey:    int64(w.phase),
-			Curve:       w.table,
-		}
+		wv := &v.Workloads[i]
+		wv.Name = w.name
+		wv.Category = policy.Category(w.state)
+		wv.Ways = w.ways
+		wv.Baseline = w.baseline
+		wv.Desire = w.desire
+		wv.CapWays = w.capWays
+		wv.Settled = w.settled
+		wv.JumpTo = w.jumpTo
+		wv.Graced = w.graceLeft > 0
+		wv.BaselineIPC = w.baselineIPC
+		wv.IPC = samples[i].ipc
+		wv.PhaseKey = int64(w.phase)
+		wv.Curve = &w.table
 	}
 }
 

@@ -37,11 +37,8 @@ type wstate struct {
 	phase     phaseKey
 	phaseMAPI float64
 	det       PhaseDetector
-	table     PerfTable
-	history   map[phaseKey]PerfTable
-	// histIPC remembers the measured baseline IPC per phase (alongside
-	// history's tables) so a sustained phase change can adopt it.
-	histIPC map[phaseKey]float64
+	table     policy.Curve
+	history   map[phaseKey]phaseRecord
 
 	lastLLCRef uint64
 	// capWays, when >0, is an advisory upper bound on this workload's
@@ -204,9 +201,7 @@ func (l *loop) newWorkload(t Target) *wstate {
 			ways:     t.BaselineWays,
 			prevWays: t.BaselineWays,
 		},
-		table:   make(PerfTable),
-		history: make(map[phaseKey]PerfTable),
-		histIPC: make(map[phaseKey]float64),
+		history: make(map[phaseKey]phaseRecord),
 		det:     l.c.cfg.detector(),
 	}
 }
@@ -263,12 +258,12 @@ func (c *Controller) StateOf(name string) (State, bool) {
 }
 
 // Table returns a copy of a workload's live performance table.
-func (c *Controller) Table(name string) (PerfTable, bool) {
+func (c *Controller) Table(name string) (policy.Curve, bool) {
 	w, ok := c.ws[name]
 	if !ok {
-		return nil, false
+		return policy.Curve{}, false
 	}
-	return w.table.Clone(), true
+	return w.table, true
 }
 
 // Snapshot reports every workload's state as of the most recent tick,
@@ -445,7 +440,7 @@ func (l *loop) observePhase(w *wstate, o observation) {
 		// remembered after all, fall back to the normal reclaim path.
 		w.sustained = false
 		w.rekey(mapi, false)
-		if ipc, ok := w.histIPC[w.phase]; ok && ipc > 0 {
+		if ipc := w.history[w.phase].baselineIPC; ipc > 0 {
 			w.baselineIPC = ipc
 			l.setState(w, StateKeeper, reasonPolicyAdopt)
 			w.settled = true
@@ -487,11 +482,7 @@ func (w *wstate) rekey(mapi float64, reload bool) {
 	w.det.Reset(mapi)
 	if key := phaseKeyOf(mapi); reload || key != w.phase {
 		w.phase = key
-		if prev, ok := w.history[key]; ok {
-			w.table = prev.Clone()
-		} else {
-			w.table = make(PerfTable)
-		}
+		w.table = w.history[key].table
 	}
 }
 
@@ -526,21 +517,26 @@ func (l *loop) reuseTable(w *wstate, floor int) bool {
 	return true
 }
 
-// saveTable merges the live table into the phase history, remembering
-// the phase's measured baseline IPC alongside it.
+// phaseRecord is one phase's entry in a workload's history: its
+// performance table and its measured baseline IPC (0 if never
+// measured), which a sustained phase change adopts.
+type phaseRecord struct {
+	table       policy.Curve
+	baselineIPC float64
+}
+
+// saveTable records the live table in the phase history, with the
+// phase's measured baseline IPC. The live table was loaded from the
+// phase's record (rekey) and has only gained measurements since, so it
+// supersedes the record's table.
 func (l *loop) saveTable(w *wstate) {
-	if !w.phaseInit || len(w.table) == 0 {
+	if !w.phaseInit || w.table.Len() == 0 {
 		return
 	}
-	saved, ok := w.history[w.phase]
-	if !ok {
-		saved = make(PerfTable)
-		w.history[w.phase] = saved
-	}
-	for k, v := range w.table {
-		saved[k] = v
-	}
+	rec := w.history[w.phase]
+	rec.table = w.table
 	if w.baselineIPC > 0 {
-		w.histIPC[w.phase] = w.baselineIPC
+		rec.baselineIPC = w.baselineIPC
 	}
+	w.history[w.phase] = rec
 }

@@ -8,8 +8,17 @@ import (
 	"repro/internal/policy"
 )
 
+// tableOf builds a performance table from way → value pairs.
+func tableOf(m map[int]float64) *policy.Curve {
+	tab := new(policy.Curve)
+	for w, v := range m {
+		tab.Set(w, v)
+	}
+	return tab
+}
+
 func TestPerfTableSetAt(t *testing.T) {
-	tab := make(PerfTable)
+	var tab policy.Curve
 	tab.Set(3, 1.0)
 	tab.Set(5, 1.25)
 	if v, ok := tab.At(3); !ok || v != 1.0 {
@@ -30,7 +39,7 @@ func TestPerfTableSetAt(t *testing.T) {
 func TestPerfTablePreferredMatchesPaperTable1(t *testing.T) {
 	// Paper Table 1: baseline 3 ways, preferred 6 ways (7 and 8 add
 	// nothing).
-	tab := PerfTable{2: 0.9, 3: 1.0, 4: 1.15, 5: 1.25, 6: 1.3, 7: 1.3, 8: 1.3}
+	tab := tableOf(map[int]float64{2: 0.9, 3: 1.0, 4: 1.15, 5: 1.25, 6: 1.3, 7: 1.3, 8: 1.3})
 	pref, ok := tab.Preferred(0.001)
 	if !ok || pref != 6 {
 		t.Errorf("Preferred=%d,%v want 6", pref, ok)
@@ -38,20 +47,20 @@ func TestPerfTablePreferredMatchesPaperTable1(t *testing.T) {
 }
 
 func TestPerfTablePreferredEmpty(t *testing.T) {
-	if _, ok := (PerfTable{}).Preferred(0.01); ok {
+	if _, ok := new(policy.Curve).Preferred(0.01); ok {
 		t.Error("empty table should have no preferred entry")
 	}
 }
 
 func TestPerfTableMaxClone(t *testing.T) {
-	tab := PerfTable{2: 1.0, 7: 1.2}
+	tab := tableOf(map[int]float64{2: 1.0, 7: 1.2})
 	if tab.Max() != 7 {
 		t.Errorf("Max=%d", tab.Max())
 	}
-	c := tab.Clone()
+	c := *tab
 	c.Set(9, 1.3)
 	if tab.Max() != 7 {
-		t.Error("Clone should not alias")
+		t.Error("a copied table should not alias")
 	}
 }
 
@@ -60,8 +69,8 @@ func TestOptimizeSplitPaperExample(t *testing.T) {
 	// B (2:1, 3:1.1, 4:1.2, 5:1.25). After C reclaims 2 ways, A and B
 	// share 8 ways; the best combination is A=3, B=5 with total
 	// normalized IPC 2.3.
-	a := PerfTable{2: 1.0, 3: 1.05, 4: 1.08, 5: 1.12}
-	b := PerfTable{2: 1.0, 3: 1.1, 4: 1.2, 5: 1.25}
+	a := tableOf(map[int]float64{2: 1.0, 3: 1.05, 4: 1.08, 5: 1.12})
+	b := tableOf(map[int]float64{2: 1.0, 3: 1.1, 4: 1.2, 5: 1.25})
 	res, ok := policy.OptimizeSplit([]policy.SplitCand{
 		{Table: a, Min: 2, Max: 5},
 		{Table: b, Min: 2, Max: 5},
@@ -80,7 +89,7 @@ func TestOptimizeSplitPaperExample(t *testing.T) {
 }
 
 func TestOptimizeSplitInfeasible(t *testing.T) {
-	tab := PerfTable{2: 1.0}
+	tab := tableOf(map[int]float64{2: 1.0})
 	if _, ok := policy.OptimizeSplit([]policy.SplitCand{
 		{Table: tab, Min: 5, Max: 6},
 		{Table: tab, Min: 5, Max: 6},
@@ -98,8 +107,8 @@ func TestOptimizeSplitEmpty(t *testing.T) {
 
 func TestOptimizeSplitMissingDataTreatedAsBaseline(t *testing.T) {
 	// Candidate with no entry at or below min: planner assumes 1.0.
-	a := PerfTable{5: 1.5}
-	b := PerfTable{2: 1.0, 3: 1.4}
+	a := tableOf(map[int]float64{5: 1.5})
+	b := tableOf(map[int]float64{2: 1.0, 3: 1.4})
 	res, ok := policy.OptimizeSplit([]policy.SplitCand{
 		{Table: a, Min: 2, Max: 5},
 		{Table: b, Min: 2, Max: 3},
@@ -117,7 +126,7 @@ func TestOptimizeSplitRespectsBounds(t *testing.T) {
 	f := func(b1, b2, budget uint8) bool {
 		min1, min2 := int(b1%3)+1, int(b2%3)+1
 		bud := int(budget%16) + 2
-		tab := PerfTable{1: 1.0, 2: 1.1, 4: 1.3, 8: 1.35}
+		tab := tableOf(map[int]float64{1: 1.0, 2: 1.1, 4: 1.3, 8: 1.35})
 		res, ok := policy.OptimizeSplit([]policy.SplitCand{
 			{Table: tab, Min: min1, Max: 10},
 			{Table: tab, Min: min2, Max: 10},

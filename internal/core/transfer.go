@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/policy"
 )
@@ -36,7 +37,7 @@ type WorkloadState struct {
 	// phase running at export; the destination's detector resets to it.
 	PhaseMAPI float64
 	// Table is the live ways → normalized-IPC table of that phase.
-	Table PerfTable
+	Table policy.Curve
 	// PolicyModel is the allocation policy's learned per-workload state
 	// (nil when the policy keeps none, or has learned nothing yet). It
 	// travels independently of the settledness gate below: transition
@@ -45,8 +46,7 @@ type WorkloadState struct {
 	PolicyModel *policy.ModelState
 
 	phaseInit bool
-	history   map[phaseKey]PerfTable
-	histIPC   map[phaseKey]float64
+	history   map[phaseKey]phaseRecord
 	// capWays is the advisory cap (SetWayCap) in force at export. It
 	// travels regardless of settledness: the authority that pushed it
 	// caches what it pushed and does not re-send it after a move.
@@ -76,14 +76,6 @@ func (l *loop) remove(w *wstate) (WorkloadState, error) {
 		return WorkloadState{}, fmt.Errorf("core: cannot remove the last target %q", name)
 	}
 	l.saveTable(w)
-	hist := make(map[phaseKey]PerfTable, len(w.history))
-	for k, t := range w.history {
-		hist[k] = t.Clone()
-	}
-	histIPC := make(map[phaseKey]float64, len(w.histIPC))
-	for k, v := range w.histIPC {
-		histIPC[k] = v
-	}
 	st := WorkloadState{
 		Name:         w.name,
 		Cores:        append([]int(nil), w.cores...),
@@ -93,10 +85,9 @@ func (l *loop) remove(w *wstate) (WorkloadState, error) {
 		Settled:      w.settled,
 		BaselineIPC:  w.baselineIPC,
 		PhaseMAPI:    w.phaseMAPI,
-		Table:        w.table.Clone(),
+		Table:        w.table,
 		phaseInit:    w.phaseInit,
-		history:      hist,
-		histIPC:      histIPC,
+		history:      maps.Clone(w.history),
 		capWays:      w.capWays,
 	}
 	if sp, ok := l.policy.(policy.Stateful); ok {
@@ -197,15 +188,8 @@ func (l *loop) add(t Target, st *WorkloadState) error {
 		w.baselineIPC = st.BaselineIPC
 		w.state = st.State
 		w.settled = st.Settled
-		if st.Table != nil {
-			w.table = st.Table.Clone()
-		}
-		for k, tb := range st.history {
-			w.history[k] = tb.Clone()
-		}
-		for k, v := range st.histIPC {
-			w.histIPC[k] = v
-		}
+		w.table = st.Table
+		w.history = maps.Clone(st.history)
 		// Cross-socket table reuse: the carried table already knows how
 		// this phase pays off with ways, so jump to its preferred
 		// allocation as a settled Keeper instead of re-learning. Donors

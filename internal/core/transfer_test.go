@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cat"
@@ -34,8 +35,8 @@ func TestRemoveTargetExportsState(t *testing.T) {
 	if st.BaselineIPC <= 0 {
 		t.Errorf("baseline IPC not exported: %+v", st)
 	}
-	if len(st.Table) < 3 {
-		t.Errorf("performance table not exported: %v", st.Table)
+	if st.Table.Len() < 3 {
+		t.Errorf("performance table not exported: ways %v", st.Table.Ways())
 	}
 	if len(st.Cores) != 1 || st.Cores[0] != 0 {
 		t.Errorf("cores not exported: %v", st.Cores)
@@ -262,8 +263,8 @@ func TestMigrateCarriesState(t *testing.T) {
 		t.Fatalf("arrival allocation %d, want the baseline 3", got)
 	}
 	tb, ok := multi.Table("mover")
-	if !ok || len(tb) < 3 {
-		t.Fatalf("performance table not carried: %v", tb)
+	if !ok || tb.Len() < 3 {
+		t.Fatalf("performance table not carried: ways %v", tb.Ways())
 	}
 
 	// One tick later the carried table must have jumped the allocation
@@ -282,6 +283,66 @@ func TestMigrateCarriesState(t *testing.T) {
 		}
 		if s.NormIPC <= 0 {
 			t.Errorf("baseline IPC lost in migration: NormIPC %v", s.NormIPC)
+		}
+	}
+}
+
+// TestMigrateRestoresOnReject: when the destination refuses the
+// arrival — its loop's baselines already fill the socket — Migrate
+// returns the destination's error and the workload is managed again on
+// its source socket with its settled table intact, every loop's CAT
+// state still valid.
+func TestMigrateRestoresOnReject(t *testing.T) {
+	file := perf.NewFile(4)
+	newMgr := func() *cat.Manager {
+		m, err := cat.NewManager(&fakeBackend{ways: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	multi, err := NewMulti(DefaultConfig(), file, []SocketSpec{
+		{Socket: 0, Mgr: newMgr(), Targets: []Target{
+			{Name: "mover", Cores: []int{0}, BaselineWays: 3},
+			{Name: "stay", Cores: []int{1}, BaselineWays: 3},
+		}},
+		{Socket: 1, Mgr: newMgr(), Targets: []Target{
+			{Name: "full", Cores: []int{2}, BaselineWays: 20},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &xferRig{t: t, file: file, ctl: multi,
+		behaviors: map[string]behavior{
+			"mover": tableBehavior(10, 0.08),
+			"stay":  idleBehavior(),
+			"full":  idleBehavior(),
+		},
+		coreOf: map[string]int{"mover": 0, "stay": 1, "full": 2},
+	}
+	r.run(16)
+	if st, _ := multi.StateOf("mover"); st != StateKeeper || !multi.ws["mover"].settled {
+		t.Fatalf("precondition: mover should have settled as Keeper, is %v", st)
+	}
+	before, _ := multi.Table("mover")
+
+	err = multi.Migrate("mover", 1, []int{3})
+	if err == nil {
+		t.Fatal("migrating onto a socket whose baselines fill it should fail")
+	}
+	if want := "baselines would total 23 ways, socket has 20"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("Migrate error %q does not carry the destination's %q", err, want)
+	}
+	if s, ok := socketOf(multi, "mover"); !ok || s != 0 {
+		t.Fatalf("rejected migration left mover on socket %d (managed %v), want 0", s, ok)
+	}
+	if after, ok := multi.Table("mover"); !ok || after != before {
+		t.Fatalf("restored table ways %v, had %v", after.Ways(), before.Ways())
+	}
+	for _, l := range multi.loops {
+		if err := l.mgr.Validate(); err != nil {
+			t.Errorf("socket %d CAT state invalid after the rejected migration: %v", l.socket, err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -67,14 +66,9 @@ func Table1PerformanceTable(opts Options) (*TableResult, error) {
 		return nil, fmt.Errorf("experiments: target table missing")
 	}
 	pref, _ := table.Preferred(core.DefaultConfig().IPCImpThr / 2)
-	ways := make([]int, 0, len(table))
-	for w := range table {
-		ways = append(ways, w)
-	}
-	sort.Ints(ways)
 	tab := telemetry.NewTable("Performance table for the MLR-8MB phase",
 		"cache-ways", "normalized IPC", "mark")
-	for _, w := range ways {
+	for _, w := range table.Ways() {
 		mark := ""
 		switch {
 		case w == 3:

@@ -166,12 +166,22 @@ func (sm *Sampler) snapshot(core int) Counters {
 
 // SampleCores returns the delta since the previous call for the given
 // cores, summed. The first call for a core returns its cumulative
-// values (delta from zero).
+// values (delta from zero). A core any of whose counters went
+// backwards adds nothing: a zero read is the msr Reader's error
+// convention, so its previous snapshot stays and the next delta spans
+// the missed period; any other backward step is a counter reset or
+// wrap, so the core re-baselines at the new values.
 func (sm *Sampler) SampleCores(cores []int) Sample {
 	var agg Sample
 	for _, core := range cores {
 		cur := sm.snapshot(core)
 		p := sm.slot(core)
+		if back, failed := regressed(p, &cur); back {
+			if !failed {
+				*p = cur
+			}
+			continue
+		}
 		prev := *p
 		*p = cur
 		agg.Add(Sample{
@@ -183,6 +193,18 @@ func (sm *Sampler) SampleCores(cores []int) Sample {
 		})
 	}
 	return agg
+}
+
+// regressed reports whether any counter in cur is below prev, and
+// whether one that is reads zero (a failed read).
+func regressed(prev, cur *Counters) (back, failed bool) {
+	for e := range cur {
+		if cur[e] < prev[e] {
+			back = true
+			failed = failed || cur[e] == 0
+		}
+	}
+	return back, failed
 }
 
 // Prime snapshots the given cores without producing a sample, so the

@@ -160,3 +160,64 @@ func TestSamplerDeltaProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// scripted is a one-core Reader that returns whatever bank the test
+// sets.
+type scripted struct{ now Counters }
+
+func (r *scripted) ReadCounter(_ int, e Event) uint64 { return r.now[e] }
+
+// TestSamplerSurvivesHostileCounters: counters that step backwards —
+// a failed read (msr reports 0), a reset, a 48-bit wrap — never turn
+// into a huge uint64 delta. The failed read's core adds nothing and
+// the next delta spans the missed period; a reset or wrap re-baselines.
+// Every counter truly advances 1000 per interval, so each sample must
+// be exactly the activity since the last counted snapshot.
+func TestSamplerSurvivesHostileCounters(t *testing.T) {
+	const wrap = 1 << 48
+	at := func(v uint64) Counters {
+		var c Counters
+		for e := range c {
+			c[e] = v
+		}
+		return c
+	}
+	failed := func(v uint64, e Event) Counters {
+		c := at(v)
+		c[e] = 0
+		return c
+	}
+	for _, tc := range []struct {
+		name  string
+		start uint64 // primed snapshot
+		reads []Counters
+		want  []uint64 // each sample's per-event delta
+	}{
+		{"one read fails then recovers", 1000,
+			[]Counters{at(2000), failed(3000, LLCMisses), at(4000), at(5000)},
+			[]uint64{1000, 0, 2000, 1000}},
+		{"every read fails then recovers", 1000,
+			[]Counters{at(2000), at(0), at(0), at(5000), at(6000)},
+			[]uint64{1000, 0, 0, 3000, 1000}},
+		{"reset", 1000,
+			[]Counters{at(2000), at(300), at(1300)},
+			[]uint64{1000, 0, 1000}},
+		{"48-bit wrap", wrap - 1500,
+			[]Counters{at(wrap - 500), at(500), at(1500)},
+			[]uint64{1000, 0, 1000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &scripted{now: at(tc.start)}
+			sm := NewSampler(r)
+			sm.Prime([]int{0})
+			for i, c := range tc.reads {
+				r.now = c
+				got := sm.SampleCores([]int{0})
+				d := tc.want[i]
+				if want := (Sample{L1Ref: 2 * d, LLCRef: d, LLCMiss: d, RetIns: d, Cycles: d}); got != want {
+					t.Fatalf("sample %d = %+v, want %+v", i, got, want)
+				}
+			}
+		})
+	}
+}

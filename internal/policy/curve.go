@@ -1,78 +1,90 @@
 package policy
 
-// Curve maps a way count to the normalized IPC (relative to the phase's
-// baseline) measured at that allocation — the paper's per-phase
-// performance table (§3.5, Table 1). Curves are sparse: only reached
-// allocations have entries. core.PerfTable aliases this type, so the
-// controller's live tables flow into WorkloadView without copying.
-type Curve map[int]float64
+import (
+	mbits "math/bits"
 
-// Set records a measurement.
-func (t Curve) Set(ways int, normIPC float64) { t[ways] = normIPC }
+	"repro/internal/bits"
+)
+
+// Curve is the paper's per-phase performance table (§3.5, Table 1): the
+// normalized IPC (relative to the phase's baseline) measured at each way
+// count 1..bits.MaxWays. Curves are sparse — only reached allocations
+// are measured — but dense in layout: one value slot per way count and
+// a mask of the measured ones. A copy is a plain assignment, and every
+// query is a bit operation or one walk in ascending way order.
+type Curve struct {
+	vals [bits.MaxWays]float64 // vals[w-1] is the value at w ways
+	mask uint64                // bit w-1 marks w ways as measured
+}
+
+// Set records a measurement at ways, which must lie in 1..bits.MaxWays.
+func (t *Curve) Set(ways int, normIPC float64) {
+	t.vals[ways-1] = normIPC
+	t.mask |= 1 << (ways - 1)
+}
+
+// Len returns the number of measured way counts.
+func (t *Curve) Len() int { return mbits.OnesCount64(t.mask) }
+
+// Max returns the largest measured way count (0 for an empty curve).
+func (t *Curve) Max() int { return bits.MaxWays - mbits.LeadingZeros64(t.mask) }
 
 // At returns the normalized IPC expected at the given way count, using
 // the nearest measured allocation at or below it (cache benefit is
 // monotone enough for planning purposes). ok is false when no entry at
 // or below ways exists.
-func (t Curve) At(ways int) (float64, bool) {
-	best := -1
-	for w := range t {
-		if w <= ways && w > best {
-			best = w
-		}
+func (t *Curve) At(ways int) (float64, bool) {
+	m := t.mask
+	switch {
+	case ways <= 0:
+		return 0, false
+	case ways < bits.MaxWays:
+		m &= 1<<ways - 1
 	}
-	if best < 0 {
+	if m == 0 {
 		return 0, false
 	}
-	return t[best], true
+	return t.vals[bits.MaxWays-1-mbits.LeadingZeros64(m)], true
+}
+
+// peak returns the largest measured normalized IPC, or 0 when no
+// measurement is positive.
+func (t *Curve) peak() float64 {
+	peak := 0.0
+	for m := t.mask; m != 0; m &= m - 1 {
+		if v := t.vals[mbits.TrailingZeros64(m)]; v > peak {
+			peak = v
+		}
+	}
+	return peak
 }
 
 // Preferred returns the smallest way count achieving within tol of the
-// curve's maximum normalized IPC — the paper's "preferred" allocation
-// (Table 1 marks 6 ways preferred because 7 and 8 add nothing).
-func (t Curve) Preferred(tol float64) (ways int, ok bool) {
-	if len(t) == 0 {
-		return 0, false
-	}
-	max := 0.0
-	for _, v := range t {
-		if v > max {
-			max = v
+// curve's peak — the paper's "preferred" allocation (Table 1 marks 6
+// ways preferred because 7 and 8 add nothing).
+func (t *Curve) Preferred(tol float64) (ways int, ok bool) {
+	floor := t.peak() - tol
+	for m := t.mask; m != 0; m &= m - 1 {
+		if i := mbits.TrailingZeros64(m); t.vals[i] >= floor {
+			return i + 1, true
 		}
 	}
-	best := -1
-	for w, v := range t {
-		if v >= max-tol && (best == -1 || w < best) {
-			best = w
-		}
-	}
-	return best, best >= 0
+	return 0, false
 }
 
-// Max returns the largest measured way count.
-func (t Curve) Max() int {
-	max := 0
-	for w := range t {
-		if w > max {
-			max = w
-		}
+// Ways returns the measured way counts in ascending order.
+func (t *Curve) Ways() []int {
+	ways := make([]int, 0, t.Len())
+	for m := t.mask; m != 0; m &= m - 1 {
+		ways = append(ways, mbits.TrailingZeros64(m)+1)
 	}
-	return max
-}
-
-// Clone copies the curve (history snapshots must not alias live state).
-func (t Curve) Clone() Curve {
-	c := make(Curve, len(t))
-	for k, v := range t {
-		c[k] = v
-	}
-	return c
+	return ways
 }
 
 // SplitCand is one workload's entry in OptimizeSplit: its curve and
 // its way bounds (Min ≥ 0).
 type SplitCand struct {
-	Table    Curve
+	Table    *Curve
 	Min, Max int
 }
 
@@ -113,9 +125,8 @@ func OptimizeSplit(cands []SplitCand, budget int) ([]int, bool) {
 // tick allocates nothing for it.
 type splitScratch struct {
 	// vals holds every candidate's value at each way count it may take,
-	// row i starting at rows[i]; has marks the ways its curve measured.
+	// row i starting at rows[i].
 	vals    []float64
-	has     []bool
 	rows    []int
 	dp, ndp []float64
 	choice  []int16 // n rows of budget+1
@@ -188,9 +199,9 @@ func (s *splitScratch) optimize(cands []SplitCand, budget int) ([]int, bool) {
 }
 
 // fillRows resolves each candidate's value at every way count the DP
-// can try, Min through min(Max, budget), in one pass over its curve:
-// Curve.At per way, without a map scan per way. A way with no entry at
-// or below it is worth 1 (baseline-equivalent).
+// can try, Min through min(Max, budget), once per call rather than per
+// (budget, ways) pair. A way with no entry at or below it is worth 1
+// (baseline-equivalent).
 func (s *splitScratch) fillRows(cands []SplitCand, budget int) {
 	s.rows = grow(s.rows, len(cands)+1)
 	total := 0
@@ -199,28 +210,15 @@ func (s *splitScratch) fillRows(cands []SplitCand, budget int) {
 		total += max(min(c.Max, budget)-c.Min+1, 0)
 	}
 	s.rows[len(cands)] = total
-	s.vals, s.has = grow(s.vals, total), grow(s.has, total)
+	s.vals = grow(s.vals, total)
 	for i, c := range cands {
-		row, has := s.vals[s.rows[i]:s.rows[i+1]], s.has[s.rows[i]:s.rows[i+1]]
-		clear(has)
-		// below is the curve's value at its largest way under Min.
-		below, belowW := 1.0, -1
-		for w, v := range c.Table {
-			switch {
-			case w < c.Min:
-				if w > belowW {
-					below, belowW = v, w
-				}
-			case w-c.Min < len(row):
-				row[w-c.Min], has[w-c.Min] = v, true
-			}
-		}
+		row := s.vals[s.rows[i]:s.rows[i+1]]
 		for k := range row {
-			if has[k] {
-				below = row[k]
-			} else {
-				row[k] = below
+			v, ok := c.Table.At(c.Min + k)
+			if !ok {
+				v = 1
 			}
+			row[k] = v
 		}
 	}
 }

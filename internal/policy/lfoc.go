@@ -54,21 +54,10 @@ func (l *LFOC) Propose(v *View, g *Grants) {
 			// No trustworthy curve yet: reactive decision stands.
 		case w.Category == Streaming:
 			cluster = "streaming"
-		case w.BaselineIPC <= 0 || len(w.Curve) < 3:
+		case w.BaselineIPC <= 0 || w.Curve.Len() < 3:
 			// Curve too sparse to classify a shape.
 		default:
-			// One pass for the curve's peak and its value at the
-			// baseline (what Curve.At(w.Baseline) would return).
-			best, base, baseW := 0.0, 0.0, -1
-			for k, nv := range w.Curve {
-				if nv > best {
-					best = nv
-				}
-				if k <= w.Baseline && k > baseW {
-					base, baseW = nv, k
-				}
-			}
-			if baseW >= 0 && best-base >= v.IPCImpThr {
+			if base, ok := w.Curve.At(w.Baseline); ok && w.Curve.peak()-base >= v.IPCImpThr {
 				cluster = "sensitive"
 				l.idx = append(l.idx, i)
 			} else {

@@ -68,7 +68,7 @@ func (c Category) String() string {
 }
 
 // WorkloadView is one workload's read-only slice of the controller's
-// state for this round. Curve aliases the controller's live table —
+// state for this round. Curve points at the controller's live table —
 // policies must not mutate it. Desire is scratch: policies may clamp it
 // in place while resolving the round.
 type WorkloadView struct {
@@ -101,7 +101,7 @@ type WorkloadView struct {
 	PhaseKey int64
 	// Curve is the live ways → normalized-IPC performance table of the
 	// current phase (read-only; may be sparse or empty).
-	Curve Curve
+	Curve *Curve
 }
 
 // View is the controller's read-only round state handed to Propose.

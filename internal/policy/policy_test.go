@@ -51,7 +51,7 @@ func TestRegistry(t *testing.T) {
 // TestCurvePreferred mirrors the paper's Table 1 reading: 6 ways is
 // preferred when 7 and 8 add nothing beyond the tolerance.
 func TestCurvePreferred(t *testing.T) {
-	c := Curve{4: 1.0, 5: 1.15, 6: 1.30, 7: 1.31, 8: 1.31}
+	c := curveOf(map[int]float64{4: 1.0, 5: 1.15, 6: 1.30, 7: 1.31, 8: 1.31})
 	if got, ok := c.Preferred(0.025); !ok || got != 6 {
 		t.Errorf("Preferred = %d ok=%v, want 6", got, ok)
 	}
@@ -59,14 +59,14 @@ func TestCurvePreferred(t *testing.T) {
 	if got, ok := c.Preferred(0.001); !ok || got != 7 {
 		t.Errorf("tight Preferred = %d ok=%v, want 7", got, ok)
 	}
-	if _, ok := (Curve{}).Preferred(0.025); ok {
+	if _, ok := new(Curve).Preferred(0.025); ok {
 		t.Error("empty curve reported a preference")
 	}
 }
 
 // TestCurveAt pins the nearest-at-or-below lookup planning relies on.
 func TestCurveAt(t *testing.T) {
-	c := Curve{3: 1.0, 6: 1.2}
+	c := curveOf(map[int]float64{3: 1.0, 6: 1.2})
 	cases := []struct {
 		ways int
 		want float64
@@ -85,8 +85,8 @@ func TestCurveAt(t *testing.T) {
 // TestOptimizeSplit: the DP must hand the second way to the candidate
 // whose curve actually pays for it, and reject infeasible bounds.
 func TestOptimizeSplit(t *testing.T) {
-	steep := SplitCand{Table: Curve{1: 1.0, 2: 1.5}, Min: 1, Max: 2}
-	flat := SplitCand{Table: Curve{1: 1.0, 2: 1.05}, Min: 1, Max: 2}
+	steep := SplitCand{Table: curveOf(map[int]float64{1: 1.0, 2: 1.5}), Min: 1, Max: 2}
+	flat := SplitCand{Table: curveOf(map[int]float64{1: 1.0, 2: 1.05}), Min: 1, Max: 2}
 	res, ok := OptimizeSplit([]SplitCand{steep, flat}, 3)
 	if !ok || res[0] != 2 || res[1] != 1 {
 		t.Errorf("split = %v ok=%v, want [2 1]", res, ok)
@@ -175,7 +175,7 @@ func propose(p AllocationPolicy, v *View) *Grants {
 func TestPredictiveSustainsRecurringTransition(t *testing.T) {
 	p := NewPredictive(DefaultPredictiveConfig())
 	const phaseA, phaseB = int64(-30), int64(-10)
-	curveB := Curve{3: 1.0, 5: 1.2, 6: 1.3}
+	curveB := curveOf(map[int]float64{3: 1.0, 5: 1.2, 6: 1.3})
 	inA := func() *View {
 		return &View{TotalWays: 20, GrowthStep: 2, IPCImpThr: 0.05, Workloads: []WorkloadView{
 			{Name: "w", Category: Keeper, Ways: 6, Baseline: 3, Desire: 6, PhaseKey: phaseA},
@@ -308,10 +308,10 @@ func TestLFOCClustersAndTrims(t *testing.T) {
 		Workloads: []WorkloadView{
 			{Name: "flat", Category: Keeper, Ways: 8, Baseline: 3, Desire: 8,
 				Settled: true, BaselineIPC: 1.0,
-				Curve: Curve{3: 1.0, 4: 1.01, 8: 1.02}},
+				Curve: curveOf(map[int]float64{3: 1.0, 4: 1.01, 8: 1.02})},
 			{Name: "sens", Category: Keeper, Ways: 7, Baseline: 3, Desire: 7,
 				Settled: true, BaselineIPC: 1.0,
-				Curve: Curve{3: 1.0, 5: 1.2, 7: 1.4}},
+				Curve: curveOf(map[int]float64{3: 1.0, 5: 1.2, 7: 1.4})},
 			{Name: "stream", Category: Streaming, Ways: 1, Baseline: 2, Desire: 1},
 		},
 	}

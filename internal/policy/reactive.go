@@ -155,7 +155,7 @@ func (r *Reactive) optimize(v *View, g *Grants, pool *int) {
 		default:
 			continue
 		}
-		if w.BaselineIPC <= 0 || len(w.Curve) < 3 {
+		if w.BaselineIPC <= 0 || w.Curve.Len() < 3 {
 			continue
 		}
 		r.optIdx = append(r.optIdx, i)

@@ -8,7 +8,7 @@ import (
 )
 
 // optimizeSplitRef is OptimizeSplit as it stood before the DP resolved
-// each candidate's row in one pass over its curve: Curve.At per
+// each candidate's row once per call: Curve.At per
 // (budget, ways) pair and fresh buffers per call. It is the oracle the
 // row-based DP must match decision for decision.
 func optimizeSplitRef(cands []SplitCand, budget int) ([]int, bool) {
@@ -70,10 +70,10 @@ func optimizeSplitRef(cands []SplitCand, budget int) ([]int, bool) {
 }
 
 // splitCase decodes fuzz bytes into 1–8 candidates and a budget in
-// 0–20. Curves are empty, single-entry or sparse over ways -1–11 (At
-// ignores negative ways), with entries beyond small budgets and values
-// on a coarse grid so ties between splits are common; bounds include
-// Min == Max, Max < Min and minimums that overrun the budget.
+// 0–20. Curves are empty, single-entry or sparse over ways 1–13, with
+// entries beyond small budgets and values on a coarse grid so ties
+// between splits are common; bounds include Min == Max, Max < Min and
+// minimums that overrun the budget.
 func splitCase(data []byte, budget uint8) ([]SplitCand, int) {
 	next := func() int {
 		if len(data) == 0 {
@@ -86,9 +86,9 @@ func splitCase(data []byte, budget uint8) ([]SplitCand, int) {
 	cands := make([]SplitCand, 1+next()%8)
 	for i := range cands {
 		min := next() % 8
-		c := SplitCand{Min: min, Max: min + next()%7 - 1, Table: Curve{}}
+		c := SplitCand{Min: min, Max: min + next()%7 - 1, Table: new(Curve)}
 		for k := next() % 8; k > 0; k-- {
-			c.Table[next()%13-1] = float64(next()%5) / 4
+			c.Table.Set(1+next()%13, float64(next()%5)/4)
 		}
 		cands[i] = c
 	}
