@@ -15,6 +15,7 @@ package cat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bits"
@@ -48,12 +49,12 @@ func (m *Manager) Occupancy() (map[string]uint64, bool) {
 		return nil, false
 	}
 	out := make(map[string]uint64, len(m.groups))
-	for name, g := range m.groups {
+	for _, g := range m.groups {
 		v, err := r.GroupOccupancy(g.COS, g.Cores)
 		if err != nil {
 			return nil, false
 		}
-		out[name] = v
+		out[g.Name] = v
 	}
 	return out, true
 }
@@ -78,20 +79,11 @@ type Group struct {
 	Mask bits.CBM
 }
 
-// Manager owns the socket's COS table.
+// Manager owns the socket's COS table: one row per group, in creation
+// order, which is also the order SetAllocation packs masks in.
 type Manager struct {
 	backend Backend
-	groups  map[string]*Group
-	order   []string // creation order: stable layout packing
-	coreUse map[int]string
-	updates []update // SetAllocation's layout, reused across calls
-}
-
-// update is one group's pending mask in a SetAllocation layout.
-type update struct {
-	g    *Group
-	mask bits.CBM
-	ways int
+	groups  []*Group
 }
 
 // NewManager wraps a backend.
@@ -102,11 +94,7 @@ func NewManager(b Backend) (*Manager, error) {
 	if b.TotalWays() < 1 || b.TotalWays() > bits.MaxWays {
 		return nil, fmt.Errorf("cat: backend reports %d ways", b.TotalWays())
 	}
-	return &Manager{
-		backend: b,
-		groups:  make(map[string]*Group),
-		coreUse: make(map[int]string),
-	}, nil
+	return &Manager{backend: b}, nil
 }
 
 // TotalWays returns the LLC associativity.
@@ -120,7 +108,7 @@ func (m *Manager) CreateGroup(name string, cores []int) (*Group, error) {
 	if name == "" {
 		return nil, fmt.Errorf("cat: empty group name")
 	}
-	if _, ok := m.groups[name]; ok {
+	if m.index(name) >= 0 {
 		return nil, fmt.Errorf("cat: group %q already exists", name)
 	}
 	if len(m.groups) >= MaxCOS {
@@ -132,17 +120,15 @@ func (m *Manager) CreateGroup(name string, cores []int) (*Group, error) {
 	if len(cores) == 0 {
 		return nil, fmt.Errorf("cat: group %q has no cores", name)
 	}
-	for _, c := range cores {
-		if owner, ok := m.coreUse[c]; ok {
-			return nil, fmt.Errorf("cat: core %d already owned by group %q", c, owner)
+	for _, g := range m.groups {
+		for _, c := range cores {
+			if slices.Contains(g.Cores, c) {
+				return nil, fmt.Errorf("cat: core %d already owned by group %q", c, g.Name)
+			}
 		}
 	}
-	g := &Group{Name: name, COS: m.nextCOS(), Cores: append([]int(nil), cores...)}
-	m.groups[name] = g
-	m.order = append(m.order, name)
-	for _, c := range cores {
-		m.coreUse[c] = name
-	}
+	g := &Group{Name: name, COS: m.nextCOS(), Cores: slices.Clone(cores)}
+	m.groups = append(m.groups, g)
 	return g, nil
 }
 
@@ -151,12 +137,12 @@ func (m *Manager) CreateGroup(name string, cores []int) (*Group, error) {
 // would hand out a COS still in use once RemoveGroup has punched a hole
 // in the sequence (tenant churn, migration).
 func (m *Manager) nextCOS() int {
-	used := make(map[int]bool, len(m.groups))
+	var used uint32
 	for _, g := range m.groups {
-		used[g.COS] = true
+		used |= 1 << g.COS
 	}
 	cos := 1
-	for used[cos] {
+	for used&(1<<cos) != 0 {
 		cos++
 	}
 	return cos
@@ -165,107 +151,73 @@ func (m *Manager) nextCOS() int {
 // RemoveGroup forgets a tenant and frees its cores. Its ways return to
 // the free pool on the next SetAllocation.
 func (m *Manager) RemoveGroup(name string) error {
-	g, ok := m.groups[name]
-	if !ok {
+	i := m.index(name)
+	if i < 0 {
 		return fmt.Errorf("cat: no group %q", name)
 	}
-	delete(m.groups, name)
-	for i, n := range m.order {
-		if n == name {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	for _, c := range g.Cores {
-		delete(m.coreUse, c)
-	}
+	m.groups = slices.Delete(m.groups, i, i+1)
 	return nil
+}
+
+// index returns the slot of the named group, or -1.
+func (m *Manager) index(name string) int {
+	return slices.IndexFunc(m.groups, func(g *Group) bool { return g.Name == name })
 }
 
 // Group returns a group by name.
 func (m *Manager) Group(name string) (*Group, bool) {
-	g, ok := m.groups[name]
-	return g, ok
+	if i := m.index(name); i >= 0 {
+		return m.groups[i], true
+	}
+	return nil, false
 }
 
 // Groups returns all groups in creation order.
-func (m *Manager) Groups() []*Group {
-	out := make([]*Group, 0, len(m.groups))
-	for _, n := range m.order {
-		out = append(out, m.groups[n])
-	}
-	return out
-}
+func (m *Manager) Groups() []*Group { return slices.Clone(m.groups) }
 
-// Ways returns a group's current way count (0 for unknown groups).
-func (m *Manager) Ways(name string) int {
-	if g, ok := m.groups[name]; ok {
-		return g.Ways
-	}
-	return 0
-}
-
-// FreeWays returns ways not allocated to any group (the resource pool).
-func (m *Manager) FreeWays() int {
-	used := 0
-	for _, g := range m.groups {
-		used += g.Ways
-	}
-	return m.TotalWays() - used
-}
-
-// SetAllocation atomically installs new way counts for every group.
-// Every known group must appear in counts with a count >= 1, and the
-// counts must fit the associativity. Masks are packed contiguously in
+// SetAllocation installs ways[i] as the way count of Groups()[i]. Every
+// count must be >= 1 and their sum must fit the associativity; a call
+// that breaks either rule, or names a different number of groups, is
+// rejected before anything changes. Masks are packed contiguously in
 // group-creation order, so groups keep their relative position across
 // reallocations and only boundary ways move between tenants.
-func (m *Manager) SetAllocation(counts map[string]int) error {
-	// Same size and every group present: counts names exactly the
-	// groups, so no unknown name can hide in it.
-	if len(counts) != len(m.groups) {
-		return fmt.Errorf("cat: allocation names %d groups, manager has %d", len(counts), len(m.groups))
+//
+// It is not atomic. Groups are applied one at a time in layout order
+// (an unchanged mask is skipped), and a backend failure stops the pass:
+// groups before the failing one hold their new masks, it and the rest
+// their old ones. Each group's Mask and Ways always record what the
+// backend last accepted for its COS, but until the next successful
+// SetAllocation a grown group may overlap a neighbour that kept its old
+// mask, and Validate reports it.
+func (m *Manager) SetAllocation(ways []int) error {
+	if len(ways) != len(m.groups) {
+		return fmt.Errorf("cat: allocation names %d groups, manager has %d", len(ways), len(m.groups))
 	}
 	sum := 0
-	for _, name := range m.order {
-		c, ok := counts[name]
-		if !ok {
-			return fmt.Errorf("cat: allocation has no count for group %q", name)
+	for i, n := range ways {
+		if n < 1 {
+			return fmt.Errorf("cat: group %q would get %d ways; minimum is 1", m.groups[i].Name, n)
 		}
-		if c < 1 {
-			return fmt.Errorf("cat: group %q would get %d ways; minimum is 1", name, c)
-		}
-		sum += c
+		sum += n
 	}
 	if sum > m.TotalWays() {
 		return fmt.Errorf("cat: allocation of %d ways exceeds %d", sum, m.TotalWays())
 	}
-	// Compute the packed layout first; apply only if fully valid, so a
-	// backend failure cannot leave a half-updated mental model.
-	updates := m.updates[:0]
-	start := 0
-	for _, name := range m.order {
-		c := counts[name]
-		mask, err := bits.NewCBM(start, c)
-		if err != nil {
-			return fmt.Errorf("cat: layout: %w", err)
-		}
-		updates = append(updates, update{g: m.groups[name], mask: mask, ways: c})
-		start += c
-	}
-	m.updates = updates
 	var unionOld, unionNew bits.CBM
-	for _, u := range updates {
+	start := 0
+	for i, g := range m.groups {
+		mask := bits.MustCBM(start, ways[i]) // in range: sum <= TotalWays <= MaxWays
+		start += ways[i]
 		// Skip untouched groups: on resctrl every Apply is a file
 		// write, and steady state changes nothing tick after tick.
-		if u.mask != u.g.Mask || u.g.Ways == 0 {
-			if err := m.backend.Apply(u.g.COS, u.mask, u.g.Cores); err != nil {
-				return fmt.Errorf("cat: applying %q: %w", u.g.Name, err)
+		if mask != g.Mask {
+			if err := m.backend.Apply(g.COS, mask, g.Cores); err != nil {
+				return fmt.Errorf("cat: applying %q: %w", g.Name, err)
 			}
 		}
-		unionOld |= u.g.Mask
-		unionNew |= u.mask
-		u.g.Mask = u.mask
-		u.g.Ways = u.ways
+		unionOld |= g.Mask
+		unionNew |= mask
+		g.Mask, g.Ways = mask, ways[i]
 	}
 	// The §6 flush pass, applied only to ways returning to the free
 	// pool: unowned ways are never filled again, so without a flush
@@ -282,15 +234,6 @@ func (m *Manager) SetAllocation(counts map[string]int) error {
 		}
 	}
 	return nil
-}
-
-// Allocation returns the current way counts by group name.
-func (m *Manager) Allocation() map[string]int {
-	out := make(map[string]int, len(m.groups))
-	for name, g := range m.groups {
-		out[name] = g.Ways
-	}
-	return out
 }
 
 // Validate checks manager invariants: contiguous, non-overlapping

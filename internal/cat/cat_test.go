@@ -11,11 +11,15 @@ import (
 	"repro/internal/memsys"
 )
 
-// fakeBackend records Apply calls.
+// fakeBackend records the last mask it accepted for each COS. It fails
+// every Apply while fail is set, and the failOn-th Apply it sees
+// (1-based, 0 never).
 type fakeBackend struct {
 	ways    int
 	applied map[int]bits.CBM // by COS
 	fail    bool
+	applies int
+	failOn  int
 }
 
 func newFake(ways int) *fakeBackend {
@@ -25,11 +29,21 @@ func newFake(ways int) *fakeBackend {
 func (f *fakeBackend) TotalWays() int { return f.ways }
 
 func (f *fakeBackend) Apply(cos int, mask bits.CBM, cores []int) error {
-	if f.fail {
-		return fmt.Errorf("injected failure")
+	f.applies++
+	if f.fail || f.applies == f.failOn {
+		return fmt.Errorf("injected failure on apply %d", f.applies)
 	}
 	f.applied[cos] = mask
 	return nil
+}
+
+// freeWays returns the ways no group holds.
+func freeWays(m *Manager) int {
+	free := m.TotalWays()
+	for _, g := range m.Groups() {
+		free -= g.Ways
+	}
+	return free
 }
 
 func TestNewManagerValidation(t *testing.T) {
@@ -90,7 +104,7 @@ func TestSetAllocationLayout(t *testing.T) {
 	m.CreateGroup("a", []int{0})
 	m.CreateGroup("b", []int{1})
 	m.CreateGroup("c", []int{2})
-	if err := m.SetAllocation(map[string]int{"a": 3, "b": 5, "c": 1}); err != nil {
+	if err := m.SetAllocation([]int{3, 5, 1}); err != nil {
 		t.Fatal(err)
 	}
 	ga, _ := m.Group("a")
@@ -99,8 +113,8 @@ func TestSetAllocationLayout(t *testing.T) {
 	if ga.Mask != bits.MustCBM(0, 3) || gb.Mask != bits.MustCBM(3, 5) || gc.Mask != bits.MustCBM(8, 1) {
 		t.Errorf("layout wrong: a=%s b=%s c=%s", ga.Mask, gb.Mask, gc.Mask)
 	}
-	if m.FreeWays() != 11 {
-		t.Errorf("FreeWays=%d want 11", m.FreeWays())
+	if free := freeWays(m); free != 11 {
+		t.Errorf("free ways %d want 11", free)
 	}
 	if err := m.Validate(); err != nil {
 		t.Error(err)
@@ -114,11 +128,11 @@ func TestSetAllocationRejects(t *testing.T) {
 	m, _ := NewManager(newFake(8))
 	m.CreateGroup("a", []int{0})
 	m.CreateGroup("b", []int{1})
-	cases := []map[string]int{
-		{"a": 4},                 // missing group b
-		{"a": 4, "b": 4, "c": 1}, // unknown group
-		{"a": 0, "b": 4},         // below minimum
-		{"a": 5, "b": 4},         // exceeds ways
+	cases := [][]int{
+		{4},       // no count for group b
+		{1, 1, 1}, // a count for no group
+		{0, 4},    // below minimum
+		{5, 4},    // exceeds ways
 	}
 	for i, c := range cases {
 		if err := m.SetAllocation(c); err == nil {
@@ -126,8 +140,10 @@ func TestSetAllocationRejects(t *testing.T) {
 		}
 	}
 	// State unchanged after rejections.
-	if m.Ways("a") != 0 || m.Ways("b") != 0 {
-		t.Error("rejected allocations must not mutate state")
+	for _, g := range m.Groups() {
+		if g.Ways != 0 || g.Mask != 0 {
+			t.Errorf("rejected allocations must not mutate state: %+v", g)
+		}
 	}
 }
 
@@ -136,10 +152,10 @@ func TestSetAllocationBackendFailure(t *testing.T) {
 	m, _ := NewManager(fb)
 	m.CreateGroup("a", []int{0})
 	fb.fail = true
-	if err := m.SetAllocation(map[string]int{"a": 2}); err == nil {
+	if err := m.SetAllocation([]int{2}); err == nil {
 		t.Fatal("backend failure should surface")
 	}
-	if m.Ways("a") != 0 {
+	if m.Groups()[0].Ways != 0 {
 		t.Error("failed apply should not record ways")
 	}
 }
@@ -148,7 +164,7 @@ func TestRemoveGroupFreesCoresAndWays(t *testing.T) {
 	m, _ := NewManager(newFake(8))
 	m.CreateGroup("a", []int{0})
 	m.CreateGroup("b", []int{1})
-	m.SetAllocation(map[string]int{"a": 4, "b": 2})
+	m.SetAllocation([]int{4, 2})
 	if err := m.RemoveGroup("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +174,7 @@ func TestRemoveGroupFreesCoresAndWays(t *testing.T) {
 	if _, err := m.CreateGroup("c", []int{0}); err != nil {
 		t.Errorf("core 0 should be free after removal: %v", err)
 	}
-	if err := m.SetAllocation(map[string]int{"b": 2, "c": 6}); err != nil {
+	if err := m.SetAllocation([]int{2, 6}); err != nil {
 		t.Errorf("ways of removed group should be reusable: %v", err)
 	}
 }
@@ -167,13 +183,18 @@ func TestAllocationSnapshot(t *testing.T) {
 	m, _ := NewManager(newFake(8))
 	m.CreateGroup("a", []int{0})
 	m.CreateGroup("b", []int{1})
-	m.SetAllocation(map[string]int{"a": 3, "b": 2})
-	got := m.Allocation()
-	if got["a"] != 3 || got["b"] != 2 {
-		t.Errorf("Allocation()=%v", got)
+	m.SetAllocation([]int{3, 2})
+	gs := m.Groups()
+	if gs[0].Ways != 3 || gs[1].Ways != 2 {
+		t.Errorf("Groups() ways %d, %d want 3, 2", gs[0].Ways, gs[1].Ways)
 	}
-	if m.Ways("missing") != 0 {
-		t.Error("unknown group should report 0 ways")
+	// The snapshot is a copy: reordering it leaves the layout alone.
+	gs[0], gs[1] = gs[1], gs[0]
+	if m.Groups()[0].Name != "a" {
+		t.Error("Groups() aliases the manager's table")
+	}
+	if _, ok := m.Group("missing"); ok {
+		t.Error("unknown group should not be found")
 	}
 }
 
@@ -202,7 +223,7 @@ func TestAllocationInvariants(t *testing.T) {
 			m.CreateGroup(fmt.Sprintf("g%d", i), []int{i})
 		}
 		// Random counts that fit.
-		counts := map[string]int{}
+		counts := make([]int, n)
 		left := 20 - n
 		for i := 0; i < n; i++ {
 			extra := 0
@@ -210,7 +231,7 @@ func TestAllocationInvariants(t *testing.T) {
 				extra = rng.Intn(left + 1)
 				left -= extra
 			}
-			counts[fmt.Sprintf("g%d", i)] = 1 + extra
+			counts[i] = 1 + extra
 		}
 		if err := m.SetAllocation(counts); err != nil {
 			return false
@@ -268,7 +289,7 @@ func TestEndToEndIsolationThroughManager(t *testing.T) {
 	m, _ := NewManager(b)
 	m.CreateGroup("victim", []int{0})
 	m.CreateGroup("bully", []int{1})
-	if err := m.SetAllocation(map[string]int{"victim": 2, "bully": 2}); err != nil {
+	if err := m.SetAllocation([]int{2, 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Victim warms its 2 ways per set.

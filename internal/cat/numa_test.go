@@ -104,10 +104,10 @@ func TestNUMABackendSocketIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := bits.FullMask(4)
-	for _, alloc := range []map[string]int{
-		{"a": 1, "b": 3},
-		{"a": 3, "b": 1},
-		{"a": 2, "b": 2},
+	for _, alloc := range [][]int{
+		{1, 3},
+		{3, 1},
+		{2, 2},
 	} {
 		if err := mgr.SetAllocation(alloc); err != nil {
 			t.Fatalf("SetAllocation(%v): %v", alloc, err)

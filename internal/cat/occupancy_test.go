@@ -26,7 +26,7 @@ func TestSimBackendOccupancy(t *testing.T) {
 	m, _ := NewManager(b)
 	m.CreateGroup("a", []int{0})
 	m.CreateGroup("b", []int{1})
-	if err := m.SetAllocation(map[string]int{"a": 2, "b": 2}); err != nil {
+	if err := m.SetAllocation([]int{2, 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Tenant a fills 5 lines; tenant b 3.
@@ -58,7 +58,7 @@ func TestOccupancyBoundedByCapacity(t *testing.T) {
 	b, _ := NewSimBackend(sys)
 	m, _ := NewManager(b)
 	m.CreateGroup("a", []int{0})
-	m.SetAllocation(map[string]int{"a": 2})
+	m.SetAllocation([]int{2})
 	for l := uint64(0); l < 1000; l++ {
 		sys.Access(0, l)
 	}

@@ -23,21 +23,21 @@ func TestSetAllocationSkipsUnchangedGroups(t *testing.T) {
 	m, _ := NewManager(cb)
 	m.CreateGroup("a", []int{0})
 	m.CreateGroup("b", []int{1})
-	if err := m.SetAllocation(map[string]int{"a": 4, "b": 4}); err != nil {
+	if err := m.SetAllocation([]int{4, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if cb.applies != 2 {
 		t.Fatalf("initial allocation should apply both groups, got %d", cb.applies)
 	}
 	// Steady state: nothing changes, nothing is written.
-	if err := m.SetAllocation(map[string]int{"a": 4, "b": 4}); err != nil {
+	if err := m.SetAllocation([]int{4, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if cb.applies != 2 {
 		t.Errorf("unchanged allocation should skip Apply, got %d total", cb.applies)
 	}
 	// Growing a shifts b's layout: both rewritten.
-	if err := m.SetAllocation(map[string]int{"a": 5, "b": 4}); err != nil {
+	if err := m.SetAllocation([]int{5, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if cb.applies != 4 {

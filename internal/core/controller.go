@@ -82,12 +82,12 @@ type loop struct {
 	socket  int
 	mgr     *cat.Manager
 	sampler *perf.Sampler
-	// order is the tick's stable target order, and samples and alloc
-	// its reused buffers: one interval's observations (indexed like
-	// order) and the counts handed to the CAT manager.
+	// order is the tick's stable target order and mgr's group order
+	// (newLoop and add append to both, remove deletes from both), so
+	// way counts indexed like order are what mgr.SetAllocation takes.
+	// samples is one interval's observations, indexed like order.
 	order   []*wstate
 	samples []observation
-	alloc   map[string]int
 	// poolEmpty records whether the previous allocation round ended
 	// with no free ways — part of the Streaming decision (§3.4: "all
 	// the available cache size is used").
@@ -154,25 +154,15 @@ func (c *Controller) newLoop(spec SocketSpec, counters perf.Reader) (*loop, erro
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("core: no targets")
 	}
-	sumBase := 0
-	for _, t := range targets {
-		if t.BaselineWays < 1 {
-			return nil, fmt.Errorf("core: target %q baseline %d below the 1-way minimum",
-				t.Name, t.BaselineWays)
-		}
-		sumBase += t.BaselineWays
-	}
-	if sumBase > mgr.TotalWays() {
-		return nil, fmt.Errorf("core: baselines total %d ways, socket has %d",
-			sumBase, mgr.TotalWays())
-	}
 	l := &loop{
 		c:       c,
 		socket:  spec.Socket,
 		mgr:     mgr,
 		sampler: perf.NewSampler(counters),
-		alloc:   make(map[string]int, len(targets)),
 		policy:  c.cfg.policy(),
+	}
+	if err := l.checkBaselines(targets...); err != nil {
+		return nil, err
 	}
 	for _, t := range targets {
 		if _, err := mgr.CreateGroup(t.Name, t.Cores); err != nil {
@@ -181,12 +171,42 @@ func (c *Controller) newLoop(spec SocketSpec, counters perf.Reader) (*loop, erro
 		w := l.newWorkload(t)
 		c.ws[t.Name] = w
 		l.order = append(l.order, w)
-		l.alloc[t.Name] = t.BaselineWays
 	}
-	if err := mgr.SetAllocation(l.alloc); err != nil {
+	if err := mgr.SetAllocation(l.held()); err != nil {
 		return nil, fmt.Errorf("core: installing baselines: %w", err)
 	}
 	return l, nil
+}
+
+// checkBaselines rejects targets whose contracted baselines cannot join
+// the loop's: each needs at least one way, and all the baselines
+// together must fit the socket.
+func (l *loop) checkBaselines(targets ...Target) error {
+	sum := 0
+	for _, w := range l.order {
+		sum += w.baseline
+	}
+	for _, t := range targets {
+		if t.BaselineWays < 1 {
+			return fmt.Errorf("core: target %q baseline %d below the 1-way minimum",
+				t.Name, t.BaselineWays)
+		}
+		sum += t.BaselineWays
+	}
+	if total := l.mgr.TotalWays(); sum > total {
+		return fmt.Errorf("core: baselines would total %d ways, socket has %d", sum, total)
+	}
+	return nil
+}
+
+// held returns a new slice of the ways each workload holds, indexed
+// like l.order.
+func (l *loop) held() []int {
+	ways := make([]int, len(l.order))
+	for i, w := range l.order {
+		ways[i] = w.ways
+	}
+	return ways
 }
 
 // newWorkload returns a fresh record for a target at its baseline.
@@ -363,10 +383,7 @@ func (l *loop) tick() error {
 	}
 
 	ways := l.allocate(samples)
-	for i, w := range l.order {
-		l.alloc[w.name] = ways[i]
-	}
-	if err := l.mgr.SetAllocation(l.alloc); err != nil {
+	if err := l.mgr.SetAllocation(ways); err != nil {
 		return fmt.Errorf("core: tick %d: %w", l.c.ticks, err)
 	}
 	allocSum, churn := 0, 0

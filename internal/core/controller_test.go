@@ -66,8 +66,15 @@ func (r *rig) tick() {
 	if err := r.ctl.Tick(); err != nil {
 		r.t.Fatal(err)
 	}
-	if err := r.mgr.Validate(); err != nil {
-		r.t.Fatalf("CAT invariants violated: %v", err)
+	checkInvariants(r.t, r.ctl, "tick")
+}
+
+// checkInvariants fails the test when ctl breaks a CheckInvariants rule
+// after step.
+func checkInvariants(t *testing.T, ctl *Controller, step string) {
+	t.Helper()
+	if err := ctl.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", step, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"repro/internal/policy"
 )
@@ -98,17 +99,8 @@ func (l *loop) remove(w *wstate) (WorkloadState, error) {
 		return WorkloadState{}, fmt.Errorf("core: %w", err)
 	}
 	delete(l.c.ws, name)
-	delete(l.alloc, name)
-	for i, ww := range l.order {
-		if ww == w {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-	for _, ww := range l.order {
-		l.alloc[ww.name] = ww.ways
-	}
-	if err := l.mgr.SetAllocation(l.alloc); err != nil {
+	l.order = slices.DeleteFunc(l.order, func(ww *wstate) bool { return ww == w })
+	if err := l.mgr.SetAllocation(l.held()); err != nil {
 		return WorkloadState{}, fmt.Errorf("core: removing %q: %w", name, err)
 	}
 	return st, nil
@@ -138,17 +130,8 @@ func (c *Controller) AddTarget(socket int, t Target, st *WorkloadState) error {
 
 // add installs t on this loop and in the controller's name index.
 func (l *loop) add(t Target, st *WorkloadState) error {
-	if t.BaselineWays < 1 {
-		return fmt.Errorf("core: target %q baseline %d below the 1-way minimum",
-			t.Name, t.BaselineWays)
-	}
-	sumBase := t.BaselineWays
-	for _, ww := range l.order {
-		sumBase += ww.baseline
-	}
-	if sumBase > l.mgr.TotalWays() {
-		return fmt.Errorf("core: baselines would total %d ways, socket has %d",
-			sumBase, l.mgr.TotalWays())
+	if err := l.checkBaselines(t); err != nil {
+		return err
 	}
 	if _, err := l.mgr.CreateGroup(t.Name, t.Cores); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -208,17 +191,11 @@ func (l *loop) add(t Target, st *WorkloadState) error {
 	// others with the allocator's own over-commit priority; the
 	// baseline-sum check above guarantees this succeeds with every
 	// group >= 1 way.
-	ways := make([]int, len(l.order))
-	for i, ww := range l.order {
-		ways[i] = ww.ways
-	}
+	ways := l.held()
 	if !l.shave(ways, len(l.order)-1) {
 		return fmt.Errorf("core: no ways reclaimable for arriving target %q", t.Name)
 	}
-	for i, ww := range l.order {
-		l.alloc[ww.name] = ways[i]
-	}
-	if err := l.mgr.SetAllocation(l.alloc); err != nil {
+	if err := l.mgr.SetAllocation(ways); err != nil {
 		return fmt.Errorf("core: adding %q: %w", t.Name, err)
 	}
 	for i, ww := range l.order {

@@ -29,6 +29,7 @@ func TestRemoveTargetExportsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, r.ctl, "remove a")
 	if st.Name != "a" || st.BaselineWays != 3 || st.Ways != waysBefore {
 		t.Errorf("export mismatch: %+v", st)
 	}
@@ -47,7 +48,7 @@ func TestRemoveTargetExportsState(t *testing.T) {
 	if _, ok := r.mgr.Group("a"); ok {
 		t.Error("CLOS group not removed")
 	}
-	if free := r.mgr.FreeWays(); free < waysBefore {
+	if free := freeWays(r.mgr); free < waysBefore {
 		t.Errorf("removed target's ways not pooled: %d free", free)
 	}
 	if err := r.mgr.Validate(); err != nil {
@@ -59,9 +60,20 @@ func TestRemoveTargetExportsState(t *testing.T) {
 	if _, err := r.ctl.RemoveTarget("b"); err != nil {
 		t.Errorf("removing b: %v", err)
 	}
+	checkInvariants(t, r.ctl, "remove b")
 	if _, err := r.ctl.RemoveTarget("c"); err == nil {
 		t.Error("removing the last target should fail")
 	}
+	checkInvariants(t, r.ctl, "remove the last target")
+}
+
+// freeWays returns the ways no group of m holds.
+func freeWays(m *cat.Manager) int {
+	free := m.TotalWays()
+	for _, g := range m.Groups() {
+		free -= g.Ways
+	}
+	return free
 }
 
 // xferRig is a controller rig with spare perf-file cores, so tests can
@@ -110,6 +122,7 @@ func (r *xferRig) run(n int) {
 		if err := r.ctl.Tick(); err != nil {
 			r.t.Fatal(err)
 		}
+		checkInvariants(r.t, r.ctl, "tick")
 	}
 }
 
@@ -131,6 +144,7 @@ func TestAddTargetFresh(t *testing.T) {
 	if err := r.ctl.AddTarget(0, Target{Name: "late", Cores: []int{5}, BaselineWays: 4}, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, r.ctl, "add late")
 	r.coreOf["late"] = 5
 	if got := r.ctl.Ways("late"); got != 4 {
 		t.Errorf("arrival allocation %d, want the baseline 4", got)
@@ -141,6 +155,7 @@ func TestAddTargetFresh(t *testing.T) {
 	if err := r.ctl.AddTarget(0, Target{Name: "huge", Cores: []int{7}, BaselineWays: 15}, nil); err == nil {
 		t.Error("baseline overflow should fail")
 	}
+	checkInvariants(t, r.ctl, "rejected arrivals")
 	r.run(2) // the adopted loop must tick cleanly
 	if err := r.mgr.Validate(); err != nil {
 		t.Fatalf("CAT invariants violated: %v", err)
@@ -162,13 +177,14 @@ func TestAddTargetReclaimsFromSurplus(t *testing.T) {
 			"b": idleBehavior(),
 		})
 	r.run(12)
-	if free := r.mgr.FreeWays(); free > 2 {
+	if free := freeWays(r.mgr); free > 2 {
 		t.Fatalf("precondition: pool should be nearly drained, %d free", free)
 	}
 	surplusBefore := r.ctl.Ways("a")
 	if err := r.ctl.AddTarget(0, Target{Name: "late", Cores: []int{5}, BaselineWays: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, r.ctl, "add late")
 	if got := r.ctl.Ways("late"); got != 3 {
 		t.Errorf("arrival allocation %d, want 3", got)
 	}
@@ -225,6 +241,7 @@ func TestMigrateCarriesState(t *testing.T) {
 		if err := multi.Tick(); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, multi, "tick")
 	}
 	for i := 0; i < 16; i++ {
 		tick()
@@ -242,6 +259,7 @@ func TestMigrateCarriesState(t *testing.T) {
 	if err := multi.Migrate("filler", 0, []int{3}); err == nil {
 		t.Fatal("migrating a socket's last workload should fail")
 	}
+	checkInvariants(t, multi, "rejected migration")
 	if s, ok := socketOf(multi, "filler"); !ok || s != 1 {
 		t.Fatalf("failed migration lost track of filler: socket %d ok=%v", s, ok)
 	}
@@ -252,6 +270,7 @@ func TestMigrateCarriesState(t *testing.T) {
 	if err := multi.Migrate("mover", 1, []int{3}); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, multi, "migrate mover")
 	coreOf["mover"] = 3
 	if s, _ := socketOf(multi, "mover"); s != 1 {
 		t.Fatalf("mover still homed on socket %d", s)
@@ -334,6 +353,7 @@ func TestMigrateRestoresOnReject(t *testing.T) {
 	if want := "baselines would total 23 ways, socket has 20"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("Migrate error %q does not carry the destination's %q", err, want)
 	}
+	checkInvariants(t, multi, "restored migration")
 	if s, ok := socketOf(multi, "mover"); !ok || s != 0 {
 		t.Fatalf("rejected migration left mover on socket %d (managed %v), want 0", s, ok)
 	}
@@ -395,6 +415,7 @@ func TestMigrateCarriesPredictiveModel(t *testing.T) {
 	if err := multi.Migrate("mover", 1, []int{3}); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, multi, "migrate mover")
 	if got := preds[0].ExportModel("mover"); got != nil {
 		t.Errorf("source policy still holds the migrated model: %+v", got)
 	}
@@ -463,6 +484,7 @@ func TestArrivalGraceBlocksPredictivePreGrants(t *testing.T) {
 		if err := ctl.Tick(); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, ctl, "tick")
 	}
 	countPreGrants := func() int {
 		n := 0
@@ -480,6 +502,7 @@ func TestArrivalGraceBlocksPredictivePreGrants(t *testing.T) {
 	if err := ctl.AddTarget(0, Target{Name: "mig", Cores: []int{1}, BaselineWays: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, ctl, "add mig")
 	// One graced tick so the policy records mig's current phase key
 	// (idle: zero misses, so the flat-miss-rate early exit never fires
 	// and the grace runs its full course).

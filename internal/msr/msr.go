@@ -106,8 +106,9 @@ type Counters struct {
 	cpus []int
 }
 
-// Open programs the four programmable events (Table 2) into PMC0-3 and
-// enables the two fixed counters on every given CPU.
+// Open programs the four programmable events (Table 2) into PMC0-3,
+// zeroes those and the two fixed counters, and enables all six on every
+// given CPU.
 func Open(dev Device, cpus []int) (*Counters, error) {
 	if dev == nil || len(cpus) == 0 {
 		return nil, fmt.Errorf("msr: need a device and at least one cpu")
@@ -125,9 +126,16 @@ func Open(dev Device, cpus []int) (*Counters, error) {
 			}
 		}
 		// Fixed counters 0 and 1: count user+kernel (0b011 per counter
-		// nibble).
+		// nibble), from zero like PMC0-3, or the first sample's IPC and
+		// MAPI divide one period's events by a lifetime of instructions
+		// and cycles.
 		if err := dev.Write(cpu, regFixedCtrCtrl, 0x033); err != nil {
 			return nil, err
+		}
+		for _, reg := range []uint32{regFixedCtr0, regFixedCtr1} {
+			if err := dev.Write(cpu, reg, 0); err != nil {
+				return nil, err
+			}
 		}
 		// Global enable: PMC0-3 plus fixed 0-1.
 		if err := dev.Write(cpu, regPerfGlobalCtrl, 0xF|0x3<<32); err != nil {

@@ -46,8 +46,18 @@ func (d *fakeDev) Write(cpu int, reg uint32, val uint64) error {
 
 func TestOpenProgramsEventSelects(t *testing.T) {
 	dev := newFakeDev(0, 1)
+	// Counters that ran before Open: every one must start from zero, so
+	// the first sample spans one period for all six events.
+	for _, reg := range []uint32{regFixedCtr0, regFixedCtr1, regPMC0, regPMC0 + 3} {
+		dev.regs[1][reg] = 1 << 40
+	}
 	if _, err := Open(dev, []int{0, 1}); err != nil {
 		t.Fatal(err)
+	}
+	for _, reg := range []uint32{regFixedCtr0, regFixedCtr1, regPMC0, regPMC0 + 3} {
+		if v := dev.regs[1][reg]; v != 0 {
+			t.Errorf("counter %#x left at %d after Open, want 0", reg, v)
+		}
 	}
 	// LLC misses (event 0x2E umask 0x41) must land in PMC0's selector
 	// with USR|OS|EN set.

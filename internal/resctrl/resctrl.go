@@ -129,8 +129,14 @@ func (b *Backend) Apply(cos int, mask bits.CBM, cores []int) error {
 		b.forget(cos)
 		return fmt.Errorf("resctrl: writing schemata: %w", err)
 	}
+	// The caller's cores are usually the list last written, already
+	// sorted: compare them as given before paying for a sorted copy.
+	last, ok := b.cpus[cos]
+	if ok && slices.Equal(last, cores) {
+		return nil
+	}
 	cpus := sortedCPUs(cores)
-	if last, ok := b.cpus[cos]; ok && slices.Equal(last, cpus) {
+	if ok && slices.Equal(last, cpus) {
 		return nil
 	}
 	delete(b.cpus, cos)

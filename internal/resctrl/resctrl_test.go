@@ -342,7 +342,7 @@ func TestBackendWithManager(t *testing.T) {
 	if _, err := mgr.CreateGroup("vm2", []int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.SetAllocation(map[string]int{"vm1": 6, "vm2": 3}); err != nil {
+	if err := mgr.SetAllocation([]int{6, 3}); err != nil {
 		t.Fatal(err)
 	}
 	line, _ := b.Schemata(1)

@@ -70,7 +70,10 @@ func TestChurnCyclesLeakNothing(t *testing.T) {
 		for s := 0; s < 2; s++ {
 			b.bytes[s] = h.AllocatedBytes(s)
 			b.cores[s] = h.FreeCores(s)
-			b.ways[s] = mgrs[s].FreeWays()
+			b.ways[s] = mgrs[s].TotalWays()
+			for _, g := range mgrs[s].Groups() {
+				b.ways[s] -= g.Ways
+			}
 			b.groups[s] = len(mgrs[s].Groups())
 		}
 		b.snapshot = len(multi.Snapshot())
@@ -78,11 +81,18 @@ func TestChurnCyclesLeakNothing(t *testing.T) {
 	}
 	want := capture()
 
+	check := func(step string) {
+		t.Helper()
+		if err := multi.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
 	run := func(n int) {
 		h.RunIntervals(n, func(int) {
 			if err := multi.Tick(); err != nil {
 				t.Fatal(err)
 			}
+			check("tick")
 		})
 	}
 	run(2) // settle the anchors before the first capture comparison
@@ -100,6 +110,7 @@ func TestChurnCyclesLeakNothing(t *testing.T) {
 		if err := multi.AddTarget(0, core.Target{Name: "tmp", Cores: vm.Cores, BaselineWays: 2}, nil); err != nil {
 			t.Fatal(err)
 		}
+		check("add tmp")
 		run(3)
 		moved, err := h.MigrateVM("tmp", 1)
 		if err != nil {
@@ -108,10 +119,12 @@ func TestChurnCyclesLeakNothing(t *testing.T) {
 		if err := multi.Migrate("tmp", 1, moved.Cores); err != nil {
 			t.Fatal(err)
 		}
+		check("migrate tmp")
 		run(3)
 		if _, err := multi.RemoveTarget("tmp"); err != nil {
 			t.Fatal(err)
 		}
+		check("remove tmp")
 		if err := h.RemoveVM("tmp"); err != nil {
 			t.Fatal(err)
 		}
