@@ -1,13 +1,19 @@
 package flightrec_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/flightrec"
+	"repro/internal/httpstatus"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/telemetry"
@@ -33,13 +39,30 @@ func decoded(t *testing.T, reg *telemetry.Registry) uint64 {
 	return 0
 }
 
+// fetch GETs url and reads the whole body, failing on any status but
+// 200.
+func fetch(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	res, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, err %v, body %q", url, res.StatusCode, err, body)
+	}
+	return res, body
+}
+
 // TestSelectDecodesOnlyWhatItReturns pins the recorder's read cost as a
 // count, not a clock: on a store shaped like the fleet-mixed pre-load
 // (4,096 records over several segments, 16 agents, 64 four-span
 // placement traces), each operator query shape and each placement pass
 // decodes exactly the records it gets back, where decoding every line of
 // each segment the summary cannot rule out costs tens to hundreds of
-// times more.
+// times more. Over HTTP, /fleet/events and /fleet/explain serve the
+// stored lines and decode nothing; /fleet/trace decodes its spans.
 func TestSelectDecodesOnlyWhatItReturns(t *testing.T) {
 	const (
 		total, nAgents, nVMs, nTraces, batch = 4096, 16, 8, 64, 32
@@ -105,18 +128,22 @@ func TestSelectDecodesOnlyWhatItReturns(t *testing.T) {
 		t.Fatalf("pre-load: %+v, want %d records over at least 4 segments", st, total)
 	}
 
+	srv := httptest.NewServer(httpstatus.ClusterHandlerOpts(cluster.NewCoordinator(cluster.CoordinatorConfig{}),
+		httpstatus.Options{Recorder: store}))
+	defer srv.Close()
 	wayGrant := obs.KindWayGrant
 	tail := byAgent[agent(5)]
 	cut := len(tail) / 2
 	for _, c := range []struct {
-		name string
-		q    flightrec.Query
-		want int
+		name, path string
+		q          flightrec.Query
+		want       int
 	}{
-		{"explain", flightrec.Query{Workload: vm(3, 4), LastN: 50}, min(byVM[vm(3, 4)], 50)},
-		{"agent tail", flightrec.Query{Agent: agent(5), AfterID: tail[cut]}, len(tail) - cut - 1},
-		{"kind", flightrec.Query{Kind: &wayGrant, LastN: 100}, min(grants, 100)},
-		{"trace", flightrec.Query{TraceID: 7 << 8}, 4},
+		{"explain", "/fleet/explain?vm=" + vm(3, 4) + "&n=50", flightrec.Query{Workload: vm(3, 4), LastN: 50}, min(byVM[vm(3, 4)], 50)},
+		{"agent tail", fmt.Sprintf("/fleet/events?agent=%s&after=%d", agent(5), tail[cut]),
+			flightrec.Query{Agent: agent(5), AfterID: tail[cut]}, len(tail) - cut - 1},
+		{"kind", "/fleet/events?kind=WayGrant&n=100", flightrec.Query{Kind: &wayGrant, LastN: 100}, min(grants, 100)},
+		{"trace", fmt.Sprintf("/fleet/events?trace=%d", 7<<8), flightrec.Query{TraceID: 7 << 8}, 4},
 	} {
 		before := decoded(t, reg)
 		recs, err := store.Select(c.q)
@@ -129,13 +156,32 @@ func TestSelectDecodesOnlyWhatItReturns(t *testing.T) {
 		if n := decoded(t, reg) - before; n != uint64(len(recs)) {
 			t.Errorf("%s: decoded %d records to return %d", c.name, n, len(recs))
 		}
+
+		var want bytes.Buffer
+		if err := flightrec.WriteRecordsJSONL(&want, recs); err != nil {
+			t.Fatal(err)
+		}
+		before = decoded(t, reg)
+		res, body := fetch(t, srv.URL+c.path)
+		if n := decoded(t, reg) - before; n != 0 {
+			t.Errorf("GET %s: decoded %d records", c.path, n)
+		}
+		if got := res.Header.Get("X-Dcat-Record-Count"); got != strconv.Itoa(c.want) || !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("GET %s: %s records in %d bytes, want %d records in the %d bytes Select re-encodes to",
+				c.path, got, len(body), c.want, want.Len())
+		}
+	}
+	before := decoded(t, reg)
+	fetch(t, fmt.Sprintf("%s/fleet/trace?id=%d", srv.URL, 7<<8))
+	if n := decoded(t, reg) - before; n != 4 {
+		t.Errorf("/fleet/trace of a four-span trace decoded %d records", n)
 	}
 
 	// Placement's recorder scan: the first pass reads the whole history,
 	// every later one only what arrived since.
 	engine := placement.NewEngine(placement.Config{Recorder: store})
 	engine.Evaluate(nil)
-	before := decoded(t, reg)
+	before = decoded(t, reg)
 	upload := make([]obs.Event, batch)
 	for i := range upload {
 		upload[i] = obs.Event{Tick: i, Kind: obs.KindWayReclaim, Workload: vm(0, 0), Reason: "upload"}

@@ -27,8 +27,10 @@
 //     (agents, event kinds, trace ids, id and time ranges) that rules
 //     out whole segments, and per record a 64-byte entry — the line's
 //     offset and length plus every field a query filters on, agent and
-//     workload interned per segment. Queries filter the entries and
-//     read and decode only the lines they return.
+//     workload interned per segment, and a CRC-32C of the line.
+//     Queries filter the entries under the store mutex, then read and
+//     check only the lines they return without it; the HTTP query plane
+//     serves those lines as stored, undecoded.
 package flightrec
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,8 +41,11 @@ func realSegment(t testing.TB, n int, reason string) []byte {
 }
 
 // FuzzSegmentScan writes arbitrary bytes as segment files and opens
-// them: no panic, every index entry's [off, off+length) decodes to the
-// record the entry describes, and Select(Query{}) equals a full scan.
+// them: no panic, every index entry's line reads back through the
+// query reader and decodes to the record the entry describes,
+// Select(Query{}) equals a full scan, and every raw line SelectJSONL
+// serves decodes to the record Select returns at its position — a line
+// Append did not write may differ in its bytes, never in its record.
 func FuzzSegmentScan(f *testing.F) {
 	lines := realSegment(f, 6, "seed")
 	nl := bytes.IndexByte(lines, '\n')
@@ -72,11 +76,19 @@ func FuzzSegmentScan(f *testing.F) {
 			checkEntries(t, seg)
 		}
 		requireOracle(t, s, fullScan(t, s), Query{})
+		recs := mustSelect(t, s, Query{})
+		for i, line := range mustSelectLines(t, s, Query{}, len(recs)) {
+			var rec Record
+			if err := decodeRecordLine(line, &rec); err != nil || !reflect.DeepEqual(rec, recs[i]) {
+				t.Fatalf("raw line %d %q holds %+v (err %v), Select returned %+v", i, line, rec, err, recs[i])
+			}
+		}
 	})
 }
 
-// checkEntries fails unless every index entry of seg reads back as a
-// record carrying exactly the entry's fields.
+// checkEntries fails unless every index entry of seg reads back, through
+// the reader queries use, as a record carrying exactly the entry's
+// fields.
 func checkEntries(t *testing.T, seg *segMeta) {
 	t.Helper()
 	names := func(tab map[string]uint32) map[uint32]string {
@@ -91,14 +103,21 @@ func checkEntries(t *testing.T, seg *segMeta) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	sel := selection{segs: []segHits{{path: seg.path, f: f, entries: seg.index}}}
+	defer sel.close()
+	lines, err := sel.readLines()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range seg.index {
 		e := &seg.index[i]
 		var rec Record
-		if err := seg.readRecord(f, e, &rec); err != nil {
+		line := lines[:e.length]
+		lines = lines[e.length:]
+		if err := decodeRecordLine(line, &rec); err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
-		if rec.Agent != agents[e.agent] || rec.Event.Workload != workloads[e.workload] || rec.Event.Kind != e.kind ||
+		if rec.ID != e.id || rec.Agent != agents[e.agent] || rec.Event.Workload != workloads[e.workload] || rec.Event.Kind != e.kind ||
 			rec.Event.Socket != e.socket || rec.Event.TraceID != e.traceID || rec.RecvUnix != e.recvUnix {
 			t.Fatalf("entry %d indexes %+v, line holds %+v", i, *e, rec)
 		}

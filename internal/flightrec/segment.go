@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,20 +30,31 @@ const (
 const maxIndexedTraces = 512
 
 // indexEntry is the per-record index: where the record's line lies in
-// its segment file and every field Query filters on, so Select decides
-// without touching the disk and reads only the lines it returns. Agent
-// and workload are ids into the segment's intern tables. 64 bytes, no
-// pointers: a segment's index is one flat slice.
+// its segment file, the line's CRC-32C, and every field Query filters
+// on, so a query decides without touching the disk and reads only the
+// lines it returns. Agent and workload are ids into the segment's
+// intern tables. 64 bytes, no pointers: a segment's index is one flat
+// slice.
 type indexEntry struct {
-	off, length int64
-	id          uint64
-	recvUnix    int64
-	traceID     uint64
-	socket      int
-	kind        obs.Kind
-	agent       uint32
-	workload    uint32
+	off      int64
+	id       uint64
+	recvUnix int64
+	traceID  uint64
+	socket   int
+	kind     obs.Kind
+	// length and crc cover the whole line, newline included.
+	length   uint32
+	crc      uint32
+	agent    uint32
+	workload uint32
 }
+
+// maxLineBytes is the longest line an indexEntry can describe.
+const maxLineBytes = math.MaxUint32
+
+// castagnoli is the CRC-32C table every index entry's crc is taken
+// with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segMeta is the in-memory index for one on-disk segment: a summary
 // that rules out whole segments, and one indexEntry per record.
@@ -84,9 +97,9 @@ func intern(tab map[string]uint32, name string) uint32 {
 	return id
 }
 
-// note indexes one record whose line spans [off, off+length) of the
-// segment file.
-func (m *segMeta) note(rec *Record, off, length int64) {
+// note indexes one record whose line, at most maxLineBytes long, starts
+// at off in the segment file.
+func (m *segMeta) note(rec *Record, off int64, line []byte) {
 	if len(m.index) == 0 || rec.RecvUnix < m.minUnix {
 		m.minUnix = rec.RecvUnix
 	}
@@ -108,7 +121,8 @@ func (m *segMeta) note(rec *Record, off, length int64) {
 	}
 	m.index = append(m.index, indexEntry{
 		off:      off,
-		length:   length,
+		length:   uint32(len(line)),
+		crc:      crc32.Checksum(line, castagnoli),
 		id:       rec.ID,
 		recvUnix: rec.RecvUnix,
 		traceID:  rec.Event.TraceID,
@@ -153,23 +167,6 @@ func (m *segMeta) resolve(q *Query) (agent, workload uint32, ok bool) {
 		}
 	}
 	return agent, workload, true
-}
-
-// readRecord reads and decodes the line e indexes from f, the open
-// segment file. A line that does not hold e's record is an error —
-// never a different record.
-func (m *segMeta) readRecord(f *os.File, e *indexEntry, rec *Record) error {
-	line := make([]byte, e.length)
-	if _, err := f.ReadAt(line, e.off); err != nil {
-		return fmt.Errorf("flightrec: reading %s at offset %d: %w", m.path, e.off, err)
-	}
-	if err := decodeRecordLine(line, rec); err != nil {
-		return fmt.Errorf("flightrec: decoding %s at offset %d: %w", m.path, e.off, err)
-	}
-	if rec.ID != e.id {
-		return fmt.Errorf("flightrec: %s at offset %d holds record %d, index says %d", m.path, e.off, rec.ID, e.id)
-	}
-	return nil
 }
 
 // segmentName renders the file name for a segment number.
@@ -217,7 +214,8 @@ func listSegments(dir string) ([]string, error) {
 // and invoking fn for each. A torn trailing line (crash mid-append) is
 // truncated away when repairTail is set — only the last segment of a
 // directory gets that treatment; earlier segments were closed cleanly,
-// so a bad line there is skipped and counted instead.
+// so a bad line there is skipped and counted instead. So is a line
+// longer than maxLineBytes, which no index entry can describe.
 func scanSegment(meta *segMeta, repairTail bool, fn func(*Record)) error {
 	f, err := os.OpenFile(meta.path, os.O_RDWR, 0)
 	if err != nil {
@@ -229,32 +227,25 @@ func scanSegment(meta *segMeta, repairTail bool, fn func(*Record)) error {
 	br := bufio.NewReader(f)
 	for {
 		line, err := br.ReadBytes('\n')
-		complete := err == nil
-		if len(line) == 0 {
-			if err == io.EOF {
-				break
+		if err != nil {
+			if len(line) == 0 && err != io.EOF {
+				return fmt.Errorf("flightrec: reading segment %s: %w", meta.path, err)
 			}
-			return fmt.Errorf("flightrec: reading segment %s: %w", meta.path, err)
+			// The end, or a torn tail: goodEnd marks the last full line.
+			break
 		}
 		var rec Record
-		if decErr := decodeRecordLine(line, &rec); decErr != nil || !complete {
-			if !complete {
-				// Torn tail: stop here; goodEnd marks the last full line.
-				break
-			}
+		if int64(len(line)) > maxLineBytes || decodeRecordLine(line, &rec) != nil {
 			meta.corruptLinesSkipped++
 			goodEnd += int64(len(line))
 			continue
 		}
-		meta.note(&rec, goodEnd, int64(len(line)))
+		meta.note(&rec, goodEnd, line)
 		meta.bytes += int64(len(line))
 		if fn != nil {
 			fn(&rec)
 		}
 		goodEnd += int64(len(line))
-		if err == io.EOF {
-			break
-		}
 	}
 
 	if repairTail {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,7 +59,8 @@ type storeMetrics struct {
 	appendSeconds *telemetry.Histogram
 	selectSeconds *telemetry.Histogram
 	// selectDecoded counts Select's work where the clock cannot: records
-	// read and decoded, which the index holds to records returned.
+	// decoded, which the index holds to records returned. SelectJSONL
+	// decodes none.
 	selectDecoded *telemetry.Counter
 }
 
@@ -131,10 +134,11 @@ func (s *Store) advanceCursorLocked(agent string, epoch int64, seq uint64) {
 //	dcat_flightrec_bytes             bytes across live segments
 //	dcat_flightrec_append_seconds    batch append latency, fsync included
 //	dcat_flightrec_select_seconds    query latency
-//	dcat_flightrec_select_decoded_total  records queries read and decoded
+//	dcat_flightrec_select_decoded_total  records queries decoded
 //
 // Select filters the per-record index and decodes only the records it
-// returns, so select_decoded_total equals the records queries returned.
+// returns, so select_decoded_total equals the records Select returned;
+// SelectJSONL serves the stored lines and decodes none.
 func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 	m := &storeMetrics{
 		records: reg.Counter("dcat_flightrec_records_total",
@@ -160,7 +164,7 @@ func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 			"Query (Select) latency of the segmented store.",
 			telemetry.DefLatencyBuckets),
 		selectDecoded: reg.Counter("dcat_flightrec_select_decoded_total",
-			"Records queries (Select) read and decoded from segment files."),
+			"Records queries (Select) decoded from segment files."),
 	}
 	s.mu.Lock()
 	s.metrics = m
@@ -276,6 +280,9 @@ func (s *Store) Append(agent string, epoch int64, firstSeq uint64, events []obs.
 		if err := enc.Encode(&recs[i]); err != nil {
 			return cur.next, fmt.Errorf("flightrec: encoding record: %w", err)
 		}
+		if n := int64(buf.Len()) - starts[i]; n > maxLineBytes {
+			return cur.next, fmt.Errorf("flightrec: event %d encodes to a %d-byte line, over the %d-byte limit", i, n, int64(maxLineBytes))
+		}
 	}
 	starts[len(recs)] = int64(buf.Len())
 
@@ -287,8 +294,9 @@ func (s *Store) Append(agent string, epoch int64, firstSeq uint64, events []obs.
 	}
 
 	meta := s.segs[len(s.segs)-1]
+	batch := buf.Bytes()
 	for i := range recs {
-		meta.note(&recs[i], meta.bytes+starts[i], starts[i+1]-starts[i])
+		meta.note(&recs[i], meta.bytes+starts[i], batch[starts[i]:starts[i+1]])
 	}
 	meta.bytes += int64(buf.Len())
 	s.nextID += uint64(len(recs))
@@ -378,71 +386,174 @@ func (s *Store) dropOldestLocked() {
 	}
 }
 
-// Select returns the records matching q in ascending ID order. It
-// filters the index — newest segment to oldest, stopping once LastN
-// matches are found — and reads and decodes only the matching lines.
-func (s *Store) Select(q Query) ([]Record, error) {
-	start := time.Now()
+// segHits is one segment's share of a query's hits: index entries
+// copied out of the index in file order, and the segment file opened
+// for reading while s.mu was held. Reading them needs no lock, and a
+// segment pruned meanwhile stays readable through f.
+type segHits struct {
+	path    string
+	f       *os.File
+	entries []indexEntry
+}
+
+// selection is one query's hits in ascending id order, n entries in
+// all, and the store's metrics as of the walk.
+type selection struct {
+	segs    []segHits
+	n       int
+	metrics *storeMetrics
+}
+
+// collect walks the index for q under s.mu — newest segment to oldest,
+// stopping once q.LastN matches are found — and returns its hits with
+// their segment files open; the caller closes them.
+func (s *Store) collect(q *Query) (selection, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.metrics != nil {
-		defer func() { s.metrics.selectSeconds.Observe(time.Since(start).Seconds()) }()
-	}
-	type hit struct {
-		seg *segMeta
-		e   *indexEntry
-	}
-	var hits []hit // newest first
-collect:
+	sel := selection{metrics: s.metrics}
+	var found []indexEntry // newest first
 	for i := len(s.segs) - 1; i >= 0; i-- {
 		seg := s.segs[i]
-		agent, workload, ok := seg.resolve(&q)
+		agent, workload, ok := seg.resolve(q)
 		if !ok {
 			continue
 		}
+		from := len(found)
 		for j := len(seg.index) - 1; j >= 0; j-- {
 			if e := &seg.index[j]; q.matches(e, agent, workload) {
-				hits = append(hits, hit{seg, e})
-				if len(hits) == q.LastN {
-					break collect
+				found = append(found, *e)
+				if len(found) == q.LastN {
+					break
 				}
 			}
 		}
+		if len(found) > from {
+			f, err := os.Open(seg.path)
+			if err != nil {
+				sel.close()
+				return selection{metrics: sel.metrics}, fmt.Errorf("flightrec: opening segment: %w", err)
+			}
+			es := found[from:len(found):len(found)]
+			slices.Reverse(es)
+			sel.segs = append(sel.segs, segHits{path: seg.path, f: f, entries: es})
+		}
+		if q.LastN > 0 && len(found) == q.LastN {
+			break
+		}
 	}
-	if len(hits) == 0 {
-		return nil, nil
-	}
+	slices.Reverse(sel.segs)
+	sel.n = len(found)
+	return sel, nil
+}
 
-	out := make([]Record, len(hits))
-	var (
-		f   *os.File
-		seg *segMeta
-		err error
-	)
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	for i := range out {
-		h := hits[len(hits)-1-i]
-		if h.seg != seg {
-			if f != nil {
-				f.Close()
-			}
-			if f, err = os.Open(h.seg.path); err != nil {
-				return nil, fmt.Errorf("flightrec: opening segment: %w", err)
-			}
-			seg = h.seg
-		}
-		if err := seg.readRecord(f, h.e, &out[i]); err != nil {
-			return nil, err
+// close closes the selection's segment files; its entries stay valid.
+func (sel *selection) close() {
+	for _, h := range sel.segs {
+		h.f.Close()
+	}
+}
+
+// readLines reads every hit's line into one buffer, in order, with one
+// ReadAt per run of lines adjacent on disk, and checks each line
+// against its entry's CRC-32C. A line that is gone or differs from the
+// one its entry was made from is an error naming the segment and the
+// offset — never a different record.
+func (sel *selection) readLines() ([]byte, error) {
+	total := 0
+	for _, h := range sel.segs {
+		for _, e := range h.entries {
+			total += int(e.length)
 		}
 	}
-	if s.metrics != nil {
-		s.metrics.selectDecoded.Add(uint64(len(out)))
+	buf := make([]byte, total)
+	pos := 0
+	for _, h := range sel.segs {
+		for es := h.entries; len(es) > 0; {
+			k, end := 1, es[0].off+int64(es[0].length)
+			for k < len(es) && es[k].off == end {
+				end += int64(es[k].length)
+				k++
+			}
+			if _, err := h.f.ReadAt(buf[pos:pos+int(end-es[0].off)], es[0].off); err != nil {
+				return nil, fmt.Errorf("flightrec: reading %s at offset %d: %w", h.path, es[0].off, err)
+			}
+			for _, e := range es[:k] {
+				if crc32.Checksum(buf[pos:pos+int(e.length)], castagnoli) != e.crc {
+					return nil, fmt.Errorf("flightrec: %s at offset %d does not hold the line indexed for record %d (CRC-32C mismatch)", h.path, e.off, e.id)
+				}
+				pos += int(e.length)
+			}
+			es = es[k:]
+		}
+	}
+	return buf, nil
+}
+
+// read runs q: the index walk under s.mu, then the reads and checks
+// without it.
+func (s *Store) read(q *Query) (selection, []byte, error) {
+	sel, err := s.collect(q)
+	if err != nil || sel.n == 0 {
+		return sel, nil, err
+	}
+	defer sel.close()
+	lines, err := sel.readLines()
+	return sel, lines, err
+}
+
+// observeSelect records one query's latency when metrics are
+// registered.
+func (m *storeMetrics) observeSelect(start time.Time) {
+	if m != nil {
+		m.selectSeconds.Observe(time.Since(start).Seconds())
+	}
+}
+
+// Select returns the records matching q in ascending ID order. It
+// filters the index — newest segment to oldest, stopping once LastN
+// matches are found — and reads, checks and decodes only the matching
+// lines.
+func (s *Store) Select(q Query) ([]Record, error) {
+	start := time.Now()
+	sel, lines, err := s.read(&q)
+	defer sel.metrics.observeSelect(start)
+	if err != nil || sel.n == 0 {
+		return nil, err
+	}
+	out := make([]Record, sel.n)
+	i := 0
+	for _, h := range sel.segs {
+		for _, e := range h.entries {
+			rec := &out[i]
+			i++
+			line := lines[:e.length]
+			lines = lines[e.length:]
+			if err := decodeRecordLine(line, rec); err != nil {
+				return nil, fmt.Errorf("flightrec: decoding %s at offset %d: %w", h.path, e.off, err)
+			}
+			if rec.ID != e.id {
+				return nil, fmt.Errorf("flightrec: %s at offset %d holds record %d, index says %d", h.path, e.off, rec.ID, e.id)
+			}
+		}
+	}
+	if sel.metrics != nil {
+		sel.metrics.selectDecoded.Add(uint64(len(out)))
 	}
 	return out, nil
+}
+
+// SelectJSONL returns the lines of the records matching q, in Select's
+// order, exactly as stored — n '\n'-terminated JSON lines, each checked
+// against its index entry. For a record Append wrote, the bytes equal
+// WriteRecordsJSONL of the record Select returns; nothing is decoded.
+func (s *Store) SelectJSONL(q Query) (n int, lines []byte, err error) {
+	start := time.Now()
+	sel, lines, err := s.read(&q)
+	defer sel.metrics.observeSelect(start)
+	if err != nil {
+		return 0, nil, err
+	}
+	return sel.n, lines, nil
 }
 
 // Cursors snapshots every agent's upload cursor.

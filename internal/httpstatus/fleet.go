@@ -194,14 +194,15 @@ func parseTraceID(s string) (uint64, bool) {
 	return id, true
 }
 
-// writeRecords runs one query and streams the result as NDJSON.
+// writeRecords runs one query and writes the matching record lines as
+// NDJSON, exactly as the store holds them: nothing is decoded.
 func writeRecords(w http.ResponseWriter, store *flightrec.Store, q flightrec.Query) {
-	recs, err := store.Select(q)
+	n, lines, err := store.SelectJSONL(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Dcat-Record-Count", strconv.Itoa(len(recs)))
-	_ = flightrec.WriteRecordsJSONL(w, recs)
+	w.Header().Set("X-Dcat-Record-Count", strconv.Itoa(n))
+	_, _ = w.Write(lines) // a failed write is a client gone; nobody to tell
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -281,5 +283,55 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 	}
 	if ct := res.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type %q, want JSON", ct)
+	}
+}
+
+// TestFleetQueriesRejectAlteredRecord: a stored line changed on disk
+// after the recorder indexed it — one reason byte, so it still decodes —
+// makes every query that reaches it a 500, never a 200 serving the
+// altered record; a query past it is served as before.
+func TestFleetQueriesRejectAlteredRecord(t *testing.T) {
+	dir := t.TempDir()
+	// SegmentMaxBytes 1 seals each append in a segment of its own.
+	store, err := flightrec.Open(flightrec.Config{Dir: dir, SegmentMaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	for i := 0; i < 3; i++ {
+		ev := obs.Event{Tick: i, Kind: obs.KindWayGrant, Workload: "web", Reason: "grow"}
+		if _, err := store.Append("host-a", 1, uint64(i), []obs.Event{ev}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(ClusterHandlerOpts(cluster.NewCoordinator(cluster.CoordinatorConfig{}), Options{Recorder: store}))
+	t.Cleanup(srv.Close)
+
+	path := filepath.Join(dir, "seg-000000.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte(`"grow"`))
+	if at < 0 {
+		t.Fatalf("no reason in %q", data)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte(`"grew"`), int64(at))
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, p := range []string{"/fleet/events", "/fleet/events?agent=host-a", "/fleet/explain?vm=web"} {
+		if code := getStatus(t, srv.URL, p); code != 500 {
+			t.Errorf("GET %s: status %d, want 500", p, code)
+		}
+	}
+	if got := len(fetchRecords(t, srv.URL, "/fleet/events?after=1")); got != 2 {
+		t.Errorf("/fleet/events?after=1: %d records, want 2", got)
 	}
 }
