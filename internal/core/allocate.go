@@ -10,7 +10,9 @@ import "repro/internal/policy"
 // every workload holds at least one way, the sum stays within the
 // socket's associativity, and a Reclaim returns to its contracted
 // baseline unless the policy explicitly sustains it (or owns the whole
-// allocation, like the heracles/ucp comparison engines).
+// allocation, like the heracles/ucp comparison engines). It then
+// derives the two facts Fig. 6 reads from the round (growth denied,
+// pool empty) from those guarded grants; no policy reports them.
 
 // allocate resolves this round's desires into a full way allocation by
 // delegating to the configured allocation policy. The result is indexed
@@ -35,11 +37,16 @@ func (l *loop) allocate(samples []observation) []int {
 	l.applyGuards()
 	l.emitNotes()
 
+	// Fig. 6's two inputs from this round, read off the ways CAT gets:
+	// growth denied (DESIGN §6 row A3) and pool empty (row A4).
+	sum := 0
 	for i, w := range l.order {
-		w.denied = l.grants.Denied[i]
+		n := l.grants.Ways[i]
+		sum += n
+		w.denied = w.state != StateReclaim && n < w.desire
 		w.sustained = w.state == StateReclaim && l.grants.Sustain[i]
 	}
-	l.poolEmpty = l.grants.PoolEmpty
+	l.poolEmpty = sum == l.mgr.TotalWays()
 	return l.grants.Ways
 }
 

@@ -20,7 +20,7 @@ type catState struct {
 	baselineIPC float64
 	lastIPC     float64
 	lastMiss    float64
-	denied      bool // allocator could not grant last round's growth
+	denied      bool // last round's grant fell short of its desire (allocate)
 	jumpTo      int  // >0: performance-table reuse target (Fig 12)
 	// graceLeft counts down the post-arrival classification grace
 	// (Config.ArrivalGraceTicks): while positive, the Streaming verdicts

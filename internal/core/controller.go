@@ -88,9 +88,9 @@ type loop struct {
 	// samples is one interval's observations, indexed like order.
 	order   []*wstate
 	samples []observation
-	// poolEmpty records whether the previous allocation round ended
-	// with no free ways — part of the Streaming decision (§3.4: "all
-	// the available cache size is used").
+	// poolEmpty records whether the previous allocation round's
+	// guarded grants filled the socket — part of the Streaming
+	// decision (§3.4: "all the available cache size is used").
 	poolEmpty bool
 
 	// policy is the step-5 allocation engine (Config.NewPolicy;

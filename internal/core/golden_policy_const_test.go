@@ -235,17 +235,17 @@ const predictiveGolden = `== golden max-fairness ==
 11 sleepy Unknown 3 4 true
 11 table Receiver 7 8 true
 11 knee Keeper 3 3 false
-12 grow Keeper 5 6 false
+12 grow Keeper 5 6 true
 12 stream Streaming 1 1 false
 12 sleepy Unknown 3 4 true
-12 table Receiver 8 8 true
+12 table Receiver 8 8 false
 12 knee Keeper 3 3 false
-13 grow Keeper 4 5 false
+13 grow Keeper 4 5 true
 13 stream Streaming 1 1 false
 13 sleepy Unknown 3 4 true
 13 table Receiver 8 9 true
 13 knee Keeper 3 3 false
-14 grow Keeper 3 4 false
+14 grow Keeper 3 4 true
 14 stream Streaming 1 1 false
 14 sleepy Unknown 4 4 false
 14 table Receiver 8 9 true
@@ -262,10 +262,10 @@ const predictiveGolden = `== golden max-fairness ==
 16 knee Keeper 3 3 false
 17 grow Keeper 7 4 false
 17 stream Streaming 1 1 false
-17 sleepy Keeper 3 6 false
+17 sleepy Keeper 3 6 true
 17 table Receiver 6 6 false
 17 knee Keeper 3 3 false
-18 grow Keeper 4 7 false
+18 grow Keeper 4 7 true
 18 stream Streaming 1 1 false
 18 sleepy Keeper 6 3 false
 18 table Receiver 6 6 false
@@ -476,7 +476,7 @@ const predictiveGolden = `== golden max-fairness ==
 15 cycler=Receiver/4/5/true sleeper=Receiver/4/5/true table=Receiver/12/13/true
 16 cycler=Receiver/5/5/false sleeper=Reclaim/3/3/false table=Receiver/12/13/true
 17 cycler=Receiver/6/6/false sleeper=Donor/1/1/false table=Receiver/13/13/false
-18 cycler=Receiver/6/7/true sleeper=Donor/1/1/false table=Keeper/12/13/false
+18 cycler=Receiver/6/7/true sleeper=Donor/1/1/false table=Keeper/12/13/true
 19 cycler=Receiver/7/7/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 20 cycler=Reclaim/3/3/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 21 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
@@ -489,7 +489,7 @@ const predictiveGolden = `== golden max-fairness ==
 28 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 29 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 30 cycler=Reclaim/3/3/false sleeper=Keeper/4/4/false table=Keeper/11/11/false
-31 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/11/false
+31 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/11/true
 32 cycler=Keeper/6/6/false sleeper=Reclaim/3/3/false table=Keeper/11/10/false
 33 cycler=Keeper/6/6/false sleeper=Donor/2/1/false table=Keeper/12/11/false
 34 cycler=Keeper/6/6/false sleeper=Donor/2/1/false table=Keeper/12/12/false
@@ -499,7 +499,7 @@ const predictiveGolden = `== golden max-fairness ==
 38 cycler=Keeper/6/6/false sleeper=Donor/2/1/false table=Keeper/12/12/false
 39 cycler=Keeper/6/6/false sleeper=Donor/2/1/false table=Keeper/12/12/false
 40 cycler=Reclaim/3/3/false sleeper=Reclaim/3/3/false table=Keeper/12/12/false
-41 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/12/false
+41 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/12/true
 42 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 43 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 44 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
@@ -631,17 +631,17 @@ const lfocGolden = `== golden max-fairness ==
 11 sleepy Unknown 3 4 true
 11 table Receiver 7 8 true
 11 knee Keeper 3 3 false
-12 grow Keeper 5 6 false
+12 grow Keeper 5 6 true
 12 stream Streaming 1 1 false
 12 sleepy Unknown 3 4 true
-12 table Receiver 8 8 true
+12 table Receiver 8 8 false
 12 knee Keeper 3 3 false
-13 grow Keeper 4 5 false
+13 grow Keeper 4 5 true
 13 stream Streaming 1 1 false
 13 sleepy Unknown 3 4 true
 13 table Receiver 8 9 true
 13 knee Keeper 3 3 false
-14 grow Keeper 3 4 false
+14 grow Keeper 3 4 true
 14 stream Streaming 1 1 false
 14 sleepy Unknown 4 4 false
 14 table Receiver 8 9 true
@@ -658,10 +658,10 @@ const lfocGolden = `== golden max-fairness ==
 16 knee Keeper 3 3 false
 17 grow Keeper 7 4 false
 17 stream Streaming 1 1 false
-17 sleepy Keeper 3 6 false
+17 sleepy Keeper 3 6 true
 17 table Receiver 6 6 false
 17 knee Keeper 3 3 false
-18 grow Keeper 4 7 false
+18 grow Keeper 4 7 true
 18 stream Streaming 1 1 false
 18 sleepy Keeper 6 3 false
 18 table Receiver 6 6 false
@@ -813,17 +813,17 @@ const lfocGolden = `== golden max-fairness ==
 11 sleepy Unknown 3 4 true
 11 table Receiver 7 8 true
 11 knee Keeper 3 3 false
-12 grow Keeper 5 6 false
+12 grow Keeper 5 6 true
 12 stream Streaming 1 1 false
 12 sleepy Unknown 3 4 true
-12 table Receiver 8 8 true
+12 table Receiver 8 8 false
 12 knee Keeper 3 3 false
-13 grow Keeper 4 5 false
+13 grow Keeper 4 5 true
 13 stream Streaming 1 1 false
 13 sleepy Unknown 3 4 true
 13 table Receiver 8 9 true
 13 knee Keeper 3 3 false
-14 grow Keeper 3 4 false
+14 grow Keeper 3 4 true
 14 stream Streaming 1 1 false
 14 sleepy Unknown 4 4 false
 14 table Receiver 8 9 true
@@ -840,10 +840,10 @@ const lfocGolden = `== golden max-fairness ==
 16 knee Keeper 3 3 false
 17 grow Keeper 7 4 false
 17 stream Streaming 1 1 false
-17 sleepy Keeper 3 6 false
+17 sleepy Keeper 3 6 true
 17 table Receiver 6 6 false
 17 knee Keeper 3 3 false
-18 grow Keeper 4 7 false
+18 grow Keeper 4 7 true
 18 stream Streaming 1 1 false
 18 sleepy Keeper 6 3 false
 18 table Receiver 6 6 false
@@ -953,7 +953,7 @@ const lfocGolden = `== golden max-fairness ==
 15 cycler=Receiver/4/5/true sleeper=Receiver/4/5/true table=Receiver/12/13/true
 16 cycler=Receiver/5/5/false sleeper=Reclaim/3/3/false table=Receiver/12/13/true
 17 cycler=Receiver/6/6/false sleeper=Donor/1/1/false table=Receiver/13/13/false
-18 cycler=Receiver/6/7/true sleeper=Donor/1/1/false table=Keeper/12/13/false
+18 cycler=Receiver/6/7/true sleeper=Donor/1/1/false table=Keeper/12/13/true
 19 cycler=Receiver/7/7/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 20 cycler=Reclaim/3/3/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 21 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
@@ -966,7 +966,7 @@ const lfocGolden = `== golden max-fairness ==
 28 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 29 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 30 cycler=Reclaim/3/3/false sleeper=Keeper/4/4/false table=Keeper/12/11/false
-31 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/12/false
+31 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/12/true
 32 cycler=Keeper/6/6/false sleeper=Reclaim/3/3/false table=Keeper/11/10/false
 33 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/11/false
 34 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
@@ -976,7 +976,7 @@ const lfocGolden = `== golden max-fairness ==
 38 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 39 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 40 cycler=Reclaim/3/3/false sleeper=Reclaim/3/3/false table=Keeper/12/12/false
-41 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/12/false
+41 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/12/true
 42 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 43 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 44 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
@@ -996,7 +996,7 @@ const lfocGolden = `== golden max-fairness ==
 58 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 59 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 60 cycler=Reclaim/3/3/false sleeper=Keeper/4/4/false table=Keeper/12/11/false
-61 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/12/false
+61 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/12/true
 62 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 63 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 64 cycler=Keeper/6/6/false sleeper=Reclaim/3/3/false table=Keeper/11/10/false
@@ -1054,7 +1054,7 @@ const lfocGolden = `== golden max-fairness ==
 15 cycler=Receiver/4/5/true sleeper=Receiver/4/5/true table=Receiver/12/13/true
 16 cycler=Receiver/5/5/false sleeper=Reclaim/3/3/false table=Receiver/12/13/true
 17 cycler=Receiver/6/6/false sleeper=Donor/1/1/false table=Receiver/13/13/false
-18 cycler=Receiver/6/7/true sleeper=Donor/1/1/false table=Keeper/12/13/false
+18 cycler=Receiver/6/7/true sleeper=Donor/1/1/false table=Keeper/12/13/true
 19 cycler=Receiver/7/7/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 20 cycler=Reclaim/3/3/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 21 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
@@ -1067,7 +1067,7 @@ const lfocGolden = `== golden max-fairness ==
 28 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 29 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 30 cycler=Reclaim/3/3/false sleeper=Keeper/4/4/false table=Keeper/12/11/false
-31 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/12/false
+31 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/12/true
 32 cycler=Keeper/6/6/false sleeper=Reclaim/3/3/false table=Keeper/11/10/false
 33 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/11/false
 34 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
@@ -1077,7 +1077,7 @@ const lfocGolden = `== golden max-fairness ==
 38 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 39 cycler=Keeper/6/6/false sleeper=Donor/1/1/false table=Keeper/12/12/false
 40 cycler=Reclaim/3/3/false sleeper=Reclaim/3/3/false table=Keeper/12/12/false
-41 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/12/false
+41 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/12/true
 42 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 43 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 44 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
@@ -1097,7 +1097,7 @@ const lfocGolden = `== golden max-fairness ==
 58 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 59 cycler=Keeper/6/6/false sleeper=Keeper/3/4/true table=Keeper/11/11/false
 60 cycler=Reclaim/3/3/false sleeper=Keeper/4/4/false table=Keeper/12/11/false
-61 cycler=Keeper/6/6/true sleeper=Keeper/4/4/false table=Keeper/10/12/false
+61 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/12/true
 62 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 63 cycler=Keeper/6/6/false sleeper=Keeper/4/4/false table=Keeper/10/10/false
 64 cycler=Keeper/6/6/false sleeper=Reclaim/3/3/false table=Keeper/11/10/false

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cat"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/policy"
 )
@@ -31,8 +32,10 @@ func (h *hostilePolicy) Propose(v *policy.View, g *policy.Grants) {
 // zero, over-total and Reclaim-ignoring allocations, then hot-plugs a
 // tenant into the full pool. After every step each workload holds at
 // least one way, the sum fits the socket, an unsustained Reclaim sits at
-// its baseline, and the CAT state validates; and both the allocator and
-// AddTarget shave the largest above-baseline holder first.
+// its baseline, and the CAT state validates; after every tick the
+// denied and pool-empty flags match the guarded grants; and both the
+// allocator and AddTarget shave the largest above-baseline holder
+// first.
 func TestGuardsContainHostilePolicy(t *testing.T) {
 	const total = 12
 	h := &hostilePolicy{grant: func(_, i int, _ policy.WorkloadView, _ int) int {
@@ -71,10 +74,14 @@ func TestGuardsContainHostilePolicy(t *testing.T) {
 		}
 	}
 	// CheckInvariants covers the 1-way floor, the way sum and the CAT
-	// layout; the Reclaim pin is checked here.
+	// layout; the Reclaim pin and, after a tick, the derived Fig. 6
+	// flags are checked here.
 	invariants := func(step string) {
 		t.Helper()
 		checkInvariants(t, ctl, step)
+		if step != "arrival" {
+			checkDerivedFlags(t, ctl, step)
+		}
 		for _, n := range r.order {
 			if st, _ := ctl.StateOf(n); st == StateReclaim && ctl.Ways(n) != ctl.ws[n].baseline {
 				t.Errorf("%s: unsustained Reclaim %s at %d ways, baseline %d", step, n, ctl.Ways(n), ctl.ws[n].baseline)
@@ -115,5 +122,85 @@ func TestGuardsContainHostilePolicy(t *testing.T) {
 	}
 	if reclaims == 0 {
 		t.Error("no Reclaim met the hostile grants")
+	}
+}
+
+// checkDerivedFlags fails the test unless the flags the next tick's
+// categorizer reads agree with the ways just applied: a non-Reclaim is
+// denied exactly when it holds fewer ways than it desired, and the pool
+// is empty exactly when the ways fill the socket.
+func checkDerivedFlags(t *testing.T, ctl *Controller, step string) {
+	t.Helper()
+	for _, l := range ctl.loops {
+		sum := 0
+		for _, w := range l.order {
+			sum += w.ways
+			if want := w.state != StateReclaim && w.ways < w.desire; w.denied != want {
+				t.Errorf("%s: %s (%v) at %d ways desiring %d has denied=%v", step, w.name, w.state, w.ways, w.desire, w.denied)
+			}
+		}
+		if want := sum == l.mgr.TotalWays(); l.poolEmpty != want {
+			t.Errorf("%s: socket %d holds %d of %d ways with poolEmpty=%v", step, l.socket, sum, l.mgr.TotalWays(), l.poolEmpty)
+		}
+	}
+}
+
+// TestDeniedUnknownTurnsStreaming walks Fig. 6's Streaming-on-denial
+// row end to end. An arrival probes as an Unknown inside its
+// classification grace, its miss rate never flattening, up to
+// StreamingMult × baseline (6 ways), where the full socket denies its
+// next way. The grace has then run out, so on the next tick the held,
+// denied Unknown is Streaming.
+func TestDeniedUnknownTurnsStreaming(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ArrivalGraceTicks = 5
+	// IPC flat whatever the ways; the miss rate swings with their parity.
+	swing := func(ways int) perf.Sample {
+		miss := 0.6
+		if ways%2 == 1 {
+			miss = 0.3
+		}
+		return perf.Sample{L1Ref: 500_000, LLCRef: 400_000, LLCMiss: uint64(miss * 400_000),
+			RetIns: 1_000_000, Cycles: 50_000_000}
+	}
+	file := perf.NewFile(2)
+	mgr, err := cat.NewManager(&fakeBackend{ways: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := New(cfg, mgr, file, []Target{{Name: "idle", Cores: []int{0}, BaselineWays: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.AddTarget(0, Target{Name: "s", Cores: []int{1}, BaselineWays: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{t: t, file: file, mgr: mgr, ctl: ctl, order: []string{"idle", "s"},
+		behaviors: map[string]behavior{"idle": idleBehavior(), "s": swing}}
+	for want := 3; want <= 6; want++ {
+		r.tick()
+		checkDerivedFlags(t, r.ctl, "probe")
+		r.wantState("s", StateUnknown)
+		r.wantWays("s", want)
+	}
+	r.tick()
+	checkDerivedFlags(t, r.ctl, "denial")
+	r.wantState("s", StateUnknown)
+	r.wantWays("s", 6)
+	if w := r.ctl.ws["s"]; !w.denied || !r.ctl.loops[0].poolEmpty {
+		t.Fatalf("s at %d ways desiring %d: denied=%v poolEmpty=%v, want both", w.ways, w.desire, w.denied, r.ctl.loops[0].poolEmpty)
+	}
+	j := obs.NewJournal(64)
+	r.ctl.SetSink(j)
+	r.tick()
+	r.wantState("s", StateStreaming)
+	var reason string
+	for _, e := range j.Tail(64) {
+		if e.Kind == obs.KindStateTransition && e.Workload == "s" {
+			reason = e.Reason
+		}
+	}
+	if reason != reasonStreamingDenied {
+		t.Errorf("s became Streaming for %q, want %q", reason, reasonStreamingDenied)
 	}
 }

@@ -55,6 +55,9 @@ func FuzzSegmentScan(f *testing.F) {
 	f.Add(bytes.ReplaceAll(lines, []byte("\n"), []byte("\r\n")))                                // CRLF endings
 	f.Add(append(append(realSegment(f, 2, strings.Repeat("x", 70<<10)), segmentSep), lines...)) // >64 KiB line, two segments
 	f.Add([]byte("not json\n{}\n\n\xff{\"id\":1,\"event\":{\"kind\":\"WayGrant\"}}\n"))
+	for _, tail := range []string{"}", "]", " x"} { // trailing data after a record
+		f.Add([]byte("{\"id\":5,\"event\":{\"kind\":\"WayGrant\"}}" + tail + "\n"))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

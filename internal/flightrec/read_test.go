@@ -155,6 +155,30 @@ func TestSelectJSONLInvalidUTF8(t *testing.T) {
 // query that reaches them, naming the segment and the offset, instead
 // of returning a different record. Queries that do not reach the
 // damaged segment are unaffected.
+// TestDecodeRecordLineTrailingData: a line holds one record and
+// nothing but JSON whitespace after it. A stray closing bracket, which
+// Decoder.More reports as no more input, is trailing data like any
+// other byte.
+func TestDecodeRecordLineTrailingData(t *testing.T) {
+	const rec = `{"id":5,"event":{"kind":"WayGrant"}}`
+	for _, tc := range []struct {
+		line string
+		ok   bool
+	}{
+		{rec + "\n", true},
+		{rec + " \t\r\n", true},
+		{rec + "}\n", false},
+		{rec + "]\n", false},
+		{rec + " x\n", false},
+		{rec + rec + "\n", false},
+	} {
+		var r Record
+		if err := decodeRecordLine([]byte(tc.line), &r); (err == nil) != tc.ok {
+			t.Errorf("decodeRecordLine(%q) err = %v, want ok=%v", tc.line, err, tc.ok)
+		}
+	}
+}
+
 func TestSelectRejectsAlteredLines(t *testing.T) {
 	for _, c := range []struct {
 		name string

@@ -260,12 +260,14 @@ func scanSegment(meta *segMeta, repairTail bool, fn func(*Record)) error {
 
 // decodeRecordLine parses one JSONL line into a record, rejecting
 // trailing garbage so a half-written merge of two lines cannot pass.
+// Only JSON whitespace may follow the record: Decoder.More alone would
+// pass a stray closing bracket.
 func decodeRecordLine(line []byte, rec *Record) error {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	if err := dec.Decode(rec); err != nil {
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(line[dec.InputOffset():], " \t\r\n")) != 0 {
 		return fmt.Errorf("flightrec: trailing data after record")
 	}
 	return nil

@@ -61,7 +61,6 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 	}
 	if lc < 0 || len(v.Workloads) == 1 {
 		policy.EvenSplit(g.Ways, total)
-		g.PoolEmpty = true
 		return
 	}
 	beFloor := len(v.Workloads) - 1 // one way per best-effort group
@@ -94,5 +93,4 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 	policy.EvenSplit(g.Ways[:n], total-p.lcWays)
 	copy(g.Ways[lc+1:], g.Ways[lc:n])
 	g.Ways[lc] = p.lcWays
-	g.PoolEmpty = true
 }

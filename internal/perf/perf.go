@@ -211,10 +211,17 @@ func regressed(prev, cur *Counters) (back, failed bool) {
 // next SampleCores delta starts from now. A controller adopting cores
 // it has never sampled — or cores whose history belongs to a previous
 // tenant — primes them first; otherwise the first sample would span
-// the cores' whole cumulative past.
+// the cores' whole cumulative past. SampleCores' failed-read rule
+// holds here too: a core whose counters went back to zero keeps its
+// previous snapshot rather than priming at zero.
 func (sm *Sampler) Prime(cores []int) {
 	for _, core := range cores {
-		*sm.slot(core) = sm.snapshot(core)
+		cur := sm.snapshot(core)
+		p := sm.slot(core)
+		if back, failed := regressed(p, &cur); back && failed {
+			continue
+		}
+		*p = cur
 	}
 }
 

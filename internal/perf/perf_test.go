@@ -221,3 +221,30 @@ func TestSamplerSurvivesHostileCounters(t *testing.T) {
 		})
 	}
 }
+
+// TestPrimeOverFailedReads: a core that has counted to 2^40 is primed
+// while its reads fail (msr reports 0). The failed prime keeps the last
+// good snapshot, so 1,000 more instructions sample as 1,000, not as the
+// counters' whole lifetime.
+func TestPrimeOverFailedReads(t *testing.T) {
+	const lifetime = 1 << 40
+	r := &scripted{}
+	sm := NewSampler(r)
+	r.now[RetiredInstructions] = lifetime
+	sm.SampleCores([]int{0})
+	r.now = Counters{}
+	sm.Prime([]int{0})
+	r.now[RetiredInstructions] = lifetime + 1000
+	if got := sm.SampleCores([]int{0}).RetIns; got != 1000 {
+		t.Fatalf("sample after a failed prime retired %d instructions, want 1000", got)
+	}
+	// A counter that legitimately reads zero (a fixed counter msr.Open
+	// zeroed) does not fail the prime of a core never sampled before.
+	r.now = Counters{RetiredInstructions: 5000}
+	sm = NewSampler(r)
+	sm.Prime([]int{0})
+	r.now[RetiredInstructions] += 1000
+	if got := sm.SampleCores([]int{0}).RetIns; got != 1000 {
+		t.Fatalf("sample after priming beside a zero counter retired %d instructions, want 1000", got)
+	}
+}

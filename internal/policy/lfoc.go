@@ -99,16 +99,11 @@ func (l *LFOC) Propose(v *View, g *Grants) {
 			cands[k] = v.splitCand(i, g.Ways[i])
 		}
 		if res, ok := l.split.optimize(cands, budget); ok {
-			used := 0
 			for k, i := range l.idx {
 				g.Ways[i] = res[k]
-				used += res[k]
 			}
-			free = budget - used
 		}
 	}
-
-	g.PoolEmpty = free == 0
 }
 
 // DropModel releases a departed workload's cluster assignment. LFOC

@@ -5,11 +5,14 @@
 // The controller owns steps 1–4 of the loop — statistics, phase
 // detection, categorization, and the baseline guarantee — and hands a
 // read-only View of the round to an AllocationPolicy, which fills a
-// Grants with the proposed per-workload way counts. The controller then
-// enforces the non-negotiable invariants (every workload ≥ 1 way, the
-// sum within the socket's associativity, Reclaim pinned to its
-// contracted baseline unless the policy explicitly sustains it) before
-// applying the allocation to CAT.
+// Grants with the proposed per-workload way counts, Reclaim sustains
+// and decision notes. The controller then enforces the non-negotiable
+// invariants (every workload ≥ 1 way, the sum within the socket's
+// associativity, Reclaim pinned to its contracted baseline unless the
+// policy explicitly sustains it) before applying the allocation to CAT,
+// and derives from those guarded grants the two facts the next round's
+// categorizer reads (growth denied, pool empty): no policy reports
+// them.
 //
 // Three engines ship here:
 //
@@ -158,16 +161,10 @@ type Note struct {
 type Grants struct {
 	// Ways is the proposed allocation per workload.
 	Ways []int
-	// Denied marks workloads whose requested growth could not be
-	// granted — input to next round's streaming-verdict rule.
-	Denied []bool
 	// Sustain marks Reclaim workloads the policy deliberately holds
 	// away from their baseline (predictive sustain-and-adopt). Without
 	// it the controller pins every Reclaim to its contracted baseline.
 	Sustain []bool
-	// PoolEmpty reports whether the round ended with no free ways —
-	// part of the §3.4 Streaming decision.
-	PoolEmpty bool
 	// Notes carries policy side-decisions for the decision trace.
 	Notes []Note
 }
@@ -176,18 +173,14 @@ type Grants struct {
 func (g *Grants) Reset(n int) {
 	if cap(g.Ways) < n {
 		g.Ways = make([]int, n)
-		g.Denied = make([]bool, n)
 		g.Sustain = make([]bool, n)
 	}
 	g.Ways = g.Ways[:n]
-	g.Denied = g.Denied[:n]
 	g.Sustain = g.Sustain[:n]
 	for i := 0; i < n; i++ {
 		g.Ways[i] = 0
-		g.Denied[i] = false
 		g.Sustain[i] = false
 	}
-	g.PoolEmpty = false
 	g.Notes = g.Notes[:0]
 }
 

@@ -136,9 +136,6 @@ func TestReactiveBaselineGuarantee(t *testing.T) {
 		t.Errorf("over-commit shave took [%d %d], want the largest surplus shaved to [3 3]",
 			g.Ways[1], g.Ways[2])
 	}
-	if !g.PoolEmpty {
-		t.Error("a fully committed round must report an empty pool")
-	}
 }
 
 // TestReactiveGrowthPriority: Unknown workloads outrank Receivers for
@@ -155,9 +152,6 @@ func TestReactiveGrowthPriority(t *testing.T) {
 	NewReactive().Propose(v, &g)
 	if g.Ways[0] != 6 || g.Ways[1] != 2 {
 		t.Errorf("grants [%d %d], want the Unknown fully served first [6 2]", g.Ways[0], g.Ways[1])
-	}
-	if g.Denied[0] || !g.Denied[1] {
-		t.Errorf("denial flags [%v %v], want only the starved Receiver denied", g.Denied[0], g.Denied[1])
 	}
 }
 

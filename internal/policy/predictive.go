@@ -183,7 +183,6 @@ func (p *Predictive) Propose(v *View, g *Grants) {
 			Ways: g.Ways[pg.idx], Value: pg.conf, Label: phaseLabel(pg.phase),
 		})
 	}
-	g.PoolEmpty = free == 0
 }
 
 // learn records one observed from→to phase transition, bounded by

@@ -127,26 +127,18 @@ func (r *Reactive) Propose(v *View, g *Grants) {
 			}
 		}
 	}
-	for i := range v.Workloads {
-		w := &v.Workloads[i]
-		if w.Desire > g.Ways[i] && w.Category != Reclaim {
-			g.Denied[i] = true
-		}
-	}
 
 	// 4. Max-performance redistribution (§3.5): when tables exist,
 	// choose the split of the cache-sensitive workloads' capacity that
 	// maximizes summed normalized IPC.
 	if v.MaxPerformance {
-		r.optimize(v, g, &pool)
+		r.optimize(v, g, pool)
 	}
-
-	g.PoolEmpty = pool == 0
 }
 
 // optimize reassigns ways among workloads with informative performance
-// tables, keeping everyone else fixed.
-func (r *Reactive) optimize(v *View, g *Grants, pool *int) {
+// tables, keeping everyone else fixed. budget starts at the free pool.
+func (r *Reactive) optimize(v *View, g *Grants, budget int) {
 	r.optIdx = r.optIdx[:0]
 	for i := range v.Workloads {
 		w := &v.Workloads[i]
@@ -163,7 +155,6 @@ func (r *Reactive) optimize(v *View, g *Grants, pool *int) {
 	if len(r.optIdx) < 2 {
 		return
 	}
-	budget := *pool
 	if cap(r.cands) < len(r.optIdx) {
 		r.cands = make([]SplitCand, len(r.optIdx))
 	}
@@ -176,10 +167,7 @@ func (r *Reactive) optimize(v *View, g *Grants, pool *int) {
 	if !ok {
 		return
 	}
-	used := 0
 	for k, i := range r.optIdx {
 		g.Ways[i] = res[k]
-		used += res[k]
 	}
-	*pool = budget - used
 }

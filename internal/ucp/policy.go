@@ -66,14 +66,8 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 			for _, mon := range p.mons {
 				mon.Reset()
 			}
-			free := total
-			for _, w := range g.Ways {
-				free -= w
-			}
-			g.PoolEmpty = free == 0
 			return
 		}
 	}
 	policy.EvenSplit(g.Ways, total)
-	g.PoolEmpty = true
 }
